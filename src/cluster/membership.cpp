@@ -54,10 +54,11 @@ const NodeKill* Membership::killed_peer(int peer) const {
   const NodeKill* kill = kill_on_smp(ctx_.host_smp_of(peer));
   if (kill == nullptr) return nullptr;
   // Failure-detector assumption: the heartbeat deadline exceeds the
-  // virtual-clock skew between partners within a step, so a silent peer
+  // virtual-clock skew between partners within a step, so an exited peer
   // whose kill time lies within [now, now + deadline] may already have
   // reached it on its own (slightly ahead) clock.  Without the slack a
-  // receiver resting just below the kill time would wait forever.
+  // receiver resting just below the kill time could not explain the
+  // exit and would surface it as a bare PeerExited.
   if (ctx_.clock().now() + plan_.heartbeat_deadline_us < kill->at_us) {
     return nullptr;
   }

@@ -2,9 +2,10 @@
 // into a collectively agreed NodeDown verdict.
 //
 // Liveness information is piggybacked on normal traffic (every accepted
-// bulk message refreshes the sender's last-heard time); when a sender's
-// retransmit watchdog keeps firing against one peer, it asks this
-// service instead of burning the whole retry budget.  The service fires
+// bulk message refreshes the sender's last-heard time); when a peer's
+// rank exits with nothing queued for a blocked receiver (the bus's exit
+// event, cluster::PeerExited), the receiver asks this service whether
+// the plan explains the exit as a scheduled fail-stop.  The service fires
 // `FaultPlan::dead_peer_probes` idle-time heartbeat probes on the
 // reserved tag (costed through the virtual clock like any small
 // message) and, if the plan confirms the peer's scheduled fail-stop,
@@ -47,10 +48,10 @@ class Membership {
   // it never sends or receives again.
   void maybe_fail_self();
 
-  // The scheduled kill explaining `peer`'s silence at the current
-  // virtual time, or nullptr when the peer should still be alive (its
-  // silence is transient loss; keep retrying).  Kills are node-granular:
-  // a kill naming any rank of the peer's SMP explains the peer.
+  // The scheduled kill explaining `peer`'s exit at the current virtual
+  // time, or nullptr when the plan does not explain it (the peer should
+  // still be alive).  Kills are node-granular: a kill naming any rank of
+  // the peer's SMP explains the peer.
   [[nodiscard]] const NodeKill* killed_peer(int peer) const;
 
   // The kill (if any) scheduled this epoch for the node hosting `rank`,

@@ -7,6 +7,7 @@ namespace hyades::cluster {
 
 MessageBus::MessageBus(int nranks) {
   if (nranks < 1) throw std::invalid_argument("MessageBus: nranks < 1");
+  exited_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(nranks));
   boxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
     boxes_.push_back(std::make_unique<Mailbox>());
@@ -25,11 +26,12 @@ void MessageBus::send(int to, Message m) {
 
 Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
   Mailbox& box = *boxes_.at(static_cast<std::size_t>(me));
+  const std::atomic<bool>& gone = exited_.at(static_cast<std::size_t>(from));
   support::MutexLock lock(box.mu);
   auto& q = box.queues[{from, tag}];
   if (!box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms), [&] {
         box.mu.assert_held();
-        return !q.empty() || down();
+        return !q.empty() || down() || gone.load(std::memory_order_acquire);
       })) {
     throw std::runtime_error("MessageBus::recv: timeout (rank " +
                              std::to_string(me) + " waiting on " +
@@ -37,6 +39,7 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
                              std::to_string(tag) + ")");
   }
   if (down()) throw NodeDownError(down_verdict());
+  if (q.empty()) throw PeerExited(me, from, tag);
   Message m = std::move(q.front());
   q.pop_front();
   return m;
@@ -60,8 +63,7 @@ void MessageBus::declare_down(const NodeDownVerdict& verdict) {
     verdict_ = verdict;
     down_.store(true, std::memory_order_release);
   }
-  // Wake every rank blocked in recv so the abort is prompt.
-  for (auto& box : boxes_) box->cv.notify_all();
+  wake_all();  // the abort is prompt
 }
 
 NodeDownVerdict MessageBus::down_verdict() const {
@@ -73,6 +75,26 @@ void MessageBus::reset_down() {
   support::MutexLock lock(verdict_mu_);
   verdict_ = NodeDownVerdict{};
   down_.store(false, std::memory_order_release);
+}
+
+void MessageBus::mark_exited(int rank) {
+  exited_.at(static_cast<std::size_t>(rank))
+      .store(true, std::memory_order_release);
+  wake_all();
+}
+
+void MessageBus::clear_exits() {
+  for (std::atomic<bool>& e : exited_) e.store(false, std::memory_order_release);
+}
+
+void MessageBus::wake_all() {
+  for (auto& box : boxes_) {
+    // Passing through the mailbox lock orders the flag store before the
+    // predicate check of any receiver not yet asleep, so a receiver
+    // between its check and its wait cannot miss this wake-up.
+    { support::MutexLock lock(box->mu); }
+    box->cv.notify_all();
+  }
 }
 
 bool MessageBus::poll(int me, int from, int tag) {

@@ -12,6 +12,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/fault.hpp"
@@ -20,6 +22,22 @@
 #include "support/units.hpp"
 
 namespace hyades::cluster {
+
+// Thrown by a blocking receive whose sender has exited (its rank body
+// ended: returned, fail-stopped or threw) with nothing left queued for
+// the receiver: the message can never come, so the wait ends at once.
+// Collateral by nature -- the sender's own exit reason is the root
+// cause (Runtime::run surfaces it first).
+class PeerExited : public std::runtime_error {
+ public:
+  PeerExited(int on_rank, int from_peer, int on_tag)
+      : std::runtime_error("MessageBus::recv: rank " + std::to_string(on_rank) +
+                           " waiting on rank " + std::to_string(from_peer) +
+                           " tag " + std::to_string(on_tag) +
+                           ", which exited with nothing queued"),
+        rank(on_rank), peer(from_peer), tag(on_tag) {}
+  int rank, peer, tag;
+};
 
 struct Message {
   int src = -1;
@@ -51,8 +69,10 @@ class MessageBus {
   void send(int to, Message m);
 
   // Block until a message from (from, tag) is available for `me`.
-  // Throws std::runtime_error after `timeout_ms` of real time (deadlock
-  // guard for tests).
+  // Mail already queued is delivered even after the sender exited; once
+  // it is drained, a receive from an exited sender throws PeerExited.
+  // The `timeout_ms` of real time (std::runtime_error) is only a
+  // backstop for a wait cycle among live ranks.
   Message recv(int me, int from, int tag, int timeout_ms = 30000);
 
   // Non-blocking receive: pop the head of the (from, tag) queue if a
@@ -66,7 +86,8 @@ class MessageBus {
 
   // ---- NodeDown poison -------------------------------------------------
   // Declaring a verdict poisons the bus: every subsequent send/recv/
-  // try_recv on any rank throws NodeDownError carrying the verdict, and
+  // try_recv on any rank throws NodeDownError carrying the verdict (the
+  // poison takes precedence over queued mail and exit events), and
   // ranks blocked in recv wake immediately.  That turns one rank's
   // detection into a prompt collective abort of the epoch without any
   // real-time timeouts.  First verdict wins; later declarations are
@@ -82,13 +103,23 @@ class MessageBus {
   // into message tags (RankContext) makes it unmatchable dead letters.
   void reset_down();
 
+  // ---- rank exit events -------------------------------------------------
+  // Runtime::run marks a rank exited when its body ends, waking every
+  // receiver blocked on it, and clears all marks before the next run.
+  void mark_exited(int rank);
+  void clear_exits();
+
  private:
+  // Wake every blocked receiver so it re-checks its wait predicate.
+  void wake_all();
+
   struct Mailbox {
     support::Mutex mu;
     support::CondVar cv;
     std::map<std::pair<int, int>, std::deque<Message>> queues GUARDED_BY(mu);
   };
   std::vector<std::unique_ptr<Mailbox>> boxes_;
+  std::vector<std::atomic<bool>> exited_;
   std::atomic<bool> down_{false};
   mutable support::Mutex verdict_mu_;
   NodeDownVerdict verdict_ GUARDED_BY(verdict_mu_);

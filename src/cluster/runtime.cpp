@@ -18,7 +18,7 @@ RateLimiter g_straggler_warn_limiter(/*burst=*/4, /*every=*/1u << 20);
 
 void AbortableBarrier::arrive_and_wait() {
   support::MutexLock lock(mu_);
-  if (aborted_) throw std::runtime_error("SMP barrier aborted");
+  if (aborted_) throw BarrierAborted();
   const std::uint64_t gen = generation_;
   if (++waiting_ == count_) {
     waiting_ = 0;
@@ -30,9 +30,7 @@ void AbortableBarrier::arrive_and_wait() {
     mu_.assert_held();
     return generation_ != gen || aborted_;
   });
-  if (generation_ == gen && aborted_) {
-    throw std::runtime_error("SMP barrier aborted");
-  }
+  if (generation_ == gen && aborted_) throw BarrierAborted();
 }
 
 void AbortableBarrier::abort() {
@@ -259,6 +257,7 @@ Runtime::Runtime(MachineConfig cfg) : cfg_(cfg), bus_(cfg.nranks()) {
 void Runtime::run(const std::function<void(RankContext&)>& body) {
   const int n = cfg_.nranks();
   for (auto& s : smps_) s->barrier.reset();
+  bus_.clear_exits();
   acct_.assign(static_cast<std::size_t>(n), Accounting{});
   clocks_.assign(static_cast<std::size_t>(n), 0.0);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
@@ -275,32 +274,41 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
         // driver thread below; nothing is swallowed.
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Release any sibling blocked on the SMP barrier.
-        if (cfg_.procs_per_smp > 1) {
-          smp_shared(ctx.smp()).barrier.abort();
-        }
       }
       acct_[static_cast<std::size_t>(r)] = ctx.accounting();
       clocks_[static_cast<std::size_t>(r)] = ctx.clock().now();
+      // This rank will never send or reach a barrier again: wake the
+      // receivers blocked on it and any sibling waiting at the SMP
+      // barrier, instead of letting them wait on real time.
+      bus_.mark_exited(r);
+      if (cfg_.procs_per_smp > 1) smp_shared(ctx.smp()).barrier.abort();
     });
   }
   for (auto& t : threads) t.join();
-  // A NodeDown verdict is the root cause of an aborted epoch; sibling
-  // ranks unwinding through the poisoned bus or an aborted SMP barrier
-  // produce collateral runtime_errors.  Surface the verdict first.
-  for (auto& e : errors) {
-    if (!e) continue;
+
+  // Root cause first.  A NodeDown verdict explains an aborted epoch;
+  // otherwise the first rank error that is not collateral does.  Ranks
+  // woken by an exit (PeerExited, BarrierAborted) only report that a
+  // peer died before them.
+  const auto triage_class = [](const std::exception_ptr& e) {
     try {
       std::rethrow_exception(e);
     } catch (const NodeDownError&) {
-      throw;
-      // lint:allow(catch-all): triage pass ordering root cause above
-      // collateral errors; the loop below rethrows whatever remains.
+      return 0;
+    } catch (const PeerExited&) {
+      return 2;
+    } catch (const BarrierAborted&) {
+      return 2;
+      // lint:allow(catch-all): classification only -- the exception is
+      // rethrown unchanged by the loop below; nothing is swallowed.
     } catch (...) {
+      return 1;
     }
-  }
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  };
+  for (int cls = 0; cls <= 2; ++cls) {
+    for (const std::exception_ptr& e : errors) {
+      if (e && triage_class(e) == cls) std::rethrow_exception(e);
+    }
   }
 }
 

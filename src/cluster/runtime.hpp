@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/message_bus.hpp"
@@ -104,10 +105,17 @@ class Membership;
 // protocol tag spaces live far below this stride.
 inline constexpr int kEpochTagStride = 1 << 16;
 
-// A cyclic thread barrier that can be aborted: when a rank dies with an
-// exception, abort() wakes every sibling blocked in arrive_and_wait()
-// (they observe a runtime_error) instead of deadlocking the join.  It is
-// reusable across Runtime::run() invocations via reset().
+// Thrown by an aborted SMP barrier: a sibling rank exited, so the
+// barrier can never complete.  Collateral, like PeerExited.
+class BarrierAborted : public std::runtime_error {
+ public:
+  BarrierAborted() : std::runtime_error("SMP barrier aborted") {}
+};
+
+// A cyclic thread barrier that can be aborted: when a rank exits,
+// abort() wakes every sibling blocked in arrive_and_wait() (they observe
+// BarrierAborted) instead of deadlocking the join.  It is reusable
+// across Runtime::run() invocations via reset().
 class AbortableBarrier {
  public:
   explicit AbortableBarrier(int count) : count_(count) {}
@@ -276,8 +284,13 @@ class Runtime {
   MessageBus& bus() { return bus_; }
   SmpShared& smp_shared(int smp) { return *smps_[static_cast<std::size_t>(smp)]; }
 
-  // Execute `body` on every rank (one std::thread each) and join.  Any
-  // exception thrown by a rank is rethrown here after all threads stop.
+  // Execute `body` on every rank (one std::thread each) and join.  A
+  // rank's exit (its body returned or threw) is an event: it wakes the
+  // receivers blocked on that rank (MessageBus::mark_exited) and aborts
+  // its SMP barrier.  After the join one rank exception is rethrown,
+  // root cause first: NodeDownError, then errors that are not
+  // collateral, then the collateral PeerExited/BarrierAborted unwinds;
+  // rank order within each class.
   void run(const std::function<void(RankContext&)>& body);
 
   // Accounting snapshots captured at the end of the last run().

@@ -1,9 +1,7 @@
 #include "comm/reliable.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "cluster/membership.hpp"
@@ -14,15 +12,6 @@ namespace hyades::comm {
 namespace {
 // A NAK is one small control message back to the sender.
 constexpr int kNakPayloadBytes = 8;
-
-// Real-time patience while polling for a silent peer.  The grace period
-// filters transient thread-scheduling lag before the plan is consulted
-// about a scheduled fail-stop; the hard deadline turns a protocol bug
-// (waiting on a peer that is neither sending nor scheduled to die) into
-// a descriptive error instead of a hang.
-constexpr auto kDeadPeerGrace = std::chrono::milliseconds(50);
-constexpr auto kRecvDeadline = std::chrono::seconds(30);
-constexpr auto kRecvPollSleep = std::chrono::microseconds(50);
 }  // namespace
 
 void Reliable::send(int to, int tag, std::vector<double> data,
@@ -208,55 +197,29 @@ std::optional<cluster::Message> Reliable::accept(cluster::Message m, int from,
 }
 
 cluster::Message Reliable::recv(int from, int tag) {
+  // With node kills scheduled, a blocking receive is a communication
+  // point: this rank may be due to die here.
   cluster::Membership* ms = ctx_.membership();
-  if (ms == nullptr) {
-    for (;;) {
-      std::optional<cluster::Message> good =
-          accept(ctx_.recv_raw(from, tag), from, tag);
-      if (good) return std::move(*good);
-    }
-  }
-
-  // Node kills are scheduled: a blocking receive is a communication
-  // point (this rank may be due to die here) and must not hang on a
-  // peer that fail-stopped.  Poll the bus; on sustained silence ask the
-  // membership service whether the plan explains it, and escalate to
-  // the collective NodeDown verdict instead of waiting out the bus's
-  // real-time watchdog.
-  ms->maybe_fail_self();
-  // lint:allow(wall-clock): hang-detection watchdog for a fail-stopped
-  // peer; bounds host wait only, never feeds simulated timestamps.
-  const auto started = std::chrono::steady_clock::now();
-  auto empty_since = started;
-  bool was_empty = false;
+  if (ms != nullptr) ms->maybe_fail_self();
   for (;;) {
-    std::optional<cluster::Message> m = ctx_.try_recv_raw(from, tag);
-    if (m) {
-      was_empty = false;
-      ms->note_alive(from, m->stamp_us);
-      std::optional<cluster::Message> good = accept(std::move(*m), from, tag);
-      if (good) return std::move(*good);
-      continue;
-    }
-    // lint:allow(wall-clock): same watchdog; real time bounds the poll
-    // loop, virtual time is untouched.
-    const auto now = std::chrono::steady_clock::now();
-    if (!was_empty) {
-      was_empty = true;
-      empty_since = now;
-    }
-    if (now - empty_since >= kDeadPeerGrace) {
-      if (const cluster::NodeKill* kill = ms->killed_peer(from)) {
-        ms->escalate(from, *kill);  // throws NodeDownError
+    cluster::Message m;
+    try {
+      m = ctx_.recv_raw(from, tag);
+    } catch (const cluster::PeerExited&) {
+      // The peer's rank body ended with nothing queued for us.  If the
+      // plan explains that as a scheduled fail-stop, publish the
+      // collective verdict (escalate throws NodeDownError); otherwise
+      // the message can never come and the typed exit surfaces as is.
+      if (ms != nullptr) {
+        if (const cluster::NodeKill* kill = ms->killed_peer(from)) {
+          ms->escalate(from, *kill);
+        }
       }
+      throw;
     }
-    if (now - started >= kRecvDeadline) {
-      throw std::runtime_error(
-          "reliable recv: rank " + std::to_string(ctx_.rank()) +
-          " timed out waiting for rank " + std::to_string(from) + " tag " +
-          std::to_string(tag) + " (peer silent but not scheduled to die)");
-    }
-    std::this_thread::sleep_for(kRecvPollSleep);
+    if (ms != nullptr) ms->note_alive(from, m.stamp_us);
+    std::optional<cluster::Message> good = accept(std::move(m), from, tag);
+    if (good) return std::move(*good);
   }
 }
 

@@ -38,11 +38,12 @@
 //   * a dead inter-SMP link (FaultPlan::link_kills) adds the
 //     route-around penalty to the arrival stamp and flags the message,
 //     so the receiver can attribute the detour (reroute_us bucket);
-//   * a blocking recv from a silent peer does not burn the retry budget
-//     or the bus's 30 s real-time watchdog: once the plan confirms the
-//     peer's scheduled fail-stop, the receiver escalates to the
-//     membership service, which publishes the collective NodeDown
-//     verdict (poisons the bus) and unwinds this epoch.
+//   * a blocking recv from a fail-stopped peer does not burn the retry
+//     budget or wait on real time: the peer's exit wakes the receiver
+//     (cluster::PeerExited), and once the plan confirms the scheduled
+//     fail-stop, the receiver escalates to the membership service, which
+//     publishes the collective NodeDown verdict (poisons the bus) and
+//     unwinds this epoch.
 #pragma once
 
 #include <cstdint>
@@ -102,7 +103,9 @@ class Reliable {
   // Receive the next good message from (from, tag): drains CRC-flagged
   // ghost attempts (counting a NAK each), validates serial/attempt
   // bookkeeping (fail fast on protocol corruption), charges recovery
-  // cost and records the kFault span.
+  // cost and records the kFault span.  If `from` exits with nothing
+  // queued, escalates to NodeDownError when the plan explains the exit
+  // as a scheduled fail-stop, else rethrows cluster::PeerExited.
   cluster::Message recv(int from, int tag);
 
   // Non-blocking variant: drains any ghosts already queued; returns the

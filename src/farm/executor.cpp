@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "cluster/runtime.hpp"
@@ -72,6 +73,7 @@ ExecutionOutcome execute_job(const JobSpec& spec,
         out.result.mean_theta = mt;
       }
     };
+    std::optional<Microseconds> gave_up_us;
     try {
       const gcm::ResilientStats st =
           gcm::run_resilient(rt, spec.config, spec.steps, rcfg);
@@ -88,12 +90,17 @@ ExecutionOutcome execute_job(const JobSpec& spec,
       out.ok = false;
       out.error = e.what();
       out.result.steps_committed = 0;  // every epoch aborted: nothing kept
+      gave_up_us = e.gave_up_us;
     } catch (const std::runtime_error& e) {
       out.ok = false;
       out.error = e.what();
       out.result.steps_committed = 0;
     }
     charge_costs(rt, &out.result);
+    // The final epoch aborted wherever each survivor noticed the poisoned
+    // bus, so a given-up member is charged the error's plan-pure give-up
+    // time instead of the racy max rank clock.
+    if (gave_up_us) out.result.busy_us = *gave_up_us;
     gcm::tile_ckpt::remove_slots(scratch_prefix, mc.nranks());
     return out;
   }

@@ -70,7 +70,9 @@ struct JobResult {
   double kinetic_energy = 0.0;  // final KE (J), bit-deterministic
   double mean_theta = 0.0;      // final mean temperature
   int steps_committed = 0;      // model steps that advanced state
-  Microseconds busy_us = 0.0;   // cluster occupancy (max rank clock)
+  // Cluster occupancy: the max rank clock, or for a member whose
+  // recovery gave up, the plan-pure RecoveryError::gave_up_us.
+  Microseconds busy_us = 0.0;
   std::int64_t retransmits = 0;  // summed fault-recovery retries
   std::int64_t restarts = 0;     // summed epoch restarts
   int rollbacks = 0;             // soft-fault rollback replays

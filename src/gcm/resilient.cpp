@@ -350,17 +350,16 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           if (rcfg.on_complete) rcfg.on_complete(ctx, model);
         } catch (const cluster::RankFailStop&) {
           // This rank's node fail-stopped at a communication point: go
-          // silent.  Wake an SMP sibling blocked on the shared barrier;
-          // survivors detect the silence through the membership service.
-          if (ctx.procs_per_smp() > 1) {
-            rt.smp_shared(ctx.smp()).barrier.abort();
-          }
+          // silent.  The rank's exit wakes the peers blocked on it (and
+          // aborts its SMP barrier); they escalate through the
+          // membership service.
         } catch (const cluster::NodeDownError&) {
           throw;  // collective epoch abort; Runtime::run surfaces it first
         } catch (const std::runtime_error&) {
-          // A dying sibling aborts the shared SMP barrier; ranks of the
-          // killed node treat that collateral as their own death.  Any
-          // other runtime_error on a surviving node is a real failure.
+          // A dying sibling's exit aborts the shared SMP barrier or ends
+          // a receive (PeerExited); ranks of the killed node treat that
+          // collateral as their own death.  Any other runtime_error on a
+          // surviving node is a real failure.
           cluster::Membership* ms = ctx.membership();
           if (ms != nullptr && ms->scheduled_kill(ctx.rank()) != nullptr) {
             return;
@@ -381,7 +380,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
               "run_resilient: epoch " + std::to_string(epoch) +
                   " ended with no rank completing and no scheduled kill to "
                   "explain it",
-              -1, -1, -1, RecoveryRung::kMigrate);
+              -1, -1, -1, RecoveryRung::kMigrate, clock_base);
         }
         throw cluster::NodeDownError(
             cluster::coalesce_expired_kills(*plan, epoch));
@@ -394,8 +393,10 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
       absorb_counts();
       record_recovery();
       st.verdicts.push_back(e.verdict);
+      // If recovery gives up here, it does so at a plan-pure time.
+      const Microseconds gave_up = std::max(clock_base, e.verdict.detected_us);
       if (++st.restarts > rcfg.max_restarts) {
-        throw RestartExhausted(st.restarts, e.verdict);
+        throw RestartExhausted(st.restarts, e.verdict, gave_up);
       }
       // Chaos/test hook: damage durable state *before* planning, so the
       // planner sees exactly what a recovery after silent bit rot sees.
@@ -407,7 +408,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
       if (!migrate) {
         // ---- epoch restart: everyone reloads the newest full slot ----
         if (!plan_epoch_restart(&ev)) {
-          throw RecoveryExhausted(e.verdict, ev.attempts);
+          throw RecoveryExhausted(e.verdict, ev.attempts, gave_up);
         }
         st.restart_steps.push_back(resume_step);
         clock_base = e.verdict.detected_us +
@@ -622,7 +623,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         } else {
           const std::string migrate_fail_reason = ev.attempts.back().reason;
           if (!plan_epoch_restart(&ev)) {
-            throw RecoveryExhausted(e.verdict, ev.attempts);
+            throw RecoveryExhausted(e.verdict, ev.attempts, gave_up);
           }
           // Rung 3: restart the world from the newest verified slot.
           // The operator replaced the boards: placement returns to

@@ -149,28 +149,36 @@ struct ResilientStats {
 // gives up is a subclass carrying the context a campaign operator needs
 // to triage -- the primary casualty, the recovery step and durable slot
 // in question (-1 when not applicable), and the ladder rung being
-// attempted when recovery became impossible.  Still a runtime_error, so
-// pre-existing generic handlers (the farm's failed-member triage) keep
-// working unchanged.
+// attempted when recovery became impossible, and the virtual time it
+// gave up at.  Still a runtime_error, so pre-existing generic handlers
+// keep working unchanged.
 class RecoveryError : public std::runtime_error {
  public:
   RecoveryError(const std::string& what_msg, int failed_rank, long at_step,
-                int in_slot, RecoveryRung at_rung)
+                int in_slot, RecoveryRung at_rung, Microseconds gave_up_at_us)
       : std::runtime_error(what_msg),
         rank(failed_rank),
         step(at_step),
         slot(in_slot),
-        rung(at_rung) {}
+        rung(at_rung),
+        gave_up_us(gave_up_at_us) {}
   int rank;           // primary casualty rank, or -1
   long step;          // recovery step in question, or -1
   int slot;           // durable slot in question, or -1
   RecoveryRung rung;  // rung under attempt when the error was raised
+  // Virtual time of the give-up: the later of the final epoch's start
+  // clock and its verdict's detection time.  A pure function of the
+  // fault plan, unlike the survivors' clocks, which stop wherever each
+  // rank noticed the poisoned bus.  The farm charges it as the failed
+  // member's cost.
+  Microseconds gave_up_us;
 };
 
 // Thrown when a run aborts more than max_restarts times: the failure is
 // not survivable by restarting (e.g. the plan kills a node every epoch).
 struct RestartExhausted : RecoveryError {
-  RestartExhausted(int after_restarts, const cluster::NodeDownVerdict& v)
+  RestartExhausted(int after_restarts, const cluster::NodeDownVerdict& v,
+                   Microseconds gave_up_at_us)
       : RecoveryError(
             "run_resilient: giving up after " +
                 std::to_string(after_restarts) +
@@ -178,7 +186,7 @@ struct RestartExhausted : RecoveryError {
                 " down in epoch " + std::to_string(v.epoch) + " at t=" +
                 std::to_string(v.detected_us) + " us)",
             v.rank, /*at_step=*/-1, /*in_slot=*/-1,
-            RecoveryRung::kEpochRestart),
+            RecoveryRung::kEpochRestart, gave_up_at_us),
         restarts(after_restarts), last_verdict(v) {}
   int restarts;
   cluster::NodeDownVerdict last_verdict;
@@ -191,7 +199,8 @@ struct RestartExhausted : RecoveryError {
 // shows what was tried and why each rung fell through.
 struct RecoveryExhausted : RecoveryError {
   RecoveryExhausted(const cluster::NodeDownVerdict& v,
-                    std::vector<RungAttempt> ladder_history)
+                    std::vector<RungAttempt> ladder_history,
+                    Microseconds gave_up_at_us)
       : RecoveryError(
             "run_resilient: recovery exhausted after " +
                 std::to_string(ladder_history.size()) +
@@ -203,7 +212,8 @@ struct RecoveryExhausted : RecoveryError {
                                         : ladder_history.back().reason),
             v.rank, /*at_step=*/-1, /*in_slot=*/-1,
             ladder_history.empty() ? RecoveryRung::kMigrate
-                                   : ladder_history.back().rung),
+                                   : ladder_history.back().rung,
+            gave_up_at_us),
         verdict(v), history(std::move(ladder_history)) {}
   cluster::NodeDownVerdict verdict;
   std::vector<RungAttempt> history;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 namespace hyades::cluster {
@@ -75,6 +76,68 @@ TEST(MessageBus, SelfSendWorks) {
 
 TEST(MessageBus, RejectsBadConstruction) {
   EXPECT_THROW(MessageBus(0), std::invalid_argument);
+}
+
+// ---- rank exit events ---------------------------------------------------
+
+TEST(MessageBus, MailQueuedBeforeExitIsDeliveredFirst) {
+  MessageBus bus(2);
+  bus.send(1, Message{0, 4, {1.0}, 0});
+  bus.send(1, Message{0, 4, {2.0}, 0});
+  bus.mark_exited(0);
+  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 4).data[0], 1.0);
+  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 4).data[0], 2.0);
+  try {
+    (void)bus.recv(1, 0, 4);
+    FAIL() << "drained receive from an exited sender returned";
+  } catch (const PeerExited& e) {
+    EXPECT_EQ(e.rank, 1);
+    EXPECT_EQ(e.peer, 0);
+    EXPECT_EQ(e.tag, 4);
+  }
+  // Only the exited sender's streams end; other senders still deliver.
+  bus.send(1, Message{1, 4, {3.0}, 0});
+  EXPECT_DOUBLE_EQ(bus.recv(1, 1, 4).data[0], 3.0);
+}
+
+TEST(MessageBus, ExitWakesBlockedReceiverBeforeTimeout) {
+  // The receiver is asleep with a 60 s real-time budget; the sender's
+  // exit must end the wait at once with PeerExited -- the generic
+  // timeout runtime_error would fail the type check (and take 60 s).
+  MessageBus bus(2);
+  std::thread exiter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    bus.mark_exited(0);
+  });
+  EXPECT_THROW((void)bus.recv(1, 0, 3, /*timeout_ms=*/60000), PeerExited);
+  exiter.join();
+}
+
+TEST(MessageBus, ClearedExitMarksBlockAgain) {
+  MessageBus bus(2);
+  bus.mark_exited(0);
+  EXPECT_THROW((void)bus.recv(1, 0, 3), PeerExited);
+  bus.clear_exits();
+  // A fresh receive waits for the (now live) sender instead of throwing.
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    bus.send(1, Message{0, 3, {7.0}, 0});
+  });
+  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 3).data[0], 7.0);
+  sender.join();
+}
+
+TEST(MessageBus, PoisonTakesPrecedenceOverExitAndMail) {
+  MessageBus bus(2);
+  bus.send(1, Message{0, 5, {1.0}, 0});
+  bus.mark_exited(0);
+  NodeDownVerdict v;
+  v.rank = 0;
+  v.detected_us = 99.0;
+  bus.declare_down(v);
+  EXPECT_THROW((void)bus.recv(1, 0, 5), NodeDownError);
+  bus.reset_down();
+  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 5).data[0], 1.0);
 }
 
 }  // namespace

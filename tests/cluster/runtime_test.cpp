@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "net/arctic_model.hpp"
 
@@ -146,6 +148,33 @@ TEST(Runtime, ExceptionDoesNotDeadlockSibling) {
                  ctx.smp_sync();
                }),
                std::runtime_error);
+}
+
+TEST(Runtime, ReturnedRankWakesItsReceiver) {
+  // Rank 0 returns without sending: its exit ends rank 1's receive at
+  // once with the typed PeerExited, not the bus's real-time backstop.
+  const net::ArcticModel net;
+  Runtime rt(machine(net, 2, 1));
+  EXPECT_THROW(rt.run([](RankContext& ctx) {
+                 if (ctx.rank() == 1) (void)ctx.recv_raw(0, 5);
+               }),
+               PeerExited);
+}
+
+TEST(Runtime, ExitMarksResetBetweenRuns) {
+  // Every rank exits in the first run; the second run's receive must
+  // wait for the (live again) sender instead of seeing a stale mark.
+  const net::ArcticModel net;
+  Runtime rt(machine(net, 2, 1));
+  rt.run([](RankContext&) {});
+  rt.run([](RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ctx.send_raw(1, 6, {8.0}, 1.0);
+    } else {
+      EXPECT_DOUBLE_EQ(ctx.recv_raw(0, 6).data[0], 8.0);
+    }
+  });
 }
 
 TEST(Runtime, VirtualTimeDeterministicAcrossRuns) {

@@ -118,6 +118,24 @@ TEST(Exchange, SizeMismatchThrows) {
       std::logic_error);
 }
 
+TEST(Exchange, RootCauseSurfacesBeforeCollateral) {
+  // Rank 1 fails while rank 0 waits on it in a global sum.  Rank 1's
+  // exit ends rank 0's wait at once (PeerExited), and the run surfaces
+  // rank 1's own error, not the lower rank's collateral one.
+  const net::ArcticModel net;
+  Runtime rt(machine(net, 2, 1));
+  try {
+    rt.run([&](RankContext& ctx) {
+      Comm comm(ctx);
+      if (ctx.rank() == 1) throw std::logic_error("rank 1 root cause");
+      (void)comm.global_sum(1.0);
+    });
+    FAIL() << "expected the root-cause logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 root cause");
+  }
+}
+
 TEST(Exchange, NeighborOutsideGroupThrows) {
   const net::ArcticModel net;
   Runtime rt(machine(net, 2, 1));

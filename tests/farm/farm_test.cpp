@@ -251,6 +251,29 @@ TEST(Farm, RestartExhaustedMemberFailsWithoutWedgingQueue) {
   EXPECT_FALSE(f.job(again).from_cache);
 }
 
+TEST(Farm, FailedMemberCostIsPlanPure) {
+  // The survivors of a given-up epoch stop wherever each noticed the
+  // poisoned bus, so their clocks race.  The member is charged the
+  // error's give-up time instead: epoch 1 starts once epoch 0's verdict
+  // is detected and the relaunch is paid, its kill (at_us already in
+  // the past) fires at once, and recovery gives up at that start clock.
+  QuietLog quiet;
+  const JobSpec spec = doomed_member("doomed");
+  const cluster::FaultPlan& p = spec.faults;
+  const Microseconds expected = p.node_kills.front().at_us +
+                                p.heartbeat_deadline_us + p.restart_cost_us;
+  for (int run = 0; run < 5; ++run) {
+    Farm f(farm_config(1));
+    const int id = f.submit(spec);
+    f.run_until_drained();
+    const JobRecord& r = f.job(id);
+    ASSERT_EQ(r.status, JobStatus::kFailed);
+    EXPECT_TRUE(same_bits(r.result.busy_us, expected))
+        << "run " << run << ": busy " << r.result.busy_us << " us, expected "
+        << expected << " us";
+  }
+}
+
 TEST(Farm, PoolSpreadsIndependentMembersAcrossClusters) {
   Farm f(farm_config(2));
   const int a = f.submit(member("spread-a", 501));

@@ -7,8 +7,10 @@
 // time and accounting, never bits.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "cluster/runtime.hpp"
 #include "cluster/trace.hpp"
 #include "comm/comm.hpp"
+#include "comm/reliable.hpp"
 #include "gcm/model.hpp"
 #include "gcm/resilient.hpp"
 #include "gcm/tile_ckpt.hpp"
@@ -286,10 +289,61 @@ TEST(HardFailure, EpochTagStrideDiscardsStaleMessages) {
   });
 }
 
+TEST(HardFailure, FailStoppedPeerExitEscalatesCoalescedVerdict) {
+  // Ranks 1 and 2 sit on boards that die inside one heartbeat window.
+  // Each goes silent at its first communication point past its kill
+  // time; the survivors blocked on them wake on the exit event (no
+  // real-time grace), and whichever escalates first publishes the
+  // plan-pure verdict coalesce_expired_kills predicts.
+  QuietLog quiet;
+  cluster::FaultPlan plan;
+  plan.node_kills.push_back({/*rank=*/1, /*at_us=*/50.0, /*epoch=*/0});
+  plan.node_kills.push_back({/*rank=*/2, /*at_us=*/60.0, /*epoch=*/0});
+  const cluster::NodeDownVerdict expected =
+      cluster::coalesce_expired_kills(plan, 0);
+  ASSERT_EQ(expected.ranks, (std::vector<int>{1, 2}));
+
+  cluster::MachineConfig mc;
+  mc.smp_count = 4;
+  mc.procs_per_smp = 1;
+  mc.interconnect = &gcm::testing::test_net();
+  mc.faults = &plan;
+  cluster::Runtime rt(mc);
+  constexpr int kTag = 21;
+  try {
+    rt.run([&](cluster::RankContext& ctx) {
+      comm::Reliable rel(ctx);
+      if (ctx.rank() == 1 || ctx.rank() == 2) {
+        ctx.clock().advance_to(100.0);
+        try {
+          rel.send(ctx.rank() - 1, kTag, {1.0}, ctx.clock().now());
+          ADD_FAILURE() << "rank " << ctx.rank() << " outlived its kill";
+        } catch (const cluster::RankFailStop&) {
+          return;  // fail-stop: go silent
+        }
+      }
+      (void)rel.recv(ctx.rank() == 0 ? 1 : 2, kTag);
+      ADD_FAILURE() << "rank " << ctx.rank() << " heard from a dead peer";
+    });
+    FAIL() << "expected NodeDownError";
+  } catch (const cluster::NodeDownError& e) {
+    EXPECT_EQ(e.verdict.ranks, expected.ranks);
+    EXPECT_EQ(e.verdict.rank, expected.rank);
+    EXPECT_EQ(e.verdict.epoch, expected.epoch);
+    EXPECT_DOUBLE_EQ(e.verdict.detected_us, expected.detected_us);
+  }
+  // The escalating survivor advanced to the detection time; nobody
+  // else got further.
+  EXPECT_DOUBLE_EQ(rt.max_clock(), expected.detected_us);
+  rt.bus().reset_down();
+}
+
 TEST(HardFailure, BusPoisonWakesBlockedReceivers) {
   // declare_node_down must wake a rank blocked in a receive for a
   // message that will never come -- every survivor unwinds with
-  // NodeDownError carrying the identical verdict.
+  // NodeDownError carrying the identical verdict.  The declaring rank
+  // stays alive until the receiver has woken, so the wake-up must come
+  // from the poison, not from the declarer's exit.
   QuietLog quiet;
   cluster::MachineConfig mc;
   mc.smp_count = 2;
@@ -300,13 +354,23 @@ TEST(HardFailure, BusPoisonWakesBlockedReceivers) {
   v.rank = 1;
   v.epoch = 0;
   v.detected_us = 1234.0;
+  std::promise<void> woke;
+  std::future<void> woken = woke.get_future();
   try {
     rt.run([&](cluster::RankContext& ctx) {
       if (ctx.rank() == 0) {
-        (void)ctx.recv_raw(1, 9);  // blocks forever: rank 1 never sends
+        try {
+          (void)ctx.recv_raw(1, 9);  // blocks: rank 1 never sends
+        } catch (const cluster::NodeDownError&) {
+          woke.set_value();
+          throw;
+        }
         FAIL() << "poisoned recv returned";
       } else {
         ctx.declare_node_down(v);
+        EXPECT_EQ(woken.wait_for(std::chrono::seconds(10)),
+                  std::future_status::ready)
+            << "the poison did not wake the blocked receiver";
       }
     });
     FAIL() << "expected NodeDownError";

@@ -14,9 +14,13 @@ class WallClockRule final : public Rule {
  public:
   std::string name() const override { return "wall-clock"; }
   std::string summary() const override {
-    return "real-time clock reads outside VirtualClock";
+    return "real-time clock reads outside VirtualClock; host sleeps in src/";
   }
   void per_file(const SourceFile& f, const Corpus&, Reporter& rep) override {
+    // A host sleep in the program is real-time waiting: a rank that
+    // polls and naps stands in for an event it should block on.  Tests
+    // may still sleep to stage thread interleavings.
+    const bool in_src = path_contains(f.path, "src/");
     const std::vector<Token>& t = f.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != Tok::kIdent) continue;
@@ -25,6 +29,15 @@ class WallClockRule final : public Rule {
           id == "high_resolution_clock") {
         rep.report(f, t[i].line - 1, name(),
                    id + ": the simulated world tells time with VirtualClock",
+                   t[i].col);
+        continue;
+      }
+      if (in_src &&
+          (id == "sleep_for" || id == "sleep_until" || id == "usleep" ||
+           id == "nanosleep") &&
+          is_call(t, i)) {
+        rep.report(f, t[i].line - 1, name(),
+                   id + "() waits on real time: block on the event instead",
                    t[i].col);
         continue;
       }
