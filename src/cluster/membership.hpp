@@ -28,9 +28,8 @@ namespace hyades::cluster {
 
 class RankContext;
 
-// Reserved bus tag for heartbeat probes; sits between the coupler
-// (4000s) and portable (8000s) tag spaces and far below the epoch tag
-// stride.
+// Reserved bus tag for heartbeat probes; sits above the coupler (4000s)
+// tag space and far below the epoch tag stride.
 inline constexpr int kTagMembership = 5000;
 
 class Membership {

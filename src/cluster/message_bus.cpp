@@ -45,17 +45,6 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
   return m;
 }
 
-std::optional<Message> MessageBus::try_recv(int me, int from, int tag) {
-  if (down()) throw NodeDownError(down_verdict());
-  Mailbox& box = *boxes_.at(static_cast<std::size_t>(me));
-  support::MutexLock lock(box.mu);
-  auto it = box.queues.find({from, tag});
-  if (it == box.queues.end() || it->second.empty()) return std::nullopt;
-  Message m = std::move(it->second.front());
-  it->second.pop_front();
-  return m;
-}
-
 void MessageBus::declare_down(const NodeDownVerdict& verdict) {
   {
     support::MutexLock lock(verdict_mu_);
@@ -95,13 +84,6 @@ void MessageBus::wake_all() {
     { support::MutexLock lock(box->mu); }
     box->cv.notify_all();
   }
-}
-
-bool MessageBus::poll(int me, int from, int tag) {
-  Mailbox& box = *boxes_.at(static_cast<std::size_t>(me));
-  support::MutexLock lock(box.mu);
-  auto it = box.queues.find({from, tag});
-  return it != box.queues.end() && !it->second.empty();
 }
 
 }  // namespace hyades::cluster

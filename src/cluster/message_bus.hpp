@@ -11,7 +11,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -75,20 +74,11 @@ class MessageBus {
   // backstop for a wait cycle among live ranks.
   Message recv(int me, int from, int tag, int timeout_ms = 30000);
 
-  // Non-blocking receive: pop the head of the (from, tag) queue if a
-  // message has been posted, else return nullopt without waiting.  The
-  // split-phase comm layer uses this to drain arrived strips during
-  // exchange_test without blocking the rank.
-  std::optional<Message> try_recv(int me, int from, int tag);
-
-  // Non-blocking probe (for tests).
-  [[nodiscard]] bool poll(int me, int from, int tag);
-
   // ---- NodeDown poison -------------------------------------------------
-  // Declaring a verdict poisons the bus: every subsequent send/recv/
-  // try_recv on any rank throws NodeDownError carrying the verdict (the
-  // poison takes precedence over queued mail and exit events), and
-  // ranks blocked in recv wake immediately.  That turns one rank's
+  // Declaring a verdict poisons the bus: every subsequent send/recv on
+  // any rank throws NodeDownError carrying the verdict (the poison takes
+  // precedence over queued mail and exit events), and ranks blocked in
+  // recv wake immediately.  That turns one rank's
   // detection into a prompt collective abort of the epoch without any
   // real-time timeouts.  First verdict wins; later declarations are
   // ignored (every survivor derives the identical plan-pure verdict

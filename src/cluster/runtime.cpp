@@ -147,13 +147,6 @@ Message RankContext::recv_raw(int from, int tag) {
   return m;
 }
 
-std::optional<Message> RankContext::try_recv_raw(int from, int tag) {
-  std::optional<Message> m =
-      rt_.bus().try_recv(rank_, from, tag + epoch_ * kEpochTagStride);
-  if (m.has_value()) m->tag -= epoch_ * kEpochTagStride;
-  return m;
-}
-
 void RankContext::smp_sync() {
   if (procs_per_smp() == 1) return;
   SmpShared& s = rt_.smp_shared(smp());
@@ -170,16 +163,10 @@ void RankContext::smp_sync() {
   clock_.advance(rt_.config().smp_barrier_us);
 }
 
-void RankContext::smp_publish(double v) {
-  rt_.smp_shared(smp()).slots_d[static_cast<std::size_t>(local_rank())] = v;
-}
 void RankContext::smp_publish_bytes(std::int64_t a, std::int64_t b) {
   auto& slots = rt_.smp_shared(smp()).slots_i;
   slots[static_cast<std::size_t>(local_rank()) * 2] = a;
   slots[static_cast<std::size_t>(local_rank()) * 2 + 1] = b;
-}
-double RankContext::smp_peek(int local_rank) const {
-  return rt_.smp_shared(smp()).slots_d[static_cast<std::size_t>(local_rank)];
 }
 std::pair<std::int64_t, std::int64_t> RankContext::smp_peek_bytes(
     int local_rank) const {

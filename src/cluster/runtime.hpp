@@ -133,15 +133,15 @@ class AbortableBarrier {
   bool aborted_ GUARDED_BY(mu_) = false;
 };
 
-// Shared state for one SMP: a barrier across its ranks plus publication
-// slots used by the comm library for local reductions and aggregation.
+// Shared state for one SMP: a barrier across its ranks, the clock slots
+// smp_sync() equalizes through, and the byte-count slots the comm
+// library's mix-mode aggregation publishes.
 struct SmpShared {
   explicit SmpShared(int procs)
-      : barrier(procs), slots_d(static_cast<std::size_t>(procs), 0.0),
+      : barrier(procs),
         slots_i(static_cast<std::size_t>(procs) * 2, 0),
         clock_slots(static_cast<std::size_t>(procs), 0.0) {}
   AbortableBarrier barrier;
-  std::vector<double> slots_d;
   std::vector<std::int64_t> slots_i;  // two slots per local rank
   std::vector<Microseconds> clock_slots;
 };
@@ -199,20 +199,13 @@ class RankContext {
   // recovery_us) are taken from `m` as given.
   void send_msg(int to, Message m);
   Message recv_raw(int from, int tag);
-  // Non-blocking variant: returns the message if it has been posted,
-  // nullopt otherwise.  Never advances the virtual clock -- arrival
-  // *timing* is carried by stamp_us, so draining early keeps virtual
-  // time deterministic regardless of real thread scheduling.
-  std::optional<Message> try_recv_raw(int from, int tag);
 
   // SMP-local coordination: barrier over the SMP's ranks, with the
   // shared-memory cost applied and clocks synchronized to the local max.
   void smp_sync();
-  // Publish a value / read a sibling's published value.  Only valid
-  // between smp_sync() calls that order the accesses.
-  void smp_publish(double v);
+  // Publish a pair of byte counts / read a sibling's published pair.
+  // Only valid between smp_sync() calls that order the accesses.
   void smp_publish_bytes(std::int64_t a, std::int64_t b);
-  [[nodiscard]] double smp_peek(int local_rank) const;
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> smp_peek_bytes(
       int local_rank) const;
 

@@ -61,25 +61,6 @@ const char* span_cat_name(SpanCat cat) {
   return "other";
 }
 
-SpanCat span_cat_of(const std::string& op) {
-  if (op == "ps" || op == "ds" || op == "ps_interior" || op == "ps_rim") {
-    return SpanCat::kPhase;
-  }
-  if (op.rfind("exchange", 0) == 0) return SpanCat::kExchange;
-  if (op.rfind("gsum", 0) == 0 || op.rfind("gmax", 0) == 0) {
-    return SpanCat::kGsum;
-  }
-  if (op == "barrier") return SpanCat::kBarrier;
-  if (op.rfind("ds_cg", 0) == 0) return SpanCat::kSolver;
-  if (op.rfind("retransmit", 0) == 0 || op.rfind("rollback", 0) == 0) {
-    return SpanCat::kFault;
-  }
-  if (op.rfind("node_down", 0) == 0 || op.rfind("restart", 0) == 0) {
-    return SpanCat::kNodeDown;
-  }
-  return SpanCat::kOther;
-}
-
 Microseconds Tracer::total(const std::string& op) const {
   Microseconds sum = 0;
   for (const TraceEvent& e : events_) {

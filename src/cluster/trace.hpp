@@ -37,9 +37,6 @@ enum class SpanCat : std::uint8_t {
 };
 
 [[nodiscard]] const char* span_cat_name(SpanCat cat);
-// Infer the category of one of the library's well-known op names (used
-// by the untyped record() overload kept for existing callers).
-[[nodiscard]] SpanCat span_cat_of(const std::string& op);
 
 // Optional per-span counter payload.  All counters are additive so they
 // aggregate by plain summation across spans and ranks.
@@ -66,10 +63,6 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  void record(std::string op, Microseconds begin_us, Microseconds end_us) {
-    const SpanCat cat = span_cat_of(op);
-    events_.push_back({std::move(op), cat, begin_us, end_us, {}});
-  }
   void record(std::string op, SpanCat cat, Microseconds begin_us,
               Microseconds end_us, const SpanCounters& ctr = {}) {
     events_.push_back({std::move(op), cat, begin_us, end_us, ctr});

@@ -70,7 +70,6 @@ ExchangeHandle::ExchangeHandle(ExchangeHandle&& o) noexcept
       buf_(std::exchange(o.buf_, nullptr)),
       seq_(o.seq_),
       phase_(o.phase_),
-      arrived_(std::move(o.arrived_)),
       t_begin(o.t_begin),
       t_start_end(o.t_start_end),
       t_phase0(o.t_phase0) {}
@@ -87,7 +86,6 @@ ExchangeHandle& ExchangeHandle::operator=(ExchangeHandle&& o) noexcept {
     buf_ = std::exchange(o.buf_, nullptr);
     seq_ = o.seq_;
     phase_ = o.phase_;
-    arrived_ = std::move(o.arrived_);
     t_begin = o.t_begin;
     t_start_end = o.t_start_end;
     t_phase0 = o.t_phase0;
@@ -214,7 +212,22 @@ GsumHandle Comm::reduce_start(std::vector<double> v, GsumHandle::Op op,
   h.salt_ = slot * kGsumSaltStride;
   ++gsum_started_;
   h.t_begin = ctx_.clock().now();
+  reduce_post(h.v_, h.op_, {kTagGsumBase + h.salt_, kTagGsumLocal});
+  h.t_start_end = ctx_.clock().now();
+  if (!blocking) {
+    ctx_.charge_comm(h.t_begin);
+    if (ctx_.tracer()) {
+      cluster::SpanCounters ctr;
+      ctr.bytes = static_cast<std::int64_t>(h.v_.size() * sizeof(double));
+      ctx_.tracer()->record("gsum_start", cluster::SpanCat::kGsum, h.t_begin,
+                            h.t_start_end, ctr);
+    }
+  }
+  return h;
+}
 
+void Comm::reduce_post(std::vector<double>& v, GsumHandle::Op op,
+                       ReduceTags tags) {
   const int ppp = ctx_.procs_per_smp();
   const int gsmp = (ctx_.rank() - rank_base_) / ppp;
   const int master_abs = rank_base_ + gsmp * ppp;
@@ -224,11 +237,11 @@ GsumHandle Comm::reduce_start(std::vector<double> v, GsumHandle::Op op,
   ctx_.smp_sync();
   if (ppp > 1) {
     if (!ctx_.is_master()) {
-      rel_.send(master_abs, kTagGsumLocal, h.v_, ctx_.clock().now());
+      rel_.send(master_abs, tags.local, v, ctx_.clock().now());
     } else {
       for (int lr = 1; lr < ppp; ++lr) {
-        cluster::Message m = rel_.recv(master_abs + lr, kTagGsumLocal);
-        combine_into(h.v_, m.data, h.op_);
+        cluster::Message m = rel_.recv(master_abs + lr, tags.local);
+        combine_into(v, m.data, op);
       }
     }
   }
@@ -247,26 +260,13 @@ GsumHandle Comm::reduce_start(std::vector<double> v, GsumHandle::Op op,
     for (int n = core; n > 1; n >>= 1) ++rounds;
     if (gsmp >= core) {
       const int partner_abs = rank_base_ + (gsmp - core) * ppp;
-      rel_.send(partner_abs, kTagGsumBase + h.salt_ + rounds, h.v_,
-                ctx_.clock().now());
+      rel_.send(partner_abs, tags.round + rounds, v, ctx_.clock().now());
     } else if (gsmps == core) {
       const int partner_gsmp = gsmp ^ 1;
       const int partner_abs = rank_base_ + partner_gsmp * ppp;
-      rel_.send(partner_abs, kTagGsumBase + h.salt_, h.v_,
-                ctx_.clock().now());
+      rel_.send(partner_abs, tags.round, v, ctx_.clock().now());
     }
   }
-  h.t_start_end = ctx_.clock().now();
-  if (!blocking) {
-    ctx_.charge_comm(h.t_begin);
-    if (ctx_.tracer()) {
-      cluster::SpanCounters ctr;
-      ctr.bytes = static_cast<std::int64_t>(h.v_.size() * sizeof(double));
-      ctx_.tracer()->record("gsum_start", cluster::SpanCat::kGsum, h.t_begin,
-                            h.t_start_end, ctr);
-    }
-  }
-  return h;
 }
 
 void Comm::reduce_finish(GsumHandle& h) {
@@ -274,95 +274,9 @@ void Comm::reduce_finish(GsumHandle& h) {
     throw std::logic_error("global_sum_finish: handle not active");
   }
   const Microseconds t_entry = ctx_.clock().now();
-  const int ppp = ctx_.procs_per_smp();
-  const int gsmp = (ctx_.rank() - rank_base_) / ppp;
-  const int gsmps = group_smps();
-  const int master_abs = rank_base_ + gsmp * ppp;
-
-  // Earliest time the data this rank waits on was available; used to
-  // credit hidden communication under the overlap rule.
-  Microseconds ready = h.t_start_end;
-
-  if (ctx_.is_master()) {
-    // Recursive-doubling butterfly across the group's SMPs (Section 4.2,
-    // Figure 8): log2(core) rounds, partner differs in bit `round`.  A
-    // non-power-of-two group first folds the SMPs beyond the largest
-    // power-of-two core onto core partners, runs the unchanged butterfly
-    // over the core, then ships the result back out to the folded SMPs
-    // (two extra rounds instead of a restructured schedule, so the
-    // power-of-two path stays bit-identical to the paper calibration).
-    const int core = butterfly_core(gsmps);
-    int rounds = 0;
-    for (int n = core; n > 1; n >>= 1) ++rounds;
-    if (gsmp >= core) {
-      // Folded SMP: the fold send was posted by reduce_start; wait for
-      // the fully reduced result from the core partner.
-      cluster::Message m = rel_.recv(rank_base_ + (gsmp - core) * ppp,
-                                     kTagGsumBase + h.salt_ + rounds + 1);
-      h.v_ = std::move(m.data);
-      ctx_.charge_imbalance(
-          std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-      ctx_.clock().advance_to(m.stamp_us);
-      ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
-    } else {
-      if (gsmp + core < gsmps) {
-        // Absorb the folded partner's contribution (in flight since its
-        // reduce_start) before the first butterfly send.
-        cluster::Message m = rel_.recv(rank_base_ + (gsmp + core) * ppp,
-                                       kTagGsumBase + h.salt_ + rounds);
-        combine_into(h.v_, m.data, h.op_);
-        ready = std::max(ready, m.stamp_us);
-        ctx_.charge_imbalance(
-            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-        ctx_.clock().advance_to(m.stamp_us);
-        ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
-      }
-      for (int round = 0; round < rounds; ++round) {
-        const int partner_gsmp = gsmp ^ (1 << round);
-        const int partner_abs = rank_base_ + partner_gsmp * ppp;
-        if (round > 0 || gsmps != core) {
-          // In a power-of-two group round 0 was posted by reduce_start;
-          // otherwise fold absorption had to happen first, so every
-          // round's send is issued here.
-          rel_.send(partner_abs, kTagGsumBase + h.salt_ + round, h.v_,
-                        ctx_.clock().now());
-        }
-        cluster::Message m =
-            rel_.recv(partner_abs, kTagGsumBase + h.salt_ + round);
-        combine_into(h.v_, m.data, h.op_);
-        if (round == 0 && gsmps == core) ready = std::max(ready, m.stamp_us);
-        // Round timing: both partners proceed from the later of their
-        // clocks plus the modeled symmetric round cost.  The forward jump
-        // onto a later partner stamp is wait caused by partner lateness.
-        ctx_.charge_imbalance(
-            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-        ctx_.clock().advance_to(m.stamp_us);
-        ctx_.clock().advance(ctx_.net().gsum_round_time(round));
-      }
-      if (gsmp + core < gsmps) {
-        // Fold-back: return the finished result to the folded partner.
-        rel_.send(rank_base_ + (gsmp + core) * ppp,
-                  kTagGsumBase + h.salt_ + rounds + 1, h.v_,
-                  ctx_.clock().now());
-      }
-    }
-    // Local distribution.
-    if (ppp > 1) {
-      for (int lr = 1; lr < ppp; ++lr) {
-        rel_.send(master_abs + lr, kTagGsumLocal, h.v_,
-                      ctx_.clock().now());
-      }
-    }
-  } else {
-    cluster::Message m = rel_.recv(master_abs, kTagGsumLocal);
-    h.v_ = std::move(m.data);
-    ready = std::max(ready, m.stamp_us);
-    ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-    ctx_.clock().advance_to(m.stamp_us);
-  }
-  // Final sync pulls every local clock to the master's and applies the
-  // shared-memory distribution cost.
-  ctx_.smp_sync();
+  const Microseconds ready =
+      reduce_complete(h.v_, h.op_, {kTagGsumBase + h.salt_, kTagGsumLocal},
+                      h.t_start_end);
 
   ++gsum_seq_;
   gsum_slot_busy_[static_cast<std::size_t>(h.salt_ / kGsumSaltStride)] =
@@ -391,6 +305,90 @@ void Comm::reduce_finish(GsumHandle& h) {
     }
   }
   h.active_ = false;
+}
+
+Microseconds Comm::reduce_complete(std::vector<double>& v, GsumHandle::Op op,
+                                   ReduceTags tags, Microseconds ready) {
+  const int ppp = ctx_.procs_per_smp();
+  const int gsmp = (ctx_.rank() - rank_base_) / ppp;
+  const int gsmps = group_smps();
+  const int master_abs = rank_base_ + gsmp * ppp;
+
+  if (ctx_.is_master()) {
+    // Recursive-doubling butterfly across the group's SMPs (Section 4.2,
+    // Figure 8): log2(core) rounds, partner differs in bit `round`.  A
+    // non-power-of-two group first folds the SMPs beyond the largest
+    // power-of-two core onto core partners, runs the unchanged butterfly
+    // over the core, then ships the result back out to the folded SMPs
+    // (two extra rounds instead of a restructured schedule, so the
+    // power-of-two path stays bit-identical to the paper calibration).
+    const int core = butterfly_core(gsmps);
+    int rounds = 0;
+    for (int n = core; n > 1; n >>= 1) ++rounds;
+    if (gsmp >= core) {
+      // Folded SMP: the fold send was posted by reduce_post; wait for
+      // the fully reduced result from the core partner.
+      cluster::Message m =
+          rel_.recv(rank_base_ + (gsmp - core) * ppp, tags.round + rounds + 1);
+      v = std::move(m.data);
+      ctx_.charge_imbalance(
+          std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
+      ctx_.clock().advance_to(m.stamp_us);
+      ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
+    } else {
+      if (gsmp + core < gsmps) {
+        // Absorb the folded partner's contribution (in flight since its
+        // reduce_post) before the first butterfly send.
+        cluster::Message m =
+            rel_.recv(rank_base_ + (gsmp + core) * ppp, tags.round + rounds);
+        combine_into(v, m.data, op);
+        ready = std::max(ready, m.stamp_us);
+        ctx_.charge_imbalance(
+            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
+        ctx_.clock().advance_to(m.stamp_us);
+        ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
+      }
+      for (int round = 0; round < rounds; ++round) {
+        const int partner_gsmp = gsmp ^ (1 << round);
+        const int partner_abs = rank_base_ + partner_gsmp * ppp;
+        if (round > 0 || gsmps != core) {
+          // In a power-of-two group round 0 was posted by reduce_post;
+          // otherwise fold absorption had to happen first, so every
+          // round's send is issued here.
+          rel_.send(partner_abs, tags.round + round, v, ctx_.clock().now());
+        }
+        cluster::Message m = rel_.recv(partner_abs, tags.round + round);
+        combine_into(v, m.data, op);
+        if (round == 0 && gsmps == core) ready = std::max(ready, m.stamp_us);
+        // Round timing: both partners proceed from the later of their
+        // clocks plus the modeled symmetric round cost.  The forward jump
+        // onto a later partner stamp is wait caused by partner lateness.
+        ctx_.charge_imbalance(
+            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
+        ctx_.clock().advance_to(m.stamp_us);
+        ctx_.clock().advance(ctx_.net().gsum_round_time(round));
+      }
+      if (gsmp + core < gsmps) {
+        // Fold-back: return the finished result to the folded partner.
+        rel_.send(rank_base_ + (gsmp + core) * ppp, tags.round + rounds + 1, v,
+                  ctx_.clock().now());
+      }
+    }
+    // Local distribution.
+    for (int lr = 1; lr < ppp; ++lr) {
+      rel_.send(master_abs + lr, tags.local, v, ctx_.clock().now());
+    }
+  } else {
+    cluster::Message m = rel_.recv(master_abs, tags.local);
+    v = std::move(m.data);
+    ready = std::max(ready, m.stamp_us);
+    ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
+    ctx_.clock().advance_to(m.stamp_us);
+  }
+  // Final sync pulls every local clock to the master's and applies the
+  // shared-memory distribution cost.
+  ctx_.smp_sync();
+  return ready;
 }
 
 double Comm::global_sum(double x) {
@@ -437,76 +435,10 @@ void Comm::barrier() {
   // costs, but its own tag space and counter, so barriers do not consume
   // global-sum sequence slots or distort gsums_done() statistics.
   const Microseconds t0 = ctx_.clock().now();
-  const int ppp = ctx_.procs_per_smp();
-  const int gsmp = (ctx_.rank() - rank_base_) / ppp;
-  const int gsmps = group_smps();
-  const int master_abs = rank_base_ + gsmp * ppp;
-  const std::vector<double> empty;
-
-  ctx_.smp_sync();
-  if (ppp > 1) {
-    if (!ctx_.is_master()) {
-      rel_.send(master_abs, kTagBarrierLocal, empty, ctx_.clock().now());
-    } else {
-      for (int lr = 1; lr < ppp; ++lr) {
-        (void)rel_.recv(master_abs + lr, kTagBarrierLocal);
-      }
-    }
-  }
-  if (ctx_.is_master()) {
-    // Same fold / butterfly / fold-back schedule as reduce_finish, with
-    // empty payloads and the barrier tag space.
-    const int core = butterfly_core(gsmps);
-    int rounds = 0;
-    for (int n = core; n > 1; n >>= 1) ++rounds;
-    if (gsmp >= core) {
-      const int partner_abs = rank_base_ + (gsmp - core) * ppp;
-      rel_.send(partner_abs, kTagBarrierBase + rounds, empty,
-                ctx_.clock().now());
-      cluster::Message m =
-          rel_.recv(partner_abs, kTagBarrierBase + rounds + 1);
-      ctx_.charge_imbalance(
-          std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-      ctx_.clock().advance_to(m.stamp_us);
-      ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
-    } else {
-      if (gsmp + core < gsmps) {
-        cluster::Message m = rel_.recv(rank_base_ + (gsmp + core) * ppp,
-                                       kTagBarrierBase + rounds);
-        ctx_.charge_imbalance(
-            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-        ctx_.clock().advance_to(m.stamp_us);
-        ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
-      }
-      for (int round = 0; round < rounds; ++round) {
-        const int partner_gsmp = gsmp ^ (1 << round);
-        const int partner_abs = rank_base_ + partner_gsmp * ppp;
-        rel_.send(partner_abs, kTagBarrierBase + round, empty,
-                      ctx_.clock().now());
-        cluster::Message m =
-            rel_.recv(partner_abs, kTagBarrierBase + round);
-        ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-        ctx_.clock().advance_to(m.stamp_us);
-        ctx_.clock().advance(ctx_.net().gsum_round_time(round));
-      }
-      if (gsmp + core < gsmps) {
-        rel_.send(rank_base_ + (gsmp + core) * ppp,
-                  kTagBarrierBase + rounds + 1, empty, ctx_.clock().now());
-      }
-    }
-    if (ppp > 1) {
-      for (int lr = 1; lr < ppp; ++lr) {
-        rel_.send(master_abs + lr, kTagBarrierLocal, empty,
-                      ctx_.clock().now());
-      }
-    }
-  } else {
-    cluster::Message m = rel_.recv(master_abs, kTagBarrierLocal);
-    ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-    ctx_.clock().advance_to(m.stamp_us);
-  }
-  ctx_.smp_sync();
-
+  const ReduceTags tags{kTagBarrierBase, kTagBarrierLocal};
+  std::vector<double> empty;
+  reduce_post(empty, GsumHandle::Op::kSum, tags);
+  (void)reduce_complete(empty, GsumHandle::Op::kSum, tags, t0);
   ++barrier_seq_;
   ctx_.charge_comm(t0);
   if (ctx_.tracer()) {
@@ -574,23 +506,29 @@ ExchangeHandle::Phase Comm::plan_phase(
   return p;
 }
 
-// One full phase of the classic synchronous algorithm: outbound (the
-// SMP's batched transfer, or a shared-memory copy), then the inbound
-// strip, whose transfer serializes behind the send (one transfer
-// saturates the PCI bus, Section 4.1).
-void Comm::run_seed_phase(const ExchangeHandle::Phase& p, int d,
-                          std::uint64_t seq, Buffers& buf) {
-  const net::Interconnect& net = ctx_.net();
-  const Microseconds t0 = ctx_.clock().now();
-  Microseconds t = t0;
-  if (p.smp_out > 0) t += net.exchange_transfer_time(p.smp_out);
+// One phase of the classic synchronous algorithm, in two halves.  The
+// outbound half ships the SMP's batched transfer (or a shared-memory
+// copy) and returns its completion time; the inbound half receives the
+// strip from the opposite neighbor, whose transfer serializes behind the
+// send (one transfer saturates the PCI bus, Section 4.1), and advances
+// the clock.  The blocking exchange runs phase 0's halves in start and
+// finish, so that start+finish back to back is the synchronous algorithm.
+Microseconds Comm::seed_phase_send(const ExchangeHandle::Phase& p, int d,
+                                   std::uint64_t seq, const Buffers& buf) {
+  Microseconds t = ctx_.clock().now();
+  if (p.smp_out > 0) t += ctx_.net().exchange_transfer_time(p.smp_out);
   if (p.nb_out >= 0 && !p.out_remote) {
     t += static_cast<double>(p.out_b) / kShmCopyMBs;
   }
   if (p.nb_out >= 0) {
     rel_.send(abs_rank(p.nb_out), xchg_tag(seq, d),
-                  buf.out[static_cast<std::size_t>(d)], t);
+              buf.out[static_cast<std::size_t>(d)], t);
   }
+  return t;
+}
+
+void Comm::seed_phase_recv(const ExchangeHandle::Phase& p, int d,
+                           std::uint64_t seq, Microseconds t, Buffers& buf) {
   if (p.nb_in >= 0) {
     cluster::Message m = rel_.recv(abs_rank(p.nb_in), xchg_tag(seq, d));
     auto& dst = buf.in[static_cast<std::size_t>(opposite(d))];
@@ -601,7 +539,7 @@ void Comm::run_seed_phase(const ExchangeHandle::Phase& p, int d,
     ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - t));
     t = std::max(t, m.stamp_us);
     if (p.in_remote) {
-      t += net.exchange_transfer_time(p.smp_in);
+      t += ctx_.net().exchange_transfer_time(p.smp_in);
     } else {
       t += static_cast<double>(p.in_b) / kShmCopyMBs;
     }
@@ -635,22 +573,10 @@ ExchangeHandle Comm::exchange_start_mode(
   h.t_begin = ctx_.clock().now();
 
   if (mode == ExchangeHandle::Mode::kInterleaved) {
-    // Blocking path: only phase 0's outbound side runs here; finish
-    // resumes with phase 0's inbound and then phases 1-3, so that
-    // start+finish back to back is exactly the synchronous algorithm.
-    const ExchangeHandle::Phase p = h.phase_[0] =
-        plan_phase(0, neighbors, buf);
-    const net::Interconnect& net = ctx_.net();
-    Microseconds t = ctx_.clock().now();
-    if (p.smp_out > 0) t += net.exchange_transfer_time(p.smp_out);
-    if (p.nb_out >= 0 && !p.out_remote) {
-      t += static_cast<double>(p.out_b) / kShmCopyMBs;
-    }
-    if (p.nb_out >= 0) {
-      rel_.send(abs_rank(p.nb_out), xchg_tag(h.seq_, 0),
-                    buf.out[0], t);
-    }
-    h.t_phase0 = t;
+    // Blocking path: only phase 0's outbound half runs here; finish
+    // resumes with phase 0's inbound half and then phases 1-3.
+    h.phase_[0] = plan_phase(0, neighbors, buf);
+    h.t_phase0 = seed_phase_send(h.phase_[0], 0, h.seq_, buf);
     h.t_start_end = ctx_.clock().now();
     return h;
   }
@@ -697,28 +623,6 @@ ExchangeHandle Comm::exchange_start(
   return exchange_start_mode(neighbors, buf, ExchangeHandle::Mode::kPipelined);
 }
 
-bool Comm::exchange_test(ExchangeHandle& h) {
-  if (!h.valid()) {
-    throw std::logic_error("exchange_test: handle already finished");
-  }
-  if (h.mode_ != ExchangeHandle::Mode::kPipelined) {
-    throw std::logic_error("exchange_test: only split-phase handles");
-  }
-  bool all = true;
-  for (int d = 0; d < kDirections; ++d) {
-    const ExchangeHandle::Phase& p = h.phase_[static_cast<std::size_t>(d)];
-    if (p.nb_in < 0 || h.arrived_[static_cast<std::size_t>(d)]) continue;
-    std::optional<cluster::Message> m =
-        rel_.try_recv(abs_rank(p.nb_in), xchg_tag(h.seq_, d));
-    if (m) {
-      h.arrived_[static_cast<std::size_t>(d)] = std::move(*m);
-    } else {
-      all = false;
-    }
-  }
-  return all;
-}
-
 void Comm::exchange_finish(ExchangeHandle& h) {
   if (!h.valid()) {
     throw std::logic_error("exchange_finish: handle already finished");
@@ -727,34 +631,13 @@ void Comm::exchange_finish(ExchangeHandle& h) {
 
   if (h.mode_ == ExchangeHandle::Mode::kInterleaved) {
     std::int64_t bytes = 0;
-    // Resume the synchronous algorithm at phase 0's inbound side.
-    {
-      const ExchangeHandle::Phase& p = h.phase_[0];
-      const net::Interconnect& net = ctx_.net();
-      Microseconds t = h.t_phase0;
-      if (p.nb_out >= 0) bytes += p.out_b;
-      if (p.nb_in >= 0) {
-        cluster::Message m =
-            rel_.recv(abs_rank(p.nb_in), xchg_tag(h.seq_, 0));
-        auto& dst = buf.in[static_cast<std::size_t>(opposite(0))];
-        if (m.data.size() != dst.size()) {
-          throw std::logic_error("Comm::exchange: halo strip size mismatch");
-        }
-        dst = std::move(m.data);
-        ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - t));
-        t = std::max(t, m.stamp_us);
-        if (p.in_remote) {
-          t += net.exchange_transfer_time(p.smp_in);
-        } else {
-          t += static_cast<double>(p.in_b) / kShmCopyMBs;
-        }
-        bytes += p.in_b;
-      }
-      ctx_.clock().advance_to(t);
-    }
-    for (int d = 1; d < kDirections; ++d) {
-      const ExchangeHandle::Phase p = plan_phase(d, h.nb_, buf);
-      run_seed_phase(p, d, h.seq_, buf);
+    for (int d = 0; d < kDirections; ++d) {
+      // Phase 0's outbound half ran in exchange_start.
+      const ExchangeHandle::Phase p =
+          d == 0 ? h.phase_[0] : plan_phase(d, h.nb_, buf);
+      const Microseconds t =
+          d == 0 ? h.t_phase0 : seed_phase_send(p, d, h.seq_, buf);
+      seed_phase_recv(p, d, h.seq_, t, buf);
       if (p.nb_out >= 0) bytes += p.out_b;
       if (p.nb_in >= 0) bytes += p.in_b;
     }
@@ -782,10 +665,7 @@ void Comm::exchange_finish(ExchangeHandle& h) {
   for (int d = 0; d < kDirections; ++d) {
     const ExchangeHandle::Phase& p = h.phase_[static_cast<std::size_t>(d)];
     if (p.nb_in < 0) continue;
-    cluster::Message m =
-        h.arrived_[static_cast<std::size_t>(d)]
-            ? std::move(*h.arrived_[static_cast<std::size_t>(d)])
-            : rel_.recv(abs_rank(p.nb_in), xchg_tag(h.seq_, d));
+    cluster::Message m = rel_.recv(abs_rank(p.nb_in), xchg_tag(h.seq_, d));
     auto& dst = buf.in[static_cast<std::size_t>(opposite(d))];
     if (m.data.size() != dst.size()) {
       throw std::logic_error("Comm::exchange: halo strip size mismatch");

@@ -23,7 +23,7 @@
 //     requires.
 //
 //   split-phase operation
-//     Both primitives also come in start/test/finish form so callers can
+//     Both primitives also come in start/finish form so callers can
 //     overlap communication with computation.  exchange_start posts the
 //     four phases' sends up front (the CPU pays only the injection
 //     overhead per bulk transfer; the bytes ride the SMP's NIU, whose
@@ -51,7 +51,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cluster/runtime.hpp"
@@ -115,7 +114,6 @@ class ExchangeHandle {
   Buffers* buf_ = nullptr;
   std::uint64_t seq_ = 0;  // tag-sequencing id (kTagXchgBase offset)
   std::array<Phase, kDirections> phase_;
-  std::array<std::optional<cluster::Message>, kDirections> arrived_;
   Microseconds t_begin = 0;      // clock at exchange_start entry
   Microseconds t_start_end = 0;  // clock at exchange_start exit
   Microseconds t_phase0 = 0;     // interleaved: phase-0 send-complete time
@@ -196,10 +194,6 @@ class Comm {
   // must be finished exactly once.
   ExchangeHandle exchange_start(const std::array<int, kDirections>& neighbors,
                                 Buffers& buf);
-  // Non-blocking progress probe: drains strips that have already arrived
-  // into the handle and reports whether all inbound strips are present.
-  // Never advances the virtual clock (timing stays deterministic).
-  bool exchange_test(ExchangeHandle& h);
   // Complete the exchange: unpack inbound strips under the overlap rule
   // t_finish = max(t_local, t_arrival); hidden communication is credited
   // to Accounting::overlap_us.
@@ -228,8 +222,10 @@ class Comm {
   ExchangeHandle::Phase plan_phase(int d,
                                    const std::array<int, kDirections>& nb,
                                    const Buffers& buf);
-  void run_seed_phase(const ExchangeHandle::Phase& p, int d,
-                      std::uint64_t seq, Buffers& buf);
+  Microseconds seed_phase_send(const ExchangeHandle::Phase& p, int d,
+                               std::uint64_t seq, const Buffers& buf);
+  void seed_phase_recv(const ExchangeHandle::Phase& p, int d,
+                       std::uint64_t seq, Microseconds t, Buffers& buf);
   ExchangeHandle exchange_start_mode(
       const std::array<int, kDirections>& neighbors, Buffers& buf,
       ExchangeHandle::Mode mode);
@@ -241,6 +237,23 @@ class Comm {
   GsumHandle reduce_start(std::vector<double> v, GsumHandle::Op op,
                           bool blocking);
   void reduce_finish(GsumHandle& h);
+  // The reduction network shared by the global sums and the barrier,
+  // which differ only in their tag spaces: `round` + butterfly round
+  // (the fold and fold-back use the two tags past the last round), and
+  // `local` for the SMP-local combine and distribution.
+  struct ReduceTags {
+    int round;
+    int local;
+  };
+  // SMP-local combine into the master's `v`, then post the first
+  // butterfly (or fold) message.
+  void reduce_post(std::vector<double>& v, GsumHandle::Op op,
+                   ReduceTags tags);
+  // The remaining rounds and the local distribution; every rank ends
+  // with the reduced `v`.  Returns `ready` raised to the latest arrival
+  // the overlap rule may credit.
+  Microseconds reduce_complete(std::vector<double>& v, GsumHandle::Op op,
+                               ReduceTags tags, Microseconds ready);
   static void combine_into(std::vector<double>& a,
                            const std::vector<double>& b, GsumHandle::Op op);
 

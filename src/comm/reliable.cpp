@@ -223,18 +223,6 @@ cluster::Message Reliable::recv(int from, int tag) {
   }
 }
 
-std::optional<cluster::Message> Reliable::try_recv(int from, int tag) {
-  cluster::Membership* ms = ctx_.membership();
-  if (ms != nullptr) ms->maybe_fail_self();
-  for (;;) {
-    std::optional<cluster::Message> m = ctx_.try_recv_raw(from, tag);
-    if (!m) return std::nullopt;
-    if (ms != nullptr) ms->note_alive(from, m->stamp_us);
-    std::optional<cluster::Message> good = accept(std::move(*m), from, tag);
-    if (good) return good;
-  }
-}
-
 void Reliable::warn_recovery(const char* what, int from, std::uint64_t serial,
                              int attempt, Microseconds t) {
   if (warn_limiter_.admit()) {

@@ -108,11 +108,6 @@ class Reliable {
   // as a scheduled fail-stop, else rethrows cluster::PeerExited.
   cluster::Message recv(int from, int tag);
 
-  // Non-blocking variant: drains any ghosts already queued; returns the
-  // good message if present, nullopt otherwise.  Never advances the
-  // virtual clock.
-  std::optional<cluster::Message> try_recv(int from, int tag);
-
   [[nodiscard]] const ReliableStats& stats() const { return stats_; }
 
  private:

@@ -6,7 +6,7 @@ namespace hyades::gcm {
 
 EllipticOperator::EllipticOperator(const ModelConfig& cfg, const Decomp& dec,
                                    const TileGrid& grid)
-    : dec_(dec) {
+    : dec_(dec), jacobi_(cfg.cg_jacobi) {
   const int ex = dec.ext_x();
   const int ey = dec.ext_y();
   wW_ = Array2D<double>(static_cast<std::size_t>(ex),
@@ -144,11 +144,22 @@ double EllipticOperator::apply(const Array2D<double>& p,
 
 double EllipticOperator::precondition(const Array2D<double>& r,
                                       Array2D<double>& z) const {
-  // Thomas solves per line in both directions (restarting at land
-  // breaks, where rows are decoupled identity blocks), averaged.
   double flops = 0;
   const int h = dec_.halo;
+  if (jacobi_) {  // z = r / diag(L)
+    for (int i = h; i < h + dec_.snx; ++i) {
+      for (int j = h; j < h + dec_.sny; ++j) {
+        const auto si = static_cast<std::size_t>(i);
+        const auto sj = static_cast<std::size_t>(j);
+        z(si, sj) = diag_(si, sj) > 0 ? r(si, sj) / diag_(si, sj) : 0.0;
+        flops += 1.0;
+      }
+    }
+    return flops;
+  }
 
+  // Thomas solves per line in both directions (restarting at land
+  // breaks, where rows are decoupled identity blocks), averaged.
   // ---- zonal pass: z holds Mx^-1 r -------------------------------------
   for (int j = h; j < h + dec_.sny; ++j) {
     const auto sj = static_cast<std::size_t>(j);
@@ -222,20 +233,6 @@ double EllipticOperator::precondition(const Array2D<double>& r,
       have_next = true;
       z(si, sj) = 0.5 * (z(si, sj) + yj);
       flops += 2.0;
-    }
-  }
-  return flops;
-}
-
-double EllipticOperator::precondition_jacobi(const Array2D<double>& r,
-                                             Array2D<double>& z) const {
-  double flops = 0;
-  for (int i = dec_.halo; i < dec_.halo + dec_.snx; ++i) {
-    for (int j = dec_.halo; j < dec_.halo + dec_.sny; ++j) {
-      const auto si = static_cast<std::size_t>(i);
-      const auto sj = static_cast<std::size_t>(j);
-      z(si, sj) = diag_(si, sj) > 0 ? r(si, sj) / diag_(si, sj) : 0.0;
-      flops += 1.0;
     }
   }
   return flops;

@@ -19,6 +19,8 @@
 // grid's polar anisotropy (w_east/w_north ~ 30 at 80 degrees); the
 // meridional lines pick up the depth contrasts of shelves and ridges.
 // Together they keep the iteration count near the paper's Ni ~ 60.
+// An operator built with ModelConfig::cg_jacobi preconditions with plain
+// Jacobi scaling, z = r / diag(L), instead (the solver ablation).
 #pragma once
 
 #include "gcm/config.hpp"
@@ -38,13 +40,9 @@ class EllipticOperator {
   double apply(const Array2D<double>& p, Array2D<double>& out) const;
 
   // z = M^-1 r over the interior (z = 0 on land), where M is the
-  // tile-local zonal tridiagonal part of L.  Returns flops.
+  // symmetrized line relaxation above, or diag(L) under cg_jacobi.
+  // Returns flops.
   double precondition(const Array2D<double>& r, Array2D<double>& z) const;
-
-  // z = r / diag(L): the plain Jacobi alternative (kept for the solver
-  // ablation bench).
-  double precondition_jacobi(const Array2D<double>& r,
-                             Array2D<double>& z) const;
 
   // Face weight accessors (exposed for symmetry tests).
   [[nodiscard]] const Array2D<double>& west_weight() const { return wW_; }
@@ -60,6 +58,7 @@ class EllipticOperator {
   void factor_lines();
 
   const Decomp& dec_;
+  bool jacobi_;  // cfg.cg_jacobi: Jacobi instead of line relaxation
   // Weights on the tile's extended index space: wW_(i,j) couples cells
   // (i-1,j)-(i,j); wS_(i,j) couples (i,j-1)-(i,j).
   Array2D<double> wW_, wS_, diag_;

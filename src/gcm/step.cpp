@@ -270,10 +270,8 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
     }
   }
 
-  const CgResult cg =
-      cg_solve(comm_, dec_, op_, rhs_, state_.ps, cfg_.cg_tol,
-               cfg_.cg_max_iter,
-               cfg_.cg_jacobi ? CgPrecond::kJacobi : CgPrecond::kZonalLine);
+  const CgResult cg = cg_solve(comm_, dec_, op_, rhs_, state_.ps, cfg_.cg_tol,
+                               cfg_.cg_max_iter);
   ds_flops += cg.flops;
   st.cg_iterations = cg.iterations;
   st.cg_residual = cg.residual;
@@ -307,9 +305,8 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
         }
       }
     }
-    const Cg3Result cg3 = cg3_solve(comm_, dec_, *op3_, rhs3_,
-                                    state_.phi_nh, cfg_.cg3_tol,
-                                    cfg_.cg3_max_iter);
+    const CgResult cg3 = cg_solve(comm_, dec_, *op3_, rhs3_, state_.phi_nh,
+                                  cfg_.cg3_tol, cfg_.cg3_max_iter);
     ds_flops += cg3.flops;
     st.cg3_iterations = cg3.iterations;
     st.cg3_converged = cg3.converged;

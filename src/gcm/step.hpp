@@ -1,7 +1,7 @@
 // The time-stepping loop of Figure 6: each step runs the Prognostic Step
 // (PS: one halo exchange per 3-D state field, then tendency kernels with
 // overcomputation) and the Diagnostic Step (DS: the elliptic surface
-// pressure solve, one 2-D exchange + two global sums per CG iteration),
+// pressure solve, two 2-D exchanges + two global sums per CG iteration),
 // then applies the pressure correction that enforces eq. (2).
 //
 // Alongside the numerics the stepper keeps the performance observables
@@ -13,7 +13,6 @@
 
 #include "comm/comm.hpp"
 #include "gcm/cg.hpp"
-#include "gcm/cg3.hpp"
 #include "gcm/config.hpp"
 #include "gcm/elliptic.hpp"
 #include "gcm/elliptic3.hpp"

@@ -59,15 +59,6 @@ TEST(MessageBus, TimeoutThrows) {
   EXPECT_THROW(bus.recv(1, 0, 3, /*timeout_ms=*/30), std::runtime_error);
 }
 
-TEST(MessageBus, Poll) {
-  MessageBus bus(2);
-  EXPECT_FALSE(bus.poll(1, 0, 3));
-  bus.send(1, Message{0, 3, {1.0}, 0});
-  EXPECT_TRUE(bus.poll(1, 0, 3));
-  (void)bus.recv(1, 0, 3);
-  EXPECT_FALSE(bus.poll(1, 0, 3));
-}
-
 TEST(MessageBus, SelfSendWorks) {
   MessageBus bus(1);
   bus.send(0, Message{0, 9, {5.0}, 0});

@@ -16,9 +16,9 @@ namespace {
 
 TEST(Tracer, RecordsAndTotals) {
   Tracer t;
-  t.record("gsum", 0.0, 4.0);
-  t.record("exchange", 4.0, 120.0);
-  t.record("gsum", 120.0, 125.0);
+  t.record("gsum", SpanCat::kGsum, 0.0, 4.0);
+  t.record("exchange", SpanCat::kExchange, 4.0, 120.0);
+  t.record("gsum", SpanCat::kGsum, 120.0, 125.0);
   EXPECT_EQ(t.events().size(), 3u);
   EXPECT_DOUBLE_EQ(t.total("gsum"), 9.0);
   EXPECT_DOUBLE_EQ(t.total("exchange"), 116.0);
@@ -86,8 +86,8 @@ TEST(Tracer, ModelStepProducesPhaseTimeline) {
 
 TEST(Tracer, CsvRoundTrip) {
   Tracer a, b;
-  a.record("gsum", 0.0, 5.0);
-  b.record("exchange", 1.0, 7.5);
+  a.record("gsum", SpanCat::kGsum, 0.0, 5.0);
+  b.record("exchange", SpanCat::kExchange, 1.0, 7.5);
   const std::string path = ::testing::TempDir() + "hyades_trace.csv";
   write_trace_csv(path, {&a, &b});
   std::ifstream is(path);
@@ -103,7 +103,7 @@ TEST(Tracer, CsvRoundTrip) {
 
 TEST(Tracer, NullRankSkipped) {
   Tracer a;
-  a.record("x", 0, 1);
+  a.record("x", SpanCat::kOther, 0, 1);
   const std::string path = ::testing::TempDir() + "hyades_trace2.csv";
   write_trace_csv(path, {nullptr, &a});
   std::ifstream is(path);

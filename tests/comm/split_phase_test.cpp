@@ -1,4 +1,4 @@
-// Split-phase (start/test/finish) semantics of the comm core: the
+// Split-phase (start/finish) semantics of the comm core: the
 // pipelined exchange and global sum must deliver bitwise-identical data
 // to their blocking counterparts, tolerate out-of-order finishes among
 // in-flight exchanges, and credit hidden communication to the
@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <thread>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -102,29 +101,6 @@ TEST(SplitPhase, OutOfOrderFinishTwoInFlight) {
       EXPECT_EQ(comm.exchanges_done(), 2u);
     });
   }
-}
-
-// exchange_test never advances the virtual clock; once it reports true,
-// finish completes with the correct data.
-TEST(SplitPhase, ExchangeTestDrainsWithoutClockAdvance) {
-  const net::ArcticModel net;
-  Runtime rt(machine(net, 4, 1));
-  rt.run([&](RankContext& ctx) {
-    Comm comm(ctx);
-    const int tx = ctx.rank() % 2, ty = ctx.rank() / 2;
-    auto id = [](int x, int y) { return ((y + 2) % 2) * 2 + (x + 2) % 2; };
-    const std::array<int, kDirections> nb{id(tx + 1, ty), id(tx - 1, ty),
-                                          id(tx, ty + 1), id(tx, ty - 1)};
-    Comm::Buffers buf = make_buffers(ctx.rank(), 3.0);
-    ExchangeHandle h = comm.exchange_start(nb, buf);
-    const Microseconds t0 = ctx.clock().now();
-    // All sends were posted by start on every rank, so the strips arrive
-    // in real time even though we only probe.
-    while (!comm.exchange_test(h)) std::this_thread::yield();
-    EXPECT_EQ(ctx.clock().now(), t0);  // probing is free
-    comm.exchange_finish(h);
-    expect_exchanged(nb, buf, 3.0, ctx.rank());
-  });
 }
 
 // Split global sum/max returns bitwise the blocking result on every rank.

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <vector>
 
 #include "gcm/cg.hpp"
 #include "gcm/elliptic.hpp"
 #include "gcm/halo.hpp"
+#include "gcm/model.hpp"
 #include "support/rng.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
@@ -203,6 +206,34 @@ TEST(Cg, WarmStartNeedsFewerIterations) {
         cg_solve(comm, dec, op, b, warm, 1e-10, 2000).iterations;
     EXPECT_LT(warm_iters, cold_iters / 4 + 1);
   });
+}
+
+// Locks the Jacobi-preconditioned path (ModelConfig::cg_jacobi) bit for
+// bit through a model run: KE in hexfloat, per-step iteration counts and
+// the final virtual clock.
+TEST(Cg, JacobiModelRunGolden) {
+  ModelConfig cfg = small_ocean(2, 2);
+  cfg.cg_jacobi = true;
+  std::mutex mu;
+  std::vector<int> ni;
+  double ke = 0, max_clock = 0;
+  run_ranks(4, [&](cluster::RankContext& ctx, comm::Comm& comm) {
+    Model m(cfg, comm);
+    m.initialize();
+    std::vector<int> its;
+    for (int s = 0; s < 5; ++s) its.push_back(m.step().cg_iterations);
+    const double clock = ctx.clock().now();
+    const double k = m.kinetic_energy();
+    std::lock_guard<std::mutex> lock(mu);
+    max_clock = std::max(max_clock, clock);
+    if (comm.group_rank() == 0) {
+      ni = its;
+      ke = k;
+    }
+  });
+  EXPECT_EQ(ke, 0x1.d2b586a711008p+47);
+  EXPECT_EQ(ni, (std::vector<int>{29, 7, 6, 6, 6}));
+  EXPECT_EQ(max_clock, 0x1.236f7d0d57cf9p+14);
 }
 
 TEST(Cg, IterationCountsIdenticalOnAllRanks) {

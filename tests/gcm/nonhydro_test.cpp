@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <vector>
 
-#include "gcm/cg3.hpp"
+#include "gcm/cg.hpp"
 #include "gcm/elliptic3.hpp"
 #include "gcm/halo.hpp"
 #include "gcm/kernels.hpp"
@@ -102,7 +104,7 @@ TEST(Cg3, SolvesManufacturedProblem) {
     op.apply(p_true, b);
 
     Array3D<double> p = field3(dec, cfg.nz);
-    const Cg3Result res = cg3_solve(comm, dec, op, b, p, 1e-10, 3000);
+    const CgResult res = cg_solve(comm, dec, op, b, p, 1e-10, 3000);
     EXPECT_TRUE(res.converged);
 
     // Compare gradients (the constant offset is unconstrained): check
@@ -163,6 +165,44 @@ TEST(NonHydro, Full3DDivergenceVanishesAfterStep) {
     const double scaled = worst * cfg.dt / m.grid().rAc[4];
     EXPECT_LT(scaled, 1e-10);
   });
+}
+
+// Locks the 3-D solve bit for bit: KE and mean theta in hexfloat, the
+// per-step CG iteration counts and the final virtual clock of a 5-step
+// non-hydrostatic run.  The ||b|| dot product that sets the stopping
+// target is not flop-charged, in 3-D as in 2-D; charging its
+// 2 * snx * sny * nz = 256 flops per step, as the former separate 3-D
+// solver did, puts the clock exactly 5 x 256 / fds_mflops = 21.33 us
+// later with the same state.
+TEST(NonHydro, FiveStepGoldenLocksSolverPath) {
+  const ModelConfig cfg = nh_config(2, 2);
+  std::mutex mu;
+  std::vector<int> ni3;
+  double ke = 0, mean_theta = 0, max_clock = 0;
+  run_ranks(4, [&](cluster::RankContext& ctx, comm::Comm& comm) {
+    Model m(cfg, comm);
+    m.initialize();
+    std::vector<int> its;
+    for (int s = 0; s < 5; ++s) its.push_back(m.step().cg3_iterations);
+    const double clock = ctx.clock().now();
+    const double k = m.kinetic_energy();
+    const double t = m.mean_theta();
+    std::lock_guard<std::mutex> lock(mu);
+    max_clock = std::max(max_clock, clock);
+    if (comm.group_rank() == 0) {
+      ni3 = its;
+      ke = k;
+      mean_theta = t;
+    }
+  });
+  EXPECT_EQ(ke, 0x1.d2b579d99cc5cp+47);
+  EXPECT_EQ(mean_theta, 0x1.fbd824774d6cp+3);
+  EXPECT_EQ(ni3, (std::vector<int>{22, 7, 3, 1, 1}));
+  EXPECT_EQ(max_clock, 0x1.e67ef97bcf932p+14);
+  const double bnorm_flops = 2.0 * 8 * 4 * cfg.nz;  // snx = 8, sny = 4
+  const double clock_charging_bnorm = 0x1.e6d44ed124e87p+14;
+  EXPECT_NEAR(clock_charging_bnorm - max_clock,
+              5 * bnorm_flops / cfg.fds_mflops, 1e-9);
 }
 
 TEST(NonHydro, HydrostaticLimitMatchesHydrostaticModel) {

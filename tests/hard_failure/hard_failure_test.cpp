@@ -276,8 +276,6 @@ TEST(HardFailure, EpochTagStrideDiscardsStaleMessages) {
   rt.set_epoch(1);
   rt.run([&](cluster::RankContext& ctx) {
     if (ctx.rank() == 1) {
-      // The stale epoch-0 message does not match epoch-1's tag space.
-      EXPECT_FALSE(ctx.try_recv_raw(0, 7).has_value());
       ctx.send_raw(0, 8, {0.0}, 5.0);  // release rank 0's epoch-1 send
       const cluster::Message m = ctx.recv_raw(0, 7);
       ASSERT_EQ(m.data.size(), 1u);

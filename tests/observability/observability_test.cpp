@@ -50,7 +50,7 @@ TEST(TraceCsv, FullPrecisionSurvivesLongRuns) {
   // rounded values and the timeline no longer round-tripped.
   Tracer t;
   const double b = 1.0e9 + 0.125, e = 1.0e9 + 0.625;
-  t.record("gsum", b, e);
+  t.record("gsum", SpanCat::kGsum, b, e);
   const std::string path = ::testing::TempDir() + "hyades_precision.csv";
   write_trace_csv(path, {&t});
   std::ifstream is(path);
@@ -95,22 +95,6 @@ TEST(Tracer, SpanCategoriesAndCountersRoundTrip) {
   const SpanCounters cg = t.counters("ds_cg_iter");
   EXPECT_EQ(cg.cg_iterations, 6);
   EXPECT_DOUBLE_EQ(cg.overlap_us, 5.0);
-}
-
-TEST(Tracer, UntypedRecordInfersCategory) {
-  EXPECT_EQ(span_cat_of("ps"), SpanCat::kPhase);
-  EXPECT_EQ(span_cat_of("ps_interior"), SpanCat::kPhase);
-  EXPECT_EQ(span_cat_of("exchange"), SpanCat::kExchange);
-  EXPECT_EQ(span_cat_of("exchange_wait"), SpanCat::kExchange);
-  EXPECT_EQ(span_cat_of("gsum_start"), SpanCat::kGsum);
-  EXPECT_EQ(span_cat_of("gmax"), SpanCat::kGsum);
-  EXPECT_EQ(span_cat_of("barrier"), SpanCat::kBarrier);
-  EXPECT_EQ(span_cat_of("ds_cg_iter"), SpanCat::kSolver);
-  EXPECT_EQ(span_cat_of("something_else"), SpanCat::kOther);
-
-  Tracer t;
-  t.record("gmax", 1.0, 2.0);
-  EXPECT_EQ(t.events()[0].cat, SpanCat::kGsum);
 }
 
 // ---- Chrome trace-event JSON export -------------------------------------
