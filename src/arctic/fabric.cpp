@@ -210,15 +210,6 @@ void Fabric::deliver_to_endpoint(int node, Packet&& p) {
   if (deliver_) deliver_(node, std::move(p));
 }
 
-double Fabric::bisection_bandwidth_mbytes_per_sec() const {
-  return 2.0 * static_cast<double>(endpoints_) *
-         cfg_.link.bandwidth_mbytes_per_sec;
-}
-
-sim::SimTime Fabric::injection_free_at(int node) const {
-  return injection_[static_cast<std::size_t>(node)]->free_at();
-}
-
 void Fabric::apply_kill(const KillEvent& kill) {
   if (kill.kind == KillEvent::Kind::kRouter) {
     if (!health_.router_dead(kill.level, kill.index)) {

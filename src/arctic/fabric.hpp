@@ -86,13 +86,6 @@ class Fabric {
   [[nodiscard]] const FatTreeShape& shape() const { return shape_; }
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
 
-  // Bisection bandwidth in MByte/sec for an N-endpoint full fat tree:
-  // 2 * N * link bandwidth (both directions across the root cut).
-  [[nodiscard]] double bisection_bandwidth_mbytes_per_sec() const;
-
-  // Backpressure query: when the endpoint's injection link next frees.
-  [[nodiscard]] sim::SimTime injection_free_at(int node) const;
-
   // Apply a permanent kill immediately (plan kills are scheduled through
   // the virtual clock in the constructor; tests and operators may also
   // kill components directly).  Packets already queued toward the dead

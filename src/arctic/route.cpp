@@ -20,20 +20,6 @@ void FatTreeShape::check() const {
   }
 }
 
-int levels_for(int endpoints) {
-  if (endpoints < 1) throw std::invalid_argument("levels_for: endpoints < 1");
-  int n = 1;
-  int cap = kRadix;
-  while (cap < endpoints) {
-    cap *= kRadix;
-    ++n;
-  }
-  if (n > kMaxLevels + 1) {
-    throw std::invalid_argument("levels_for: too many endpoints");
-  }
-  return n;
-}
-
 int levels_for(int endpoints, int radix) {
   if (endpoints < 1) throw std::invalid_argument("levels_for: endpoints < 1");
   if (radix < kMinShapeRadix || radix > kMaxShapeRadix) {
@@ -67,17 +53,6 @@ std::uint32_t Route::encode_uproute() const {
             << (count_bits + port_bits * l);
   }
   return bits;
-}
-
-Route Route::decode(std::uint32_t uproute, std::uint32_t downroute) {
-  Route r;  // paper layout: the default 2-bit ports / 3-bit count
-  r.up_levels = static_cast<int>(uproute & 0x7u);
-  for (int l = 0; l < r.up_levels && l < kMaxLevels; ++l) {
-    r.up_ports[static_cast<std::size_t>(l)] =
-        static_cast<std::uint8_t>((uproute >> (3 + 2 * l)) & 0x3u);
-  }
-  r.downroute = downroute;
-  return r;
 }
 
 Route Route::decode(std::uint32_t uproute, std::uint32_t downroute,
@@ -136,27 +111,8 @@ Route compute_route(int src, int dst, const FatTreeShape& shape,
   return r;
 }
 
-Route compute_route(int src, int dst, int n_levels, SplitMix64* rng) {
-  return compute_route(src, dst, FatTreeShape{kRadix, n_levels}, rng);
-}
-
 int router_hops(int src, int dst, const FatTreeShape& shape) {
   return compute_route(src, dst, shape).router_hops();
-}
-
-int router_hops(int src, int dst, int n_levels) {
-  return router_hops(src, dst, FatTreeShape{kRadix, n_levels});
-}
-
-TopologyHealth::TopologyHealth(int n_levels, int routers_per_level)
-    : levels_(n_levels),
-      routers_per_level_(routers_per_level),
-      router_dead_(static_cast<std::size_t>(n_levels * routers_per_level), 0),
-      link_dead_(
-          static_cast<std::size_t>(n_levels * routers_per_level * kRadix), 0) {
-  if (n_levels < 1 || routers_per_level < 1) {
-    throw std::invalid_argument("TopologyHealth: bad shape");
-  }
 }
 
 TopologyHealth::TopologyHealth(const FatTreeShape& shape)
@@ -304,13 +260,6 @@ RoutedPath compute_route_degraded(int src, int dst, const FatTreeShape& shape,
     return out;
   }
   return out;
-}
-
-RoutedPath compute_route_degraded(int src, int dst, int n_levels,
-                                  const TopologyHealth& health,
-                                  SplitMix64* rng) {
-  return compute_route_degraded(src, dst, FatTreeShape{kRadix, n_levels},
-                                health, rng);
 }
 
 bool route_survives(int src, int dst, const Route& route,

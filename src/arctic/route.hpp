@@ -10,11 +10,10 @@
 // descends following the destination digits: the level-l router on the
 // down path uses down port d_l.
 //
-// The tree shape is carried by FatTreeShape{radix, levels}.  The paper's
-// exact radix-4 layout is the golden-locked default: every function here
-// has a radix-4 overload whose bit-level behavior (route words, RNG
-// stream consumption, fallback order) is identical to the original
-// fixed-radix implementation.
+// The tree shape is carried by FatTreeShape{radix, levels}.  At the
+// paper's radix 4 the route words are the paper's layout bit for bit
+// (2-bit ports, 3-bit level count; the route goldens in tests/arctic
+// lock it).
 #pragma once
 
 #include <array>
@@ -25,8 +24,7 @@
 
 namespace hyades::arctic {
 
-inline constexpr int kRadix = 4;      // the paper's Arctic router radix
-inline constexpr int kMaxLevels = 5;  // 14-bit uproute fits 5 up-port choices
+inline constexpr int kRadix = 4;  // the paper's Arctic router radix
 inline constexpr int kMinShapeRadix = 2;
 inline constexpr int kMaxShapeRadix = 8;
 inline constexpr int kMaxShapeLevels = 16;  // route-word width cap (see check)
@@ -86,16 +84,12 @@ struct FatTreeShape {
   }
 };
 
-// Number of tree levels (n) needed for `endpoints` nodes at the paper's
-// radix 4; endpoints is rounded up to the next power of 4.  At least 1.
-int levels_for(int endpoints);
-// Shape-generic form; the returned level count is width-checked.
+// Number of tree levels (n) needed for `endpoints` nodes at `radix`;
+// endpoints is rounded up to the next power of the radix.  At least 1,
+// and width-checked.
 int levels_for(int endpoints, int radix);
 // Convenience: the checked shape covering `endpoints` at `radix`.
 FatTreeShape shape_for(int endpoints, int radix);
-
-// Digit l (base 4) of endpoint address e (paper-shape helper).
-inline int digit(int e, int l) { return (e >> (2 * l)) & 3; }
 
 struct Route {
   int up_levels = 0;                        // stages to ascend
@@ -121,8 +115,6 @@ struct Route {
   // The radix-4 default (bits [2:0] = up_levels, port l at bits
   // [3+2l+1 : 3+2l]) is the paper's 14-bit layout, bit for bit.
   [[nodiscard]] std::uint32_t encode_uproute() const;
-  // Paper-shape (radix-4) decode.
-  static Route decode(std::uint32_t uproute, std::uint32_t downroute);
   static Route decode(std::uint32_t uproute, std::uint32_t downroute,
                       const FatTreeShape& shape);
 };
@@ -131,14 +123,11 @@ struct Route {
 // are chosen at random (the adaptive "random uproute" mode); otherwise a
 // deterministic choice (a pairwise digit hash) is made, which keeps
 // every (src,dst) pair on a single path and hence preserves Arctic's
-// FIFO ordering guarantee.  The int overload is the paper's radix-4
-// tree with `n_levels` levels.
-Route compute_route(int src, int dst, int n_levels, SplitMix64* rng = nullptr);
+// FIFO ordering guarantee.
 Route compute_route(int src, int dst, const FatTreeShape& shape,
                     SplitMix64* rng = nullptr);
 
 // Router stages on the deterministic path between src and dst.
-int router_hops(int src, int dst, int n_levels);
 int router_hops(int src, int dst, const FatTreeShape& shape);
 
 // ---- degraded-mode routing (hard failures) ----------------------------
@@ -152,8 +141,6 @@ int router_hops(int src, int dst, const FatTreeShape& shape);
 class TopologyHealth {
  public:
   TopologyHealth() = default;
-  // Paper-shape (radix-4) view with an explicit router count per level.
-  TopologyHealth(int n_levels, int routers_per_level);
   explicit TopologyHealth(const FatTreeShape& shape);
 
   void kill_router(int level, int index);
@@ -202,10 +189,7 @@ struct RoutedPath {
 // nothing dead the result -- and, in random-uproute mode, the RNG
 // stream consumption -- is bit-identical to compute_route).  Returns
 // kUnreachable exactly when the dead set disconnects src from dst under
-// up*/down* routing.  The int overload is the radix-4 tree.
-RoutedPath compute_route_degraded(int src, int dst, int n_levels,
-                                  const TopologyHealth& health,
-                                  SplitMix64* rng = nullptr);
+// up*/down* routing.
 RoutedPath compute_route_degraded(int src, int dst, const FatTreeShape& shape,
                                   const TopologyHealth& health,
                                   SplitMix64* rng = nullptr);

@@ -30,7 +30,6 @@ void OutputPort::start_next() {
   const sim::SimTime header_time =
       sim::transfer_time(header_chunk, bw) + sim::from_us(cfg_.prop_delay_us);
   const sim::SimTime full_time = sim::transfer_time(p.wire_bytes(), bw);
-  free_at_ = sched_.now() + full_time;
   busy_time_ += full_time;
   ++transmitted_;
 

@@ -52,8 +52,6 @@ class OutputPort {
   [[nodiscard]] std::size_t max_queue_depth() const {
     return max_queue_depth_;
   }
-  // Time when the port will next be idle assuming no new arrivals.
-  [[nodiscard]] sim::SimTime free_at() const { return free_at_; }
   [[nodiscard]] std::uint64_t transmitted() const { return transmitted_; }
   [[nodiscard]] sim::SimTime busy_time() const { return busy_time_; }
 
@@ -65,7 +63,6 @@ class OutputPort {
   HeaderFn on_header_;
   std::deque<Packet> queues_[2];  // [0]=low, [1]=high
   bool busy_ = false;
-  sim::SimTime free_at_ = 0;
   std::size_t max_queue_depth_ = 0;
   std::uint64_t transmitted_ = 0;
   sim::SimTime busy_time_ = 0;

@@ -127,22 +127,4 @@ void print_wait_attribution(std::ostream& os,
               "of total; imbalance-wait is a subset of comm)");
 }
 
-metrics::Registry trace_metrics(const Tracer& tracer) {
-  metrics::Registry reg;
-  for (const TraceEvent& e : tracer.events()) {
-    reg.inc("time_us." + e.op, e.duration());
-    reg.inc("count." + e.op, 1.0);
-    if (e.ctr.bytes != 0) {
-      reg.inc("bytes." + e.op, static_cast<double>(e.ctr.bytes));
-    }
-    if (e.ctr.flops != 0) reg.inc("flops." + e.op, e.ctr.flops);
-    if (e.ctr.cg_iterations != 0) {
-      reg.inc("cg_iterations." + e.op,
-              static_cast<double>(e.ctr.cg_iterations));
-    }
-    if (e.ctr.overlap_us != 0) reg.inc("overlap_us." + e.op, e.ctr.overlap_us);
-  }
-  return reg;
-}
-
 }  // namespace hyades::cluster

@@ -13,7 +13,6 @@
 
 #include "cluster/runtime.hpp"
 #include "cluster/trace.hpp"
-#include "support/metrics.hpp"
 
 namespace hyades::cluster {
 
@@ -66,11 +65,5 @@ std::vector<RankBreakdown> wait_attribution(
 void print_wait_attribution(std::ostream& os,
                             const std::vector<RankBreakdown>& rows,
                             double divisor = 1.0);
-
-// Flatten one rank's trace into a metrics registry: per-op time totals
-// ("time_us.<op>"), span counts ("count.<op>"), and aggregated counter
-// payloads ("bytes.<op>", "flops.<op>", ...).  Feed the per-rank
-// registries to metrics::aggregate for cross-rank rollups.
-metrics::Registry trace_metrics(const Tracer& tracer);
 
 }  // namespace hyades::cluster

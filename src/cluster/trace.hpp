@@ -23,15 +23,15 @@
 namespace hyades::cluster {
 
 // Typed span taxonomy.  The category drives aggregation (wait-time
-// attribution, metrics rollups) and the "cat" field of the Chrome trace
-// export; the op string stays free-form for finer labels.
+// attribution) and the "cat" field of the Chrome trace export; the op
+// string stays free-form for finer labels.
 enum class SpanCat : std::uint8_t {
   kPhase,     // ps, ps_interior, ps_rim, ds -- stepper phases
   kExchange,  // exchange, exchange_start, exchange_wait
   kGsum,      // gsum, gmax, gsum_start, gsum_wait, gmax_wait
   kBarrier,   // barrier
   kSolver,    // ds_cg_iter -- per-iteration CG spans
-  kFault,     // retransmit, rollback -- fault-recovery intervals
+  kFault,     // retransmit -- fault-recovery intervals
   kNodeDown,  // node_down, restart -- hard-failure detection/recovery
   kOther,
 };

@@ -110,25 +110,22 @@ ExecutionOutcome execute_job(const JobSpec& spec,
       comm::Comm comm(ctx);
       gcm::Model model(spec.config, comm);
       model.initialize(spec.seed);
-      const gcm::Model::RunStats rs = model.run(spec.steps);
+      model.run(spec.steps);
       const double ke = model.kinetic_energy();
       const double mt = model.mean_theta();
       if (comm.group_rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);
         out.result.kinetic_energy = ke;
         out.result.mean_theta = mt;
-        out.result.steps_committed = rs.steps_run;
-        out.result.rollbacks = rs.rollbacks;
       }
     });
     out.ok = true;
+    out.result.steps_committed = spec.steps;
   } catch (const std::runtime_error& e) {
-    // Solver divergence, delivery failure past the retry budget,
-    // rollback give-up: a failed member, not a failed farm.
+    // Solver divergence, a transfer out of retries (DeliveryFailure): a
+    // failed member, not a failed farm.
     out.ok = false;
     out.error = e.what();
-    out.result.steps_committed = 0;
-    out.result.rollbacks = 0;
   }
   charge_costs(rt, &out.result);
   return out;

@@ -94,7 +94,6 @@ void Farm::dispatch(JobRecord& rec) {
   metrics_.inc("farm.retransmits",
                static_cast<double>(out.result.retransmits));
   metrics_.inc("farm.restarts", static_cast<double>(out.result.restarts));
-  metrics_.inc("farm.rollbacks", static_cast<double>(out.result.rollbacks));
   metrics_.inc("farm.migrations", static_cast<double>(out.result.migrations));
   metrics_.inc("farm.rebalances", static_cast<double>(out.result.rebalances));
   metrics_.inc("farm.downgrades", static_cast<double>(out.result.downgrades));
@@ -144,7 +143,6 @@ Farm::CampaignSummary Farm::summary() const {
       s.busy_us += r.result.busy_us;
       s.retransmits += r.result.retransmits;
       s.restarts += r.result.restarts;
-      s.rollbacks += r.result.rollbacks;
       s.migrations += r.result.migrations;
       s.rebalances += r.result.rebalances;
       s.downgrades += r.result.downgrades;
@@ -193,9 +191,8 @@ std::string Farm::format_summary() const {
      << Table::fmt(s.busy_us / 1000.0, 3) << " ms; makespan "
      << Table::fmt(s.makespan_us / 1000.0, 3) << " ms\n"
      << "recovery: " << s.retransmits << " retransmits, " << s.restarts
-     << " restarts, " << s.rollbacks << " rollbacks, " << s.migrations
-     << " migrations, " << s.rebalances << " rebalances, " << s.downgrades
-     << " ladder downgrades\n";
+     << " restarts, " << s.migrations << " migrations, " << s.rebalances
+     << " rebalances, " << s.downgrades << " ladder downgrades\n";
   return os.str();
 }
 

@@ -73,7 +73,6 @@ class Farm {
     Microseconds makespan_us = 0.0;    // farm clock at drain
     std::int64_t retransmits = 0;
     std::int64_t restarts = 0;
-    std::int64_t rollbacks = 0;
     std::int64_t migrations = 0;  // live tile adoptions across members
     std::int64_t rebalances = 0;  // hot-join handbacks across members
     std::int64_t downgrades = 0;  // recovery-ladder rungs fallen across members

@@ -75,7 +75,6 @@ struct JobResult {
   Microseconds busy_us = 0.0;
   std::int64_t retransmits = 0;  // summed fault-recovery retries
   std::int64_t restarts = 0;     // summed epoch restarts
-  int rollbacks = 0;             // soft-fault rollback replays
   int migrations = 0;            // dead tiles adopted live (migrate mode)
   int rebalances = 0;            // tiles handed back to hot-joined boards
   int downgrades = 0;            // recovery-ladder rungs fallen (summed)

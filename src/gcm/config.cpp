@@ -76,9 +76,6 @@ std::uint64_t ModelConfig::fingerprint() const {
   d.boolean(enable_convection);
   d.real(fps_mflops);
   d.real(fds_mflops);
-  d.integer(checkpoint_interval);
-  d.integer(retry_budget);
-  d.integer(max_rollbacks);
   return d.h;
 }
 

@@ -132,18 +132,6 @@ struct ModelConfig {
   double fps_mflops = 50.0;
   double fds_mflops = 60.0;
 
-  // ---- fault tolerance (graceful degradation) -------------------------
-  // With retry_budget >= 0, Model::run keeps an in-memory snapshot of
-  // the prognostic state, refreshed every checkpoint_interval steps
-  // (<= 0: only the initial snapshot).  A step in which any rank spends
-  // more than retry_budget retransmits rolls the whole group back to the
-  // snapshot and replays; the decision is collective (a global max), so
-  // all ranks stay in lockstep.  More than max_rollbacks consecutive
-  // rollbacks without a committed step aborts the run.
-  int checkpoint_interval = 0;
-  int retry_budget = -1;  // -1: rollback machinery disabled
-  int max_rollbacks = 8;
-
   // ---- derived helpers -------------------------------------------------
   [[nodiscard]] double dlon_rad() const { return 2.0 * M_PI / nx; }
   [[nodiscard]] double dlat_rad() const {
@@ -189,8 +177,9 @@ struct ModelConfig {
   // configs collide only when the stepped equations are bit-identical).
   // The ensemble farm's result cache keys on (fingerprint, init seed):
   // a field added here without extending the hash would silently alias
-  // distinct configurations, so config.cpp hashes *all* members and a
-  // regression test pins the value for the default config.
+  // distinct configurations, so config.cpp hashes *all* members and
+  // Config.FingerprintMovesWithEveryField (tests/farm/farm_test.cpp)
+  // fails for any field the hash does not see.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 

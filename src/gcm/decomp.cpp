@@ -1,7 +1,6 @@
 #include "gcm/decomp.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hyades::gcm {
 
@@ -33,41 +32,6 @@ void check_shape(const ModelConfig& cfg) {
 }
 
 }  // namespace
-
-std::pair<int, int> choose_tiles(int nranks, int nx, int ny) {
-  if (nranks < 1 || nx < 1 || ny < 1) {
-    throw DecompError(DecompError::Code::kBadShape,
-                      "choose_tiles: empty grid or rank count");
-  }
-  int best_px = -1;
-  double best_tile = 0.0;
-  double best_grid = 0.0;
-  for (int px = 1; px <= nranks; ++px) {
-    if (nranks % px != 0) continue;
-    const int py = nranks / px;
-    if (px > nx || py > ny) continue;  // would create empty tiles
-    // Primary key: tiles as square as possible; secondary: the rank
-    // grid itself as square as possible.  Log-ratio magnitudes make
-    // 2:1 and 1:2 equally good.
-    const double tile_cost = std::fabs(
-        std::log((static_cast<double>(nx) / px) / (static_cast<double>(ny) / py)));
-    const double grid_cost =
-        std::fabs(std::log(static_cast<double>(px) / py));
-    const bool better =
-        best_px < 0 || tile_cost < best_tile - 1e-12 ||
-        (tile_cost < best_tile + 1e-12 && grid_cost < best_grid - 1e-12);
-    if (better) {
-      best_px = px;
-      best_tile = tile_cost;
-      best_grid = grid_cost;
-    }
-  }
-  if (best_px < 0) {
-    throw DecompError(DecompError::Code::kBadShape,
-                      "choose_tiles: no tile grid fits");
-  }
-  return {best_px, nranks / best_px};
-}
 
 Decomp::Decomp(const ModelConfig& cfg, int group_rank)
     : px(cfg.px),

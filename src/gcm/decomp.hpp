@@ -15,7 +15,6 @@
 #include <array>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "comm/comm.hpp"
 #include "gcm/config.hpp"
@@ -36,12 +35,6 @@ class DecompError : public std::invalid_argument {
  private:
   Code code_;
 };
-
-// Deterministic near-square tile grid for `nranks` ranks on an nx x ny
-// lateral grid: among the divisor pairs px*py == nranks that fit the
-// grid, pick the one whose *tiles* are closest to square, breaking ties
-// toward the squarer rank grid (16 ranks on the paper grid -> 4x4).
-std::pair<int, int> choose_tiles(int nranks, int nx, int ny);
 
 struct Decomp {
   Decomp(const ModelConfig& cfg, int group_rank);

@@ -1,19 +1,29 @@
 #include "gcm/halo.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace hyades::gcm {
 
 namespace {
 
-// Generic packer over a rectangular (i, j) window and nz levels.
+// Rectangular (i, j) window of a tile, over all levels.
+struct Window {
+  int i0, i1, j0, j1;
+  [[nodiscard]] std::size_t cells(int nz) const {
+    return static_cast<std::size_t>((i1 - i0) * (j1 - j0) * nz);
+  }
+};
+
+// Generic packer over a window and nz levels.
 template <typename FieldT>
-void pack(const FieldT& f, int i0, int i1, int j0, int j1, int nz,
-          std::vector<double>& out) {
+void pack(const FieldT& f, const Window& w, int nz, std::vector<double>& out) {
   out.clear();
-  out.reserve(static_cast<std::size_t>((i1 - i0) * (j1 - j0) * nz));
-  for (int i = i0; i < i1; ++i) {
-    for (int j = j0; j < j1; ++j) {
+  out.reserve(w.cells(nz));
+  for (int i = w.i0; i < w.i1; ++i) {
+    for (int j = w.j0; j < w.j1; ++j) {
       for (int k = 0; k < nz; ++k) {
         out.push_back(f(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
                         static_cast<std::size_t>(k)));
@@ -23,11 +33,10 @@ void pack(const FieldT& f, int i0, int i1, int j0, int j1, int nz,
 }
 
 template <typename FieldT>
-void unpack(FieldT& f, int i0, int i1, int j0, int j1, int nz,
-            const std::vector<double>& in) {
+void unpack(FieldT& f, const Window& w, int nz, const std::vector<double>& in) {
   std::size_t n = 0;
-  for (int i = i0; i < i1; ++i) {
-    for (int j = j0; j < j1; ++j) {
+  for (int i = w.i0; i < w.i1; ++i) {
+    for (int j = w.j0; j < w.j1; ++j) {
       for (int k = 0; k < nz; ++k) {
         f(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
           static_cast<std::size_t>(k)) = in[n++];
@@ -46,71 +55,82 @@ struct Flat2D {
     return a(i, j);
   }
 };
-struct ConstFlat2D {
-  const Array2D<double>& a;
-  double operator()(std::size_t i, std::size_t j, std::size_t) const {
-    return a(i, j);
+
+void check_width(const Decomp& dec, int width, const char* who) {
+  if (width < 1 || width > dec.halo) {
+    throw std::invalid_argument(std::string(who) +
+                                ": width must be in [1, halo]");
   }
+}
+
+// The interior strip a tile sends toward direction d, and the halo
+// strip that d's message fills.  East/west strips span the interior
+// rows; north/south strips span the x-extended rows, so the corners
+// stage 1 filled are carried along.
+struct Strips {
+  Window send;
+  Window recv;
 };
 
-template <typename ConstF, typename MutF>
-void exchange_impl(comm::Comm& comm, const Decomp& dec, const ConstF& cf,
-                   MutF& mf, int nz, int width) {
-  if (width < 1 || width > dec.halo) {
-    throw std::invalid_argument("exchange: width must be in [1, halo]");
-  }
+Strips strips(const Decomp& dec, int d, int width) {
   const int h = dec.halo;
   const int ie = h + dec.snx;  // one past the interior in x
   const int je = h + dec.sny;
-
-  using comm::kEast;
-  using comm::kNorth;
-  using comm::kSouth;
-  using comm::kWest;
-
-  // Stage 1: east/west strips over interior rows.
-  {
-    std::array<int, comm::kDirections> nb{dec.neighbors[kEast],
-                                          dec.neighbors[kWest], -1, -1};
-    comm::Comm::Buffers buf;
-    if (nb[kEast] >= 0) {
-      pack(cf, ie - width, ie, h, je, nz, buf.out[kEast]);
-      buf.in[kEast].resize(static_cast<std::size_t>(width * dec.sny * nz));
-    }
-    if (nb[kWest] >= 0) {
-      pack(cf, h, h + width, h, je, nz, buf.out[kWest]);
-      buf.in[kWest].resize(static_cast<std::size_t>(width * dec.sny * nz));
-    }
-    comm.exchange(nb, buf);
-    if (nb[kEast] >= 0) unpack(mf, ie, ie + width, h, je, nz, buf.in[kEast]);
-    if (nb[kWest] >= 0) unpack(mf, h - width, h, h, je, nz, buf.in[kWest]);
+  const int xi0 = h - width;  // x-extended rows
+  const int xi1 = ie + width;
+  switch (d) {
+    case comm::kEast:
+      return {{ie - width, ie, h, je}, {ie, ie + width, h, je}};
+    case comm::kWest:
+      return {{h, h + width, h, je}, {h - width, h, h, je}};
+    case comm::kNorth:
+      return {{xi0, xi1, je - width, je}, {xi0, xi1, je, je + width}};
+    default:  // kSouth
+      return {{xi0, xi1, h, h + width}, {xi0, xi1, h - width, h}};
   }
+}
 
-  // Stage 2: north/south strips over the x-extended rows, so corners are
-  // carried along.
-  {
-    const int xi0 = h - width;
-    const int xi1 = ie + width;
-    std::array<int, comm::kDirections> nb{-1, -1, dec.neighbors[kNorth],
-                                          dec.neighbors[kSouth]};
-    comm::Comm::Buffers buf;
-    const auto strip =
-        static_cast<std::size_t>((xi1 - xi0) * width * nz);
-    if (nb[kNorth] >= 0) {
-      pack(cf, xi0, xi1, je - width, je, nz, buf.out[kNorth]);
-      buf.in[kNorth].resize(strip);
-    }
-    if (nb[kSouth] >= 0) {
-      pack(cf, xi0, xi1, h, h + width, nz, buf.out[kSouth]);
-      buf.in[kSouth].resize(strip);
-    }
+// Stage 0 is east/west, stage 1 north/south over the x-extended rows.
+constexpr std::array<std::array<int, 2>, 2> kStageDirs{
+    {{comm::kEast, comm::kWest}, {comm::kNorth, comm::kSouth}}};
+
+// Pack one stage's outgoing strips and size its receive buffers; returns
+// the stage's neighbour array for the exchange call.
+template <typename FieldT>
+std::array<int, comm::kDirections> pack_stage(int stage, const Decomp& dec,
+                                              const FieldT& f, int nz,
+                                              int width, comm::Buffers& buf) {
+  std::array<int, comm::kDirections> nb{-1, -1, -1, -1};
+  for (const int d : kStageDirs[static_cast<std::size_t>(stage)]) {
+    const auto sd = static_cast<std::size_t>(d);
+    nb[sd] = dec.neighbors[sd];
+    if (nb[sd] < 0) continue;
+    const Strips st = strips(dec, d, width);
+    pack(f, st.send, nz, buf.out[sd]);
+    buf.in[sd].resize(st.recv.cells(nz));
+  }
+  return nb;
+}
+
+template <typename FieldT>
+void unpack_stage(int stage, const Decomp& dec, FieldT& f, int nz, int width,
+                  const comm::Buffers& buf) {
+  for (const int d : kStageDirs[static_cast<std::size_t>(stage)]) {
+    const auto sd = static_cast<std::size_t>(d);
+    if (dec.neighbors[sd] < 0) continue;
+    unpack(f, strips(dec, d, width).recv, nz, buf.in[sd]);
+  }
+}
+
+template <typename FieldT>
+void exchange_impl(comm::Comm& comm, const Decomp& dec, FieldT& f, int nz,
+                   int width) {
+  check_width(dec, width, "exchange");
+  for (int stage = 0; stage < 2; ++stage) {
+    comm::Buffers buf;
+    const auto nb = pack_stage(stage, dec, f, nz, width, buf);
     comm.exchange(nb, buf);
-    if (nb[kNorth] >= 0) {
-      unpack(mf, xi0, xi1, je, je + width, nz, buf.in[kNorth]);
-    }
-    if (nb[kSouth] >= 0) {
-      unpack(mf, xi0, xi1, h - width, h, nz, buf.in[kSouth]);
-    }
+    unpack_stage(stage, dec, f, nz, width, buf);
   }
 }
 
@@ -118,105 +138,42 @@ void exchange_impl(comm::Comm& comm, const Decomp& dec, const ConstF& cf,
 
 void exchange3d(comm::Comm& comm, const Decomp& dec, Array3D<double>& f,
                 int width) {
-  exchange_impl(comm, dec, f, f, static_cast<int>(f.nz()), width);
+  exchange_impl(comm, dec, f, static_cast<int>(f.nz()), width);
 }
 
 void exchange2d(comm::Comm& comm, const Decomp& dec, Array2D<double>& f,
                 int width) {
-  const ConstFlat2D cf{f};
-  Flat2D mf{f};
-  exchange_impl(comm, dec, cf, mf, 1, width);
+  Flat2D flat{f};
+  exchange_impl(comm, dec, flat, 1, width);
 }
 
 HaloExchange3::HaloExchange3(comm::Comm& comm, const Decomp& dec,
                              Array3D<double>& f, int width)
     : comm_(&comm), dec_(&dec), f_(&f), width_(width) {
-  if (width < 1 || width > dec.halo) {
-    throw std::invalid_argument("HaloExchange3: width must be in [1, halo]");
-  }
+  check_width(dec, width, "HaloExchange3");
 }
 
 void HaloExchange3::start() {
   if (stage_ != 0) throw std::logic_error("HaloExchange3: start() twice");
-  const Decomp& dec = *dec_;
-  const int h = dec.halo;
-  const int ie = h + dec.snx;
-  const int je = h + dec.sny;
   const int nz = static_cast<int>(f_->nz());
-  using comm::kEast;
-  using comm::kWest;
-
-  const std::array<int, comm::kDirections> nb{dec.neighbors[kEast],
-                                              dec.neighbors[kWest], -1, -1};
-  if (nb[kEast] >= 0) {
-    pack(*f_, ie - width_, ie, h, je, nz, buf_.out[kEast]);
-    buf_.in[kEast].resize(static_cast<std::size_t>(width_ * dec.sny * nz));
-  }
-  if (nb[kWest] >= 0) {
-    pack(*f_, h, h + width_, h, je, nz, buf_.out[kWest]);
-    buf_.in[kWest].resize(static_cast<std::size_t>(width_ * dec.sny * nz));
-  }
-  h_ = comm_->exchange_start(nb, buf_);
+  h_ = comm_->exchange_start(pack_stage(0, *dec_, *f_, nz, width_, buf_), buf_);
   stage_ = 1;
 }
 
 void HaloExchange3::progress() {
   if (stage_ != 1) throw std::logic_error("HaloExchange3: progress() order");
-  const Decomp& dec = *dec_;
-  const int h = dec.halo;
-  const int ie = h + dec.snx;
-  const int je = h + dec.sny;
   const int nz = static_cast<int>(f_->nz());
-  using comm::kEast;
-  using comm::kNorth;
-  using comm::kSouth;
-  using comm::kWest;
-
   comm_->exchange_finish(h_);
-  if (dec.neighbors[kEast] >= 0) {
-    unpack(*f_, ie, ie + width_, h, je, nz, buf_.in[kEast]);
-  }
-  if (dec.neighbors[kWest] >= 0) {
-    unpack(*f_, h - width_, h, h, je, nz, buf_.in[kWest]);
-  }
-
-  const int xi0 = h - width_;
-  const int xi1 = ie + width_;
-  const std::array<int, comm::kDirections> nb{-1, -1, dec.neighbors[kNorth],
-                                              dec.neighbors[kSouth]};
+  unpack_stage(0, *dec_, *f_, nz, width_, buf_);
   buf_ = comm::Buffers{};
-  const auto strip = static_cast<std::size_t>((xi1 - xi0) * width_ * nz);
-  if (nb[kNorth] >= 0) {
-    pack(*f_, xi0, xi1, je - width_, je, nz, buf_.out[kNorth]);
-    buf_.in[kNorth].resize(strip);
-  }
-  if (nb[kSouth] >= 0) {
-    pack(*f_, xi0, xi1, h, h + width_, nz, buf_.out[kSouth]);
-    buf_.in[kSouth].resize(strip);
-  }
-  h_ = comm_->exchange_start(nb, buf_);
+  h_ = comm_->exchange_start(pack_stage(1, *dec_, *f_, nz, width_, buf_), buf_);
   stage_ = 2;
 }
 
 void HaloExchange3::finish() {
   if (stage_ != 2) throw std::logic_error("HaloExchange3: finish() order");
-  const Decomp& dec = *dec_;
-  const int h = dec.halo;
-  const int ie = h + dec.snx;
-  const int je = h + dec.sny;
-  const int nz = static_cast<int>(f_->nz());
-  using comm::kNorth;
-  using comm::kSouth;
-
   comm_->exchange_finish(h_);
-  const int xi0 = h - width_;
-  const int xi1 = ie + width_;
-  if (dec.neighbors[kNorth] >= 0) {
-    unpack(*f_, xi0, xi1, je, je + width_, nz, buf_.in[kNorth]);
-  }
-  if (dec.neighbors[kSouth] >= 0) {
-    unpack(*f_, xi0, xi1, h - width_, h, nz, buf_.in[kSouth]);
-  }
+  unpack_stage(1, *dec_, *f_, static_cast<int>(f_->nz()), width_, buf_);
   stage_ = 3;
 }
 

@@ -13,16 +13,11 @@
 #include "gcm/eos.hpp"
 #include "gcm/physics.hpp"
 #include "gcm/tile_ckpt.hpp"
-#include "support/logging.hpp"
 #include "support/rng.hpp"
 
 namespace hyades::gcm {
 
 namespace {
-// Rollbacks are worth a warning, but a fault storm must not turn the
-// log into one line per replayed step.
-RateLimiter g_rollback_warn_limiter(/*burst=*/4, /*every=*/64);
-
 constexpr int kTagGather = 3000;
 
 // Deterministic per-cell noise in [-0.5, 0.5), a function of the global
@@ -82,58 +77,8 @@ StepStats Model::step(const SurfaceForcing* forcing) {
   return stepper_->step(forcing);
 }
 
-Model::RunStats Model::run(int steps) {
-  RunStats rs;
-  const bool guarded = cfg_.retry_budget >= 0;
-
-  // In-memory checkpoint: everything a replayed step reads.  The State
-  // copy carries the prognostic fields, the Adams-Bashforth history and
-  // the step counter; the observables snapshot keeps a replayed step
-  // from double-counting its first attempt's flops and CG iterations.
-  State snapshot = guarded ? state_ : State{};
-  PerfObservables snap_obs = stepper_->observables();
-  int snap_step = 0;
-  int consecutive_rollbacks = 0;
-
-  for (int s = 0; s < steps; ++s) {
-    if (guarded && cfg_.checkpoint_interval > 0 && s > snap_step &&
-        (s - snap_step) >= cfg_.checkpoint_interval) {
-      snapshot = state_;
-      snap_obs = stepper_->observables();
-      snap_step = s;
-    }
-    const std::int64_t before = comm_.ctx().accounting().retransmits;
-    (void)step();
-    ++rs.steps_run;
-    if (!guarded) continue;
-
-    // Collective rollback decision: the worst rank's retransmit count
-    // this step, so every rank rolls back (or commits) together.
-    const double worst = comm_.global_max(
-        static_cast<double>(comm_.ctx().accounting().retransmits - before));
-    if (worst <= static_cast<double>(cfg_.retry_budget)) {
-      consecutive_rollbacks = 0;
-      continue;
-    }
-    ++rs.rollbacks;
-    if (++consecutive_rollbacks > cfg_.max_rollbacks) {
-      throw std::runtime_error(
-          "Model::run: rank " + std::to_string(comm_.ctx().rank()) + " gave up after " +
-          std::to_string(consecutive_rollbacks) +
-          " consecutive rollbacks at step " + std::to_string(s));
-    }
-    if (g_rollback_warn_limiter.admit()) {
-      log_warn() << "fault: rank " << comm_.ctx().rank()
-                 << " rolling back step " << s << " to checkpoint at step "
-                 << snap_step << " (worst retransmits " << worst
-                 << " > budget " << cfg_.retry_budget << ") at t="
-                 << comm_.ctx().clock().now() << " us";
-    }
-    state_ = snapshot;
-    stepper_->set_observables(snap_obs);
-    s = snap_step - 1;  // ++s replays from the checkpointed step
-  }
-  return rs;
+void Model::run(int steps) {
+  for (int s = 0; s < steps; ++s) (void)step();
 }
 
 double Model::sum_weighted(const Array3D<double>& f, bool squared,
@@ -338,15 +283,6 @@ Array2D<double> Model::gather_speed(int k) {
 // Checkpoint format and file naming live in gcm/tile_ckpt (the single
 // owner of the HYADES03 wire format and path composition); the Model
 // methods stay as the per-rank facade over it.
-
-std::string Model::checkpoint_path(const std::string& prefix,
-                                   int group_rank) {
-  return tile_ckpt::rank_path(prefix, group_rank);
-}
-
-long Model::checkpoint_step(const std::string& path) {
-  return tile_ckpt::peek_step(path);
-}
 
 void Model::save_checkpoint(const std::string& prefix) const {
   tile_ckpt::save(tile_ckpt::rank_path(prefix, comm_.group_rank()), cfg_,

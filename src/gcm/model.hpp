@@ -29,18 +29,11 @@ class Model {
   // Advance one step / many steps (collective).
   StepStats step(const SurfaceForcing* forcing = nullptr);
 
-  // Outcome of a Model::run, for the fault-tolerance machinery: how many
-  // steps actually executed (replays included) and how many rollbacks
-  // were taken.  Fault-free runs report steps_run == steps requested.
-  struct RunStats {
-    int steps_run = 0;
-    int rollbacks = 0;
-  };
-  // Run `steps` steps.  With cfg.retry_budget >= 0, degrades gracefully
-  // under communication faults: a step in which any rank exceeds the
-  // retransmit budget is rolled back to the last in-memory checkpoint
-  // and replayed (see ModelConfig's fault-tolerance knobs).
-  RunStats run(int steps);
+  // Run `steps` steps with climatological forcing (collective).
+  // Packet faults cost only virtual time here: comm/reliable redelivers
+  // every faulted transfer intact, and one that exhausts its retries
+  // throws DeliveryFailure.  Node loss is run_resilient's job.
+  void run(int steps);
 
   // ---- diagnostics (collective; identical result on every rank) ------
   double mean_theta();
@@ -76,14 +69,6 @@ class Model {
   // the fields.
   void save_checkpoint(const std::string& prefix) const;
   void load_checkpoint(const std::string& prefix);
-
-  // The on-disk file name for a group rank's tile checkpoint.
-  static std::string checkpoint_path(const std::string& prefix,
-                                     int group_rank);
-  // Read the step counter out of a checkpoint header without loading the
-  // payload (the resilient driver picks the restart step this way).
-  // Throws if the file is missing or its header is not HYADES03.
-  static long checkpoint_step(const std::string& path);
 
   [[nodiscard]] const ModelConfig& config() const { return cfg_; }
   [[nodiscard]] const Decomp& decomp() const { return dec_; }

@@ -76,9 +76,6 @@ class Timestepper {
   StepStats step(const SurfaceForcing* forcing = nullptr);
 
   [[nodiscard]] const PerfObservables& observables() const { return obs_; }
-  // Restore hook for rollback-and-replay: a replayed step must not
-  // double-count its first attempt's flops/iterations.
-  void set_observables(const PerfObservables& obs) { obs_ = obs; }
   [[nodiscard]] const EllipticOperator& elliptic() const { return op_; }
 
  private:

@@ -253,18 +253,18 @@ bool verify(const std::string& path, const ModelConfig& cfg) {
 long peek_step(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) {
-    throw std::runtime_error("checkpoint_step: cannot open " + path);
+    throw std::runtime_error("peek_step: cannot open " + path);
   }
   const std::uint64_t magic = read_u64(is);
   if (!is || magic != kCheckpointMagic) {
-    throw std::runtime_error("checkpoint_step: bad magic in " + path +
+    throw std::runtime_error("peek_step: bad magic in " + path +
                              " (got " + hex_u64(magic) + ", want HYADES03 " +
                              hex_u64(kCheckpointMagic) + ")");
   }
   for (int i = 0; i < 7; ++i) (void)read_u64(is);  // config words
   const std::uint64_t step = read_u64(is);
   if (!is) {
-    throw std::runtime_error("checkpoint_step: truncated header in " + path);
+    throw std::runtime_error("peek_step: truncated header in " + path);
   }
   return static_cast<long>(step);
 }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include "net/interconnect.hpp"
-#include "net/topology.hpp"
 
 namespace hyades::net {
 
@@ -24,15 +23,11 @@ struct EthernetConfig {
   Microseconds wire_latency_us;     // one-way latency incl. interrupts
   Microseconds transfer_overhead_us;  // fixed cost of a bulk MPI transfer
   double bandwidth_mbytes;          // effective streaming bandwidth
-  int endpoints = kPaperEndpoints;  // ports on the one switch
 };
 
 class EthernetModel final : public Interconnect {
  public:
-  explicit EthernetModel(EthernetConfig cfg)
-      : cfg_(std::move(cfg)),
-        topo_(cfg_.name, cfg_.endpoints, cfg_.wire_latency_us,
-              cfg_.bandwidth_mbytes) {}
+  explicit EthernetModel(EthernetConfig cfg) : cfg_(std::move(cfg)) {}
 
   [[nodiscard]] std::string name() const override { return cfg_.name; }
   [[nodiscard]] LogPParams small_message(int payload_bytes) const override;
@@ -44,11 +39,9 @@ class EthernetModel final : public Interconnect {
     return cfg_.bandwidth_mbytes;
   }
   [[nodiscard]] Microseconds gsum_round_time(int round) const override;
-  [[nodiscard]] const Topology* topology() const override { return &topo_; }
 
  private:
   EthernetConfig cfg_;
-  StarTopology topo_;
 };
 
 // Factory presets calibrated against Figure 12 (see DESIGN.md section 2).

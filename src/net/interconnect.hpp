@@ -67,10 +67,6 @@ class Interconnect {
   // shared-memory pre/post phase; "about 1 usec" in the paper).
   [[nodiscard]] virtual Microseconds smp_local_sum_time() const { return 1.0; }
 
-  // Relative bandwidth available to a slave processor routed through the
-  // SMP's communication master (Section 4.1: "about 30% lower").
-  [[nodiscard]] virtual double slave_bandwidth_factor() const { return 0.7; }
-
   // Structural view of the network (endpoints, hop costs, bisection),
   // when the model has one; see net/topology.hpp.
   [[nodiscard]] virtual const Topology* topology() const { return nullptr; }

@@ -143,20 +143,4 @@ double TorusTopology::bisection_bandwidth_mbytes() const {
   return 4.0 * static_cast<double>(rings) * link_mbytes_;
 }
 
-// ---- star --------------------------------------------------------------
-
-StarTopology::StarTopology(std::string name, int endpoints,
-                           Microseconds switch_latency_us, double link_mbytes)
-    : name_(std::move(name)), endpoints_(endpoints),
-      switch_latency_us_(switch_latency_us), link_mbytes_(link_mbytes) {
-  if (endpoints < 1) {
-    throw std::invalid_argument("StarTopology: endpoints < 1");
-  }
-}
-
-double StarTopology::bisection_bandwidth_mbytes() const {
-  // Every endpoint's full-duplex switch port can cross the cut.
-  return static_cast<double>(endpoints_) * link_mbytes_;
-}
-
 }  // namespace hyades::net

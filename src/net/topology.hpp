@@ -4,8 +4,8 @@
 // primitive take"; a Topology answers "what does the network look
 // like", which is what the topology-at-scale study sweeps over.
 //
-// Implementations: the Arctic fat tree (any FatTreeShape), the switched
-// Ethernet star, and the 3-D torus of the CP-PACS/PACS-CS family.
+// Implementations: the Arctic fat tree (any FatTreeShape) and the 3-D
+// torus of the CP-PACS/PACS-CS family.
 #pragma once
 
 #include <string>
@@ -30,8 +30,7 @@ class Topology {
   [[nodiscard]] virtual int endpoints() const = 0;
 
   // Route cost: switching elements traversed from src to dst (router
-  // stages in the fat tree, inter-node links in the torus, switch
-  // crossings in the star).
+  // stages in the fat tree, inter-node links in the torus).
   [[nodiscard]] virtual int hops(int src, int dst) const = 0;
   // Largest hops() over all endpoint pairs (closed form per topology).
   [[nodiscard]] virtual int diameter_hops() const = 0;
@@ -117,33 +116,6 @@ class TorusTopology final : public Topology {
  private:
   TorusShape shape_;
   Microseconds hop_latency_us_;
-  double link_mbytes_;
-};
-
-// ---- switched star (Ethernet-class) ------------------------------------
-
-class StarTopology final : public Topology {
- public:
-  StarTopology(std::string name, int endpoints, Microseconds switch_latency_us,
-               double link_mbytes);
-
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] int endpoints() const override { return endpoints_; }
-  // Every pair crosses the one switch.
-  [[nodiscard]] int hops(int, int) const override { return 1; }
-  [[nodiscard]] int diameter_hops() const override { return 1; }
-  [[nodiscard]] Microseconds per_hop_latency_us() const override {
-    return switch_latency_us_;
-  }
-  [[nodiscard]] double link_bandwidth_mbytes() const override {
-    return link_mbytes_;
-  }
-  [[nodiscard]] double bisection_bandwidth_mbytes() const override;
-
- private:
-  std::string name_;
-  int endpoints_;
-  Microseconds switch_latency_us_;
   double link_mbytes_;
 };
 

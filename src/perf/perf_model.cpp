@@ -40,17 +40,9 @@ Microseconds tps_exch_effective(const PhaseParams& p, Microseconds t_interior,
   const Microseconds eff = tps_exch_effective(p, t_interior);
   return eff > t_exch_cpu ? eff : t_exch_cpu;
 }
-Microseconds tps_overlap(const PhaseParams& p, Microseconds t_interior) {
-  return tps_compute(p) + tps_exch_effective(p, t_interior);
-}
 Microseconds tps_overlap(const PhaseParams& p, Microseconds t_interior,
                          Microseconds t_exch_cpu) {
   return tps_compute(p) + tps_exch_effective(p, t_interior, t_exch_cpu);
-}
-Microseconds trun_overlap(const PerfParams& p, long nt, double ni,
-                          Microseconds t_interior) {
-  return static_cast<double>(nt) * tps_overlap(p.ps, t_interior) +
-         static_cast<double>(nt) * ni * tds(p.ds);
 }
 
 Microseconds tds_compute(const DsParams& p) {

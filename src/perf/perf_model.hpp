@@ -27,12 +27,8 @@ Microseconds tps_exch_effective(const PhaseParams& p, Microseconds t_interior);
 Microseconds tps_exch_effective(const PhaseParams& p, Microseconds t_interior,
                                 Microseconds t_exch_cpu);
 // Eq. (4) with the overlap term: tps_compute + tps_exch_effective.
-Microseconds tps_overlap(const PhaseParams& p, Microseconds t_interior);
 Microseconds tps_overlap(const PhaseParams& p, Microseconds t_interior,
                          Microseconds t_exch_cpu);
-// Eq. (11) with the PS overlap term (the DS is unchanged).
-Microseconds trun_overlap(const PerfParams& p, long nt, double ni,
-                          Microseconds t_interior);
 
 // ---- Eqs. 7-10: DS phase (per solver iteration) ---------------------------
 Microseconds tds_compute(const DsParams& p);  // Nds*nxy / Fds

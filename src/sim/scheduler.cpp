@@ -1,56 +1,25 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace hyades::sim {
 
-EventId Scheduler::schedule_at(SimTime when, EventFn fn) {
+void Scheduler::schedule_at(SimTime when, EventFn fn) {
   if (when < now_) {
     throw std::invalid_argument("Scheduler: cannot schedule in the past");
   }
-  const EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  ++live_events_;
-  return id;
+  queue_.push(Event{when, next_seq_++, std::move(fn)});
 }
 
-EventId Scheduler::schedule_after(SimTime delay, EventFn fn) {
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-bool Scheduler::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) {
-    return false;
-  }
-  // We cannot cheaply verify the event is still queued, so mark it and
-  // let pop_next skip it; live_events_ is decremented lazily there.
-  cancelled_.push_back(id);
-  return live_events_ > 0;
-}
-
-bool Scheduler::pop_next(Event& out) {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      if (live_events_ > 0) --live_events_;
-      continue;
-    }
-    out = std::move(ev);
-    return true;
-  }
-  return false;
+void Scheduler::schedule_after(SimTime delay, EventFn fn) {
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 bool Scheduler::step() {
-  Event ev;
-  if (!pop_next(ev)) return false;
+  if (queue_.empty()) return false;
+  Event ev = queue_.top();
+  queue_.pop();
   now_ = ev.when;
-  --live_events_;
   ++executed_;
   ev.fn();
   return true;
@@ -60,25 +29,6 @@ std::uint64_t Scheduler::run(std::uint64_t limit) {
   std::uint64_t n = 0;
   while (n < limit && step()) ++n;
   return n;
-}
-
-void Scheduler::run_until(SimTime until) {
-  while (true) {
-    Event ev;
-    if (!pop_next(ev)) break;
-    if (ev.when > until) {
-      // Put it back; heap push preserves its original sequence number so
-      // ordering among equal-time events is unchanged.
-      queue_.push(std::move(ev));
-      now_ = until;
-      return;
-    }
-    now_ = ev.when;
-    --live_events_;
-    ++executed_;
-    ev.fn();
-  }
-  now_ = std::max(now_, until);
 }
 
 }  // namespace hyades::sim

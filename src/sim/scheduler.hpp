@@ -16,7 +16,6 @@
 namespace hyades::sim {
 
 using EventFn = std::function<void()>;
-using EventId = std::uint64_t;
 
 class Scheduler {
  public:
@@ -25,20 +24,15 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] bool empty() const { return live_events_ == 0; }
-  [[nodiscard]] std::size_t pending() const { return live_events_; }
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   // Schedule `fn` to run at absolute time `when` (must be >= now()).
-  // Returns an id usable with cancel().
-  EventId schedule_at(SimTime when, EventFn fn);
+  void schedule_at(SimTime when, EventFn fn);
 
   // Schedule `fn` to run `delay` after the current time.
-  EventId schedule_after(SimTime delay, EventFn fn);
-
-  // Cancel a pending event.  Returns false if it already ran, was already
-  // cancelled, or the id is unknown.
-  bool cancel(EventId id);
+  void schedule_after(SimTime delay, EventFn fn);
 
   // Run one event; returns false if the queue is empty.
   bool step();
@@ -47,16 +41,10 @@ class Scheduler {
   // Returns the number of events executed by this call.
   std::uint64_t run(std::uint64_t limit = UINT64_MAX);
 
-  // Run until simulated time would exceed `until` (events at exactly
-  // `until` are executed).  Advances now() to `until` if the queue drains
-  // earlier.
-  void run_until(SimTime until);
-
  private:
   struct Event {
     SimTime when;
     std::uint64_t seq;
-    EventId id;
     EventFn fn;
 
     // min-heap on (when, seq)
@@ -66,14 +54,9 @@ class Scheduler {
     }
   };
 
-  bool pop_next(Event& out);
-
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<EventId> cancelled_;  // ids cancelled but still in the heap
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::size_t live_events_ = 0;
   std::uint64_t executed_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "support/metrics.hpp"
 
-#include <algorithm>
-
 namespace hyades::metrics {
 
 Registry::Entry* Registry::find(const std::string& name) {
@@ -41,52 +39,6 @@ double Registry::get(const std::string& name) const {
 
 bool Registry::has(const std::string& name) const {
   return find(name) != nullptr;
-}
-
-void Registry::merge(const Registry& other) {
-  for (const Entry& e : other.entries_) inc(e.name, e.value);
-}
-
-Registry Registry::per(double n) const {
-  Registry out;
-  for (const Entry& e : entries_) {
-    out.set(e.name, n != 0.0 ? e.value / n : 0.0);
-  }
-  return out;
-}
-
-std::vector<Rollup> aggregate(const std::vector<const Registry*>& per_rank) {
-  std::vector<Rollup> out;
-  const auto rollup_of = [&out](const std::string& name) -> Rollup* {
-    for (Rollup& r : out) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  };
-  // Union of names, ordered by first appearance.
-  for (const Registry* reg : per_rank) {
-    if (reg == nullptr) continue;
-    for (const Registry::Entry& e : reg->entries()) {
-      if (rollup_of(e.name) == nullptr) out.push_back({e.name, 0, 0, 0, 0});
-    }
-  }
-  int nregs = 0;
-  for (const Registry* reg : per_rank) {
-    if (reg != nullptr) ++nregs;
-  }
-  for (Rollup& r : out) {
-    bool first = true;
-    for (const Registry* reg : per_rank) {
-      if (reg == nullptr) continue;
-      const double v = reg->get(r.name);
-      r.sum += v;
-      r.min = first ? v : std::min(r.min, v);
-      r.max = first ? v : std::max(r.max, v);
-      first = false;
-    }
-    r.mean = nregs > 0 ? r.sum / nregs : 0.0;
-  }
-  return out;
 }
 
 }  // namespace hyades::metrics

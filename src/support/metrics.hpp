@@ -1,11 +1,8 @@
-// A small named-counter registry for per-rank performance metrics.
-//
-// Each rank (or measurement window) fills one Registry with additive
-// counters -- virtual-time buckets, byte counts, flop counts, event
-// counts.  aggregate() folds the per-rank registries into min/mean/max
-// rollups, the shape the wait-time-attribution report and the live
-// Figure-11 breakdown consume.  Counters keep insertion order so tables
-// print in the order the producer declared them.
+// A small named-counter registry: additive counters (virtual-time
+// buckets, step counts, event counts) keyed by name.  The ensemble farm
+// rolls every executed job's costs into one (Farm::campaign_metrics).
+// Counters keep insertion order so tables print in the order the
+// producer declared them.
 #pragma once
 
 #include <string>
@@ -32,29 +29,10 @@ class Registry {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
 
-  // Divide every counter by `n` (per-step rollups from per-run totals).
-  [[nodiscard]] Registry per(double n) const;
-
-  // Fold another registry into this one, name-wise additive (new names
-  // are appended in the other registry's order).  The ensemble farm
-  // rolls per-job cost registries into its campaign registry this way.
-  void merge(const Registry& other);
-
  private:
   Entry* find(const std::string& name);
   [[nodiscard]] const Entry* find(const std::string& name) const;
   std::vector<Entry> entries_;  // small-N: linear scan beats a map here
 };
-
-// Cross-rank rollup of one counter.
-struct Rollup {
-  std::string name;
-  double min = 0, max = 0, sum = 0, mean = 0;
-};
-
-// Fold per-rank registries counter-by-counter.  The union of names is
-// taken (a rank missing a counter contributes 0); order follows the
-// first registry that mentions each name.
-std::vector<Rollup> aggregate(const std::vector<const Registry*>& per_rank);
 
 }  // namespace hyades::metrics

@@ -1,32 +1,9 @@
 #include "support/stats.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace hyades {
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.min = std::numeric_limits<double>::infinity();
-  s.max = -std::numeric_limits<double>::infinity();
-  double sum = 0.0;
-  for (double x : xs) {
-    sum += x;
-    s.min = std::min(s.min, x);
-    s.max = std::max(s.max, x);
-  }
-  s.mean = sum / static_cast<double>(xs.size());
-  double ss = 0.0;
-  for (double x : xs) {
-    const double d = x - s.mean;
-    ss += d * d;
-  }
-  s.stddev = std::sqrt(ss / static_cast<double>(xs.size()));
-  return s;
-}
 
 LinearFit least_squares(std::span<const double> xs,
                         std::span<const double> ys) {

@@ -1,23 +1,12 @@
-// Small statistics helpers: summary statistics and least-squares linear
-// fits.  The paper fits tgsum = C*log2(N) + b by least squares (Section
+// Small statistics helpers: least-squares linear fits and relative
+// error.  The paper fits tgsum = C*log2(N) + b by least squares (Section
 // 4.2); bench_sec42_gsum reproduces that fit with LinearFit.
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace hyades {
-
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  // population standard deviation
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
 
 struct LinearFit {
   double slope = 0.0;

@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "net/arctic_model.hpp"
 #include "sim/scheduler.hpp"
 
 namespace hyades::arctic {
@@ -245,9 +246,10 @@ TEST(Fabric, RandomUprouteStillDelivers) {
 }
 
 TEST(Fabric, BisectionBandwidthFormula) {
-  Rig rig(16);
   // Paper Section 2.2: 2 * N * 150 MByte/sec.
-  EXPECT_DOUBLE_EQ(rig.fabric.bisection_bandwidth_mbytes_per_sec(),
+  const net::ArcticModel arctic(16);
+  ASSERT_NE(arctic.topology(), nullptr);
+  EXPECT_DOUBLE_EQ(arctic.topology()->bisection_bandwidth_mbytes(),
                    2.0 * 16 * 150.0);
 }
 
@@ -297,7 +299,7 @@ TEST(Fabric, RoutesAroundScheduledLinkKill) {
   // A fault-plan link kill fires through the virtual clock; traffic
   // injected afterwards routes around the dead cable and still lands.
   FabricConfig cfg;
-  const Route healthy = compute_route(0, 15, 2);
+  const Route healthy = compute_route(0, 15, FatTreeShape{kRadix, 2});
   KillEvent kill;
   kill.kind = KillEvent::Kind::kLink;
   kill.level = 0;
@@ -329,7 +331,7 @@ TEST(Fabric, InFlightPacketLostAtKilledRouter) {
   KillEvent kill;
   kill.kind = KillEvent::Kind::kRouter;
   kill.level = 1;
-  kill.index = compute_route(0, 15, 2).up_ports[0];
+  kill.index = compute_route(0, 15, FatTreeShape{kRadix, 2}).up_ports[0];
   rig.fabric.apply_kill(kill);
   rig.sched.run();
   EXPECT_EQ(rig.deliveries.size(), 0u);

@@ -14,6 +14,8 @@
 namespace hyades::arctic {
 namespace {
 
+int digit(int value, int pos) { return (value >> (2 * pos)) & 3; }
+
 int with_digit(int value, int pos, int d) {
   const int mask = 3 << (2 * pos);
   return (value & ~mask) | (d << (2 * pos));
@@ -72,13 +74,13 @@ bool reachable_bfs(int src, int dst, int n_levels, const TopologyHealth& h) {
 }
 
 TEST(RouteDegraded, HealthyMatchesComputeRouteAllPairs) {
-  const int n_levels = 3;
-  const TopologyHealth health(n_levels, 16);
+  const FatTreeShape shape{kRadix, 3};
+  const TopologyHealth health(shape);
   for (int src = 0; src < 64; ++src) {
     for (int dst = 0; dst < 64; ++dst) {
-      const Route plain = compute_route(src, dst, n_levels);
+      const Route plain = compute_route(src, dst, shape);
       const RoutedPath degraded =
-          compute_route_degraded(src, dst, n_levels, health);
+          compute_route_degraded(src, dst, shape, health);
       ASSERT_EQ(degraded.status, RouteStatus::kOk) << src << "->" << dst;
       EXPECT_EQ(degraded.route.encode_uproute(), plain.encode_uproute())
           << src << "->" << dst;
@@ -89,17 +91,17 @@ TEST(RouteDegraded, HealthyMatchesComputeRouteAllPairs) {
 }
 
 TEST(RouteDegraded, HealthyRandomModeConsumesSameStream) {
-  const int n_levels = 3;
-  const TopologyHealth health(n_levels, 16);
+  const FatTreeShape shape{kRadix, 3};
+  const TopologyHealth health(shape);
   SplitMix64 rng_a(42);
   SplitMix64 rng_b(42);
   for (int i = 0; i < 200; ++i) {
     const int src = static_cast<int>(rng_a.next_below(64));
     rng_b.next_below(64);  // keep the streams aligned
     const int dst = 63 - src;
-    const Route plain = compute_route(src, dst, n_levels, &rng_a);
+    const Route plain = compute_route(src, dst, shape, &rng_a);
     const RoutedPath degraded =
-        compute_route_degraded(src, dst, n_levels, health, &rng_b);
+        compute_route_degraded(src, dst, shape, health, &rng_b);
     ASSERT_EQ(degraded.status, RouteStatus::kOk);
     EXPECT_EQ(degraded.route.encode_uproute(), plain.encode_uproute());
     EXPECT_EQ(degraded.route.downroute, plain.downroute);
@@ -112,65 +114,69 @@ TEST(RouteDegraded, RoutesAroundDeadLink) {
   // 64-endpoint tree, 0 -> 4: the deterministic route climbs through
   // level-1 router 1 (pairwise-hash port).  Kill that first-hop cable;
   // the degraded search must pick the next port in fallback order.
-  const int n_levels = 3;
-  const Route healthy = compute_route(0, 4, n_levels);
+  const FatTreeShape shape{kRadix, 3};
+  const Route healthy = compute_route(0, 4, shape);
   ASSERT_EQ(healthy.up_levels, 1);
   const int healthy_port = healthy.up_ports[0];
 
-  TopologyHealth health(n_levels, 16);
+  TopologyHealth health(shape);
   health.kill_up_link(0, 0, healthy_port);
-  const RoutedPath degraded = compute_route_degraded(0, 4, n_levels, health);
+  const RoutedPath degraded = compute_route_degraded(0, 4, shape, health);
   ASSERT_EQ(degraded.status, RouteStatus::kOk);
   EXPECT_EQ(degraded.route.up_ports[0], (healthy_port + 1) & 3);
   EXPECT_TRUE(route_survives(0, 4, degraded.route, health));
   EXPECT_FALSE(route_survives(0, 4, healthy, health));
 
   // Same dead set => same route, bit for bit.
-  const RoutedPath again = compute_route_degraded(0, 4, n_levels, health);
+  const RoutedPath again = compute_route_degraded(0, 4, shape, health);
   EXPECT_EQ(again.route.encode_uproute(), degraded.route.encode_uproute());
   EXPECT_EQ(again.route.downroute, degraded.route.downroute);
 }
 
 TEST(RouteDegraded, RoutesAroundDeadRouter) {
-  const int n_levels = 3;
-  const Route healthy = compute_route(0, 4, n_levels);
-  TopologyHealth health(n_levels, 16);
+  const FatTreeShape shape{kRadix, 3};
+  const Route healthy = compute_route(0, 4, shape);
+  TopologyHealth health(shape);
   health.kill_router(1, healthy.up_ports[0]);
-  const RoutedPath degraded = compute_route_degraded(0, 4, n_levels, health);
+  const RoutedPath degraded = compute_route_degraded(0, 4, shape, health);
   ASSERT_EQ(degraded.status, RouteStatus::kOk);
   EXPECT_NE(degraded.route.up_ports[0], healthy.up_ports[0]);
   EXPECT_TRUE(route_survives(0, 4, degraded.route, health));
 }
 
 TEST(RouteDegraded, DeadLeafRouterPartitions) {
-  TopologyHealth health(2, 4);
+  const FatTreeShape shape{kRadix, 2};
+  TopologyHealth health(shape);
   health.kill_router(0, 0);  // endpoints 0..3 lose their leaf router
-  EXPECT_EQ(compute_route_degraded(0, 15, 2, health).status,
+  EXPECT_EQ(compute_route_degraded(0, 15, shape, health).status,
             RouteStatus::kUnreachable);
-  EXPECT_EQ(compute_route_degraded(15, 2, 2, health).status,
+  EXPECT_EQ(compute_route_degraded(15, 2, shape, health).status,
             RouteStatus::kUnreachable);
   // Unrelated traffic still routes.
-  EXPECT_EQ(compute_route_degraded(4, 15, 2, health).status, RouteStatus::kOk);
+  EXPECT_EQ(compute_route_degraded(4, 15, shape, health).status,
+            RouteStatus::kOk);
 }
 
 TEST(RouteDegraded, AllUpLinksDeadPartitions) {
   // Killing every up cable of leaf router 1 strands endpoints 4..7 from
   // the rest of the tree but leaves same-leaf traffic alive.
-  TopologyHealth health(2, 4);
+  const FatTreeShape shape{kRadix, 2};
+  TopologyHealth health(shape);
   for (int u = 0; u < kRadix; ++u) health.kill_up_link(0, 1, u);
-  EXPECT_EQ(compute_route_degraded(0, 4, 2, health).status,
+  EXPECT_EQ(compute_route_degraded(0, 4, shape, health).status,
             RouteStatus::kUnreachable);
-  EXPECT_EQ(compute_route_degraded(4, 5, 2, health).status, RouteStatus::kOk);
+  EXPECT_EQ(compute_route_degraded(4, 5, shape, health).status,
+            RouteStatus::kOk);
 }
 
 TEST(RouteDegraded, PropertyMatchesReferenceBfs) {
   // Random dead sets over the 64-endpoint tree: the search must report
   // kOk with a surviving route exactly when the reference BFS finds the
   // pair connected, for every seed and both routing modes.
-  const int n_levels = 3;
+  const FatTreeShape shape{kRadix, 3};
   SplitMix64 rng(0xdeadfab);
   for (int trial = 0; trial < 60; ++trial) {
-    TopologyHealth health(n_levels, 16);
+    TopologyHealth health(shape);
     const int link_kills = static_cast<int>(rng.next_below(9));
     for (int i = 0; i < link_kills; ++i) {
       health.kill_up_link(static_cast<int>(rng.next_below(2)),
@@ -185,11 +191,11 @@ TEST(RouteDegraded, PropertyMatchesReferenceBfs) {
     for (int pair = 0; pair < 200; ++pair) {
       const int src = static_cast<int>(rng.next_below(64));
       const int dst = static_cast<int>(rng.next_below(64));
-      const bool connected = reachable_bfs(src, dst, n_levels, health);
+      const bool connected = reachable_bfs(src, dst, shape.levels, health);
       SplitMix64 route_rng(static_cast<std::uint64_t>(trial * 1000 + pair));
       SplitMix64* mode = (pair % 2 == 0) ? nullptr : &route_rng;
       const RoutedPath routed =
-          compute_route_degraded(src, dst, n_levels, health, mode);
+          compute_route_degraded(src, dst, shape, health, mode);
       ASSERT_EQ(routed.status == RouteStatus::kOk, connected)
           << "trial " << trial << ": " << src << "->" << dst;
       if (routed.status == RouteStatus::kOk) {
@@ -201,8 +207,9 @@ TEST(RouteDegraded, PropertyMatchesReferenceBfs) {
 }
 
 TEST(RouteDegraded, RouteSurvivesRejectsWrongDestination) {
-  const TopologyHealth health(2, 4);
-  const Route r = compute_route(0, 15, 2);
+  const FatTreeShape shape{kRadix, 2};
+  const TopologyHealth health(shape);
+  const Route r = compute_route(0, 15, shape);
   EXPECT_TRUE(route_survives(0, 15, r, health));
   EXPECT_FALSE(route_survives(0, 14, r, health));
 }

@@ -11,7 +11,9 @@
 
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "cluster/fault.hpp"
 #include "farm/farm.hpp"
@@ -89,6 +91,104 @@ TEST(Farm, ConfigHashSeparatesPhysicsFromSeed) {
   JobSpec faulty = member("faulty", 1);
   faulty.faults.link_kills.push_back({0, 1, 0.0});
   EXPECT_NE(a.config_hash(), faulty.config_hash());
+}
+
+TEST(Config, FingerprintMovesWithEveryField) {
+  // The result cache keys on ModelConfig::fingerprint: a field the hash
+  // misses would let one config's cached result serve another.  Change
+  // each field of the default config in turn; every change must move
+  // the fingerprint, and no two changes may land on the same value.
+  using gcm::ModelConfig;
+  const ModelConfig base;
+  std::set<std::uint64_t> seen{base.fingerprint()};
+  const auto expect_moved = [&](const ModelConfig& c, const std::string& f) {
+    EXPECT_NE(c.fingerprint(), base.fingerprint()) << f;
+    EXPECT_TRUE(seen.insert(c.fingerprint()).second) << f;
+  };
+  const std::pair<int ModelConfig::*, const char*> ints[] = {
+      {&ModelConfig::nx, "nx"},
+      {&ModelConfig::ny, "ny"},
+      {&ModelConfig::nz, "nz"},
+      {&ModelConfig::px, "px"},
+      {&ModelConfig::py, "py"},
+      {&ModelConfig::halo, "halo"},
+      {&ModelConfig::cg_max_iter, "cg_max_iter"},
+      {&ModelConfig::cg3_max_iter, "cg3_max_iter"},
+  };
+  for (const auto& [field, name] : ints) {
+    ModelConfig c = base;
+    ++(c.*field);
+    expect_moved(c, name);
+  }
+  const std::pair<double ModelConfig::*, const char*> reals[] = {
+      {&ModelConfig::lat_extent_deg, "lat_extent_deg"},
+      {&ModelConfig::dt, "dt"},
+      {&ModelConfig::radius, "radius"},
+      {&ModelConfig::omega, "omega"},
+      {&ModelConfig::gravity, "gravity"},
+      {&ModelConfig::rho0, "rho0"},
+      {&ModelConfig::theta0, "theta0"},
+      {&ModelConfig::salt0, "salt0"},
+      {&ModelConfig::eos_alpha, "eos_alpha"},
+      {&ModelConfig::eos_beta, "eos_beta"},
+      {&ModelConfig::visc_h, "visc_h"},
+      {&ModelConfig::visc_v, "visc_v"},
+      {&ModelConfig::diff_h, "diff_h"},
+      {&ModelConfig::diff_v, "diff_v"},
+      {&ModelConfig::visc_4, "visc_4"},
+      {&ModelConfig::diff_4, "diff_4"},
+      {&ModelConfig::ri_nu0, "ri_nu0"},
+      {&ModelConfig::rad_emissivity, "rad_emissivity"},
+      {&ModelConfig::q_ref, "q_ref"},
+      {&ModelConfig::q_theta_ref, "q_theta_ref"},
+      {&ModelConfig::latent_heat_over_cp, "latent_heat_over_cp"},
+      {&ModelConfig::ab_eps, "ab_eps"},
+      {&ModelConfig::cg_tol, "cg_tol"},
+      {&ModelConfig::cg3_tol, "cg3_tol"},
+      {&ModelConfig::total_depth, "total_depth"},
+      {&ModelConfig::wind_tau0, "wind_tau0"},
+      {&ModelConfig::t_restore_days, "t_restore_days"},
+      {&ModelConfig::rad_tau_days, "rad_tau_days"},
+      {&ModelConfig::fric_tau_days, "fric_tau_days"},
+      {&ModelConfig::fps_mflops, "fps_mflops"},
+      {&ModelConfig::fds_mflops, "fds_mflops"},
+  };
+  for (const auto& [field, name] : reals) {
+    ModelConfig c = base;
+    c.*field += 1.0;
+    expect_moved(c, name);
+  }
+  const std::pair<bool ModelConfig::*, const char*> flags[] = {
+      {&ModelConfig::enable_ri_mixing, "enable_ri_mixing"},
+      {&ModelConfig::enable_radiation, "enable_radiation"},
+      {&ModelConfig::enable_moisture, "enable_moisture"},
+      {&ModelConfig::implicit_vertical_mixing, "implicit_vertical_mixing"},
+      {&ModelConfig::overlap_comm, "overlap_comm"},
+      {&ModelConfig::cg_jacobi, "cg_jacobi"},
+      {&ModelConfig::nonhydrostatic, "nonhydrostatic"},
+      {&ModelConfig::enable_forcing, "enable_forcing"},
+      {&ModelConfig::enable_convection, "enable_convection"},
+  };
+  for (const auto& [field, name] : flags) {
+    ModelConfig c = base;
+    c.*field = !(c.*field);
+    expect_moved(c, name);
+  }
+  ModelConfig c = base;
+  c.isomorph = gcm::Isomorph::kAtmosphere;
+  expect_moved(c, "isomorph");
+  c = base;
+  c.advection = ModelConfig::Advection::kDst3;
+  expect_moved(c, "advection");
+  c = base;
+  c.topography = ModelConfig::Topography::kBasin;
+  expect_moved(c, "topography");
+  // dz: spelling out the default levels, then changing one entry.
+  c = base;
+  c.dz = base.level_thicknesses();
+  expect_moved(c, "dz");
+  c.dz[3] += 1.0;
+  expect_moved(c, "dz[3]");
 }
 
 TEST(Farm, SameQueueTwiceIsBitIdentical) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "gcm/model.hpp"
+#include "gcm/tile_ckpt.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades::gcm {
@@ -124,7 +125,7 @@ TEST(Checkpoint, BitFlippedPayloadRejectedByCrc) {
     m.run(3);
     m.save_checkpoint(prefix);
   });
-  const std::string path = Model::checkpoint_path(prefix, 0);
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
@@ -194,9 +195,9 @@ TEST(Checkpoint, BadMagicRejectedAndStepParserWorks) {
     m.run(7);
     m.save_checkpoint(prefix);
   });
-  const std::string path = Model::checkpoint_path(prefix, 0);
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   // The header parser reads the step without touching any model.
-  EXPECT_EQ(Model::checkpoint_step(path), 7);
+  EXPECT_EQ(tile_ckpt::peek_step(path), 7);
   // Corrupt the magic: the loader must refuse before reading anything
   // else, and say what it expected.
   {
@@ -206,7 +207,13 @@ TEST(Checkpoint, BadMagicRejectedAndStepParserWorks) {
     f.seekp(2);
     f.write(&junk, 1);
   }
-  EXPECT_THROW((void)Model::checkpoint_step(path), std::runtime_error);
+  try {
+    (void)tile_ckpt::peek_step(path);
+    FAIL() << "bad-magic header parsed without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("peek_step: bad magic", 0), 0u)
+        << e.what();
+  }
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
     try {
@@ -231,7 +238,7 @@ TEST(Checkpoint, SaveIsAtomicNoTmpFileSurvives) {
     m.initialize();
     m.save_checkpoint(prefix);
   });
-  const std::string path = Model::checkpoint_path(prefix, 0);
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   cleanup(prefix, 1);

@@ -147,18 +147,6 @@ TEST(Decomp, RemainderTilesPartitionTheGrid) {
   }
 }
 
-TEST(ChooseTiles, PaperShapeAndNonSquareCounts) {
-  EXPECT_EQ(choose_tiles(16, 128, 64), (std::pair<int, int>{4, 4}));
-  EXPECT_EQ(choose_tiles(1, 8, 8), (std::pair<int, int>{1, 1}));
-  // 6 ranks on the paper grid: 3 x 2 gives the squarest tiles.
-  EXPECT_EQ(choose_tiles(6, 128, 64), (std::pair<int, int>{3, 2}));
-  // A prime count degenerates to a strip that fits the wide axis.
-  EXPECT_EQ(choose_tiles(7, 128, 64), (std::pair<int, int>{7, 1}));
-  EXPECT_THROW(choose_tiles(0, 8, 8), DecompError);
-  // More ranks than cells: no divisor pair fits.
-  EXPECT_THROW(choose_tiles(128 * 64 * 2, 128, 64), DecompError);
-}
-
 TEST(TileGrid, MetricsShrinkTowardPoles) {
   const ModelConfig cfg = small_ocean(1, 1);
   const Decomp d(cfg, 0);

@@ -236,45 +236,8 @@ TEST(Metrics, RegistryBasics) {
   ASSERT_EQ(r.size(), 3u);
   EXPECT_EQ(r.entries()[0].name, "a");  // insertion order preserved
   EXPECT_EQ(r.entries()[2].name, "c");
-  const metrics::Registry half = r.per(2.0);
-  EXPECT_DOUBLE_EQ(half.get("a"), 5.0);
   r.clear();
   EXPECT_EQ(r.size(), 0u);
-}
-
-TEST(Metrics, AggregateTakesUnionAcrossRanks) {
-  metrics::Registry r0, r1;
-  r0.inc("t", 10.0);
-  r0.inc("only0", 4.0);
-  r1.inc("t", 30.0);
-  const std::vector<metrics::Rollup> roll =
-      metrics::aggregate({&r0, &r1, nullptr});
-  ASSERT_EQ(roll.size(), 2u);
-  EXPECT_EQ(roll[0].name, "t");
-  EXPECT_DOUBLE_EQ(roll[0].min, 10.0);
-  EXPECT_DOUBLE_EQ(roll[0].max, 30.0);
-  EXPECT_DOUBLE_EQ(roll[0].sum, 40.0);
-  EXPECT_DOUBLE_EQ(roll[0].mean, 20.0);
-  // A rank missing a counter contributes 0 (and widens the min).
-  EXPECT_EQ(roll[1].name, "only0");
-  EXPECT_DOUBLE_EQ(roll[1].min, 0.0);
-  EXPECT_DOUBLE_EQ(roll[1].max, 4.0);
-  EXPECT_DOUBLE_EQ(roll[1].mean, 2.0);
-}
-
-TEST(Metrics, TraceMetricsFlattenCountersPerOp) {
-  Tracer t;
-  SpanCounters ctr;
-  ctr.bytes = 100;
-  t.record("exchange", SpanCat::kExchange, 0.0, 4.0, ctr);
-  t.record("exchange", SpanCat::kExchange, 4.0, 10.0, ctr);
-  t.record("ps", SpanCat::kPhase, 0.0, 50.0);
-  const metrics::Registry reg = trace_metrics(t);
-  EXPECT_DOUBLE_EQ(reg.get("time_us.exchange"), 10.0);
-  EXPECT_DOUBLE_EQ(reg.get("count.exchange"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.get("bytes.exchange"), 200.0);
-  EXPECT_DOUBLE_EQ(reg.get("time_us.ps"), 50.0);
-  EXPECT_FALSE(reg.has("bytes.ps"));
 }
 
 }  // namespace

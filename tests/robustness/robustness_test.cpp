@@ -1,7 +1,7 @@
 // Tier-2 robustness suite: the end-to-end reliability protocol, the
 // regression-locked fault-tolerance invariant (recoverable faults change
-// only virtual timing, never the model state), checkpoint/rollback
-// recovery, and the rate-limited recovery logging.
+// only virtual timing, never the model state), the solver's NaN guard,
+// stragglers, and the rate-limited recovery logging.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,21 +77,17 @@ struct GyreRun {
   std::uint64_t crc_rejects = 0;         // summed (receiver side)
   std::uint64_t drops_detected = 0;
   Microseconds retrans_us = 0;
-  int rollbacks = 0;
 };
 
-GyreRun run_gyre(int steps, const cluster::FaultPlan& plan,
-                 int retry_budget = -1, int checkpoint_interval = 0) {
+GyreRun run_gyre(int steps, const cluster::FaultPlan& plan) {
   gcm::ModelConfig cfg = gcm::testing::small_ocean(2, 2);
   cfg.topography = gcm::ModelConfig::Topography::kBasin;
-  cfg.retry_budget = retry_budget;
-  cfg.checkpoint_interval = checkpoint_interval;
   GyreRun out;
   std::mutex mu;
   run_faulty(4, plan, [&](cluster::RankContext& ctx, comm::Comm& comm) {
     gcm::Model m(cfg, comm);
     m.initialize();
-    const gcm::Model::RunStats rs = m.run(steps);
+    m.run(steps);
     const comm::ReliableStats& fs = comm.fault_stats();
     std::lock_guard<std::mutex> lock(mu);
     out.state.emplace(ctx.rank(), m.state());
@@ -99,7 +95,6 @@ GyreRun run_gyre(int steps, const cluster::FaultPlan& plan,
     out.crc_rejects += fs.crc_rejects;
     out.drops_detected += fs.drops_detected;
     out.retrans_us += fs.retrans_us;
-    out.rollbacks = std::max(out.rollbacks, rs.rollbacks);
   });
   return out;
 }
@@ -332,29 +327,6 @@ TEST(Robustness, HardFailureKnobsDisabledAreBitIdentical) {
   }
 }
 
-TEST(Robustness, CheckpointRollbackRoundTrip) {
-  // With a zero retransmit budget every faulted step is rolled back and
-  // replayed (fresh serials draw fresh fates, so replays converge).  The
-  // final state must still be bit-identical to the fault-free run.
-  QuietLog quiet;
-  const cluster::FaultPlan clean;
-  cluster::FaultPlan faulty;
-  faulty.seed = 77;
-  // Low enough that most steps are clean (a zero budget rolls back every
-  // faulted step, and replays must converge), high enough that a 60-step
-  // run sees several rollbacks.
-  faulty.corrupt_prob = 2.5e-4;
-  faulty.drop_prob = 5e-5;
-  const GyreRun a = run_gyre(60, clean);
-  const GyreRun b = run_gyre(60, faulty, /*retry_budget=*/0,
-                             /*checkpoint_interval=*/10);
-  EXPECT_GT(b.retransmits, 0u);
-  EXPECT_GT(b.rollbacks, 0);
-  for (int r = 0; r < 4; ++r) {
-    expect_state_bits_equal(a.state.at(r), b.state.at(r), "rollback");
-  }
-}
-
 TEST(Robustness, SolverGuardAbortsOnNaN) {
   // A NaN escaping into the prognostic state must abort the CG solve
   // with a diagnostic, not silently iterate to max_iter on garbage.
@@ -383,26 +355,6 @@ TEST(Robustness, StragglerRankRunsConfiguredlySlower) {
   });
   EXPECT_DOUBLE_EQ(t1, 100.0);
   EXPECT_DOUBLE_EQ(t0, 300.0);  // 3x slower
-}
-
-TEST(Robustness, RollbackGivesUpAfterConsecutiveFailures) {
-  // An unrecoverable fault pattern (every step over budget) must abort
-  // after max_rollbacks consecutive rollbacks, not loop forever.
-  QuietLog quiet;
-  cluster::FaultPlan plan;
-  plan.seed = 5;
-  plan.corrupt_prob = 0.5;  // nearly every step has retransmits
-  gcm::ModelConfig cfg = gcm::testing::small_ocean(2, 2);
-  cfg.retry_budget = 0;
-  cfg.max_rollbacks = 3;
-  EXPECT_THROW(
-      run_faulty(4, plan,
-                 [&](cluster::RankContext&, comm::Comm& comm) {
-                   gcm::Model m(cfg, comm);
-                   m.initialize();
-                   (void)m.run(20);
-                 }),
-      std::runtime_error);
 }
 
 }  // namespace

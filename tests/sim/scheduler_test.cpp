@@ -53,21 +53,6 @@ TEST(Scheduler, RejectsPast) {
   EXPECT_THROW(s.schedule_at(from_us(1.0), [] {}), std::invalid_argument);
 }
 
-TEST(Scheduler, CancelPreventsExecution) {
-  Scheduler s;
-  bool ran = false;
-  const EventId id = s.schedule_at(from_us(1.0), [&] { ran = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run();
-  EXPECT_FALSE(ran);
-  EXPECT_FALSE(s.cancel(id));  // double-cancel fails
-}
-
-TEST(Scheduler, CancelUnknownIdFails) {
-  Scheduler s;
-  EXPECT_FALSE(s.cancel(12345));
-}
-
 TEST(Scheduler, EventsCanScheduleEvents) {
   Scheduler s;
   int count = 0;
@@ -91,25 +76,6 @@ TEST(Scheduler, RunWithLimit) {
   EXPECT_EQ(s.pending(), 6u);
   s.run();
   EXPECT_EQ(count, 10);
-}
-
-TEST(Scheduler, RunUntilStopsAtBoundary) {
-  Scheduler s;
-  std::vector<int> ran;
-  s.schedule_at(from_us(1.0), [&] { ran.push_back(1); });
-  s.schedule_at(from_us(2.0), [&] { ran.push_back(2); });
-  s.schedule_at(from_us(3.0), [&] { ran.push_back(3); });
-  s.run_until(from_us(2.0));
-  EXPECT_EQ(ran, (std::vector<int>{1, 2}));  // event at exactly t runs
-  EXPECT_EQ(s.now(), from_us(2.0));
-  s.run();
-  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Scheduler, RunUntilAdvancesTimeWhenEmpty) {
-  Scheduler s;
-  s.run_until(from_us(10.0));
-  EXPECT_EQ(s.now(), from_us(10.0));
 }
 
 TEST(Scheduler, Determinism) {

@@ -2,27 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace hyades {
 namespace {
-
-TEST(Summarize, Empty) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Summarize, Basic) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(1.25), 1e-12);
-}
 
 TEST(LeastSquares, ExactLine) {
   const std::vector<double> xs = {1, 2, 3, 4};

@@ -93,10 +93,11 @@ TEST(FatTreeShape, DigitHelpersRoundTrip) {
 }
 
 TEST(FatTreeShape, Radix4DigitMatchesPaperHelper) {
+  // At radix 4 a digit is the paper's 2-bit address field.
   const FatTreeShape s{4, 5};
   for (int e : {0, 1, 5, 63, 255, 1023}) {
     for (int l = 0; l < 5; ++l) {
-      EXPECT_EQ(s.digit(e, l), arctic::digit(e, l));
+      EXPECT_EQ(s.digit(e, l), (e >> (2 * l)) & 3);
     }
   }
 }
@@ -165,26 +166,6 @@ TEST(RouteEncoding, RandomUprouteStaysDecodable) {
     EXPECT_EQ(back.encode_uproute(), r.encode_uproute());
     for (int l = 0; l < r.up_levels; ++l) {
       EXPECT_LT(back.up_ports[static_cast<std::size_t>(l)], shape.radix);
-    }
-  }
-}
-
-TEST(RouteEncoding, GoldenRadix4LayoutIsTheDefault) {
-  // The generalized encoder at the paper shape must be bit-identical to
-  // the legacy radix-4 path (which the tier1 route tests golden-lock).
-  const FatTreeShape shape{4, 2};
-  for (int src = 0; src < 16; ++src) {
-    for (int dst = 0; dst < 16; ++dst) {
-      const Route legacy = compute_route(src, dst, 2);
-      const Route shaped = compute_route(src, dst, shape);
-      EXPECT_EQ(shaped.encode_uproute(), legacy.encode_uproute());
-      EXPECT_EQ(shaped.downroute, legacy.downroute);
-      const Route via_legacy =
-          Route::decode(legacy.encode_uproute(), legacy.downroute);
-      const Route via_shape =
-          Route::decode(shaped.encode_uproute(), shaped.downroute, shape);
-      EXPECT_EQ(via_legacy.encode_uproute(), via_shape.encode_uproute());
-      EXPECT_EQ(via_legacy.downroute, via_shape.downroute);
     }
   }
 }
@@ -274,7 +255,7 @@ TEST(RouteAround, ReportsPartitionWhenAllUpLinksDie) {
 
 TEST(RouteAround, HealthShapeMismatchIsAnError) {
   const FatTreeShape shape{2, 6};
-  const TopologyHealth radix4_view(3, 16);  // legacy radix-4 health
+  const TopologyHealth radix4_view(FatTreeShape{4, 3});
   EXPECT_THROW((void)compute_route_degraded(0, 63, shape, radix4_view),
                std::invalid_argument);
 }
@@ -385,14 +366,6 @@ TEST(Torus, ModelRoundCostsGrowWithHopCount) {
 }
 
 // ---- decomposition at scale -----------------------------------------------
-
-TEST(DecompScale, ChooseTilesCoversSweepShapes) {
-  // The sweep's near-square factorizations for a huge grid.
-  EXPECT_EQ(gcm::choose_tiles(32, 4096, 4096), (std::pair<int, int>{4, 8}));
-  EXPECT_EQ(gcm::choose_tiles(64, 4096, 4096), (std::pair<int, int>{8, 8}));
-  EXPECT_EQ(gcm::choose_tiles(1024, 4096, 4096),
-            (std::pair<int, int>{32, 32}));
-}
 
 TEST(DecompScale, LargeNonDivisibleGridPartitions) {
   // 1000 x 600 over 24 x 16 ranks: 1000 % 24 != 0, 600 % 16 != 0.
