@@ -17,20 +17,24 @@ RateLimiter g_straggler_warn_limiter(/*burst=*/4, /*every=*/1u << 20);
 }  // namespace
 
 void AbortableBarrier::arrive_and_wait() {
-  support::MutexLock lock(mu_);
-  if (aborted_) throw BarrierAborted();
-  const std::uint64_t gen = generation_;
-  if (++waiting_ == count_) {
+  {
+    support::MutexLock lock(mu_);
+    if (aborted_) throw BarrierAborted();
+    const std::uint64_t gen = generation_;
+    if (++waiting_ < count_) {
+      cv_.wait(mu_, [&] {
+        mu_.assert_held();
+        return generation_ != gen || aborted_;
+      });
+      if (generation_ == gen && aborted_) throw BarrierAborted();
+      return;
+    }
     waiting_ = 0;
     ++generation_;
-    cv_.notify_all();
-    return;
   }
-  cv_.wait(mu_, [&] {
-    mu_.assert_held();
-    return generation_ != gen || aborted_;
-  });
-  if (generation_ == gen && aborted_) throw BarrierAborted();
+  // The last arriver notifies after unlocking, so the woken siblings do
+  // not block at once on the lock it still holds.
+  cv_.notify_all();
 }
 
 void AbortableBarrier::abort() {
@@ -43,6 +47,11 @@ void AbortableBarrier::reset() {
   support::MutexLock lock(mu_);
   aborted_ = false;
   waiting_ = 0;
+}
+
+std::uint64_t AbortableBarrier::crossings() const {
+  support::MutexLock lock(mu_);
+  return generation_;
 }
 
 RankContext::RankContext(Runtime& rt, int rank)
@@ -147,32 +156,25 @@ Message RankContext::recv_raw(int from, int tag) {
   return m;
 }
 
-void RankContext::smp_sync() {
-  if (procs_per_smp() == 1) return;
+std::pair<std::int64_t, std::int64_t> RankContext::smp_sync(std::int64_t a,
+                                                            std::int64_t b) {
+  if (procs_per_smp() == 1) return {a, b};
   SmpShared& s = rt_.smp_shared(smp());
-  s.clock_slots[static_cast<std::size_t>(local_rank())] = clock_.now();
+  std::vector<SmpShared::Slot>& bank = s.banks[smp_crossings_++ % 2];
+  bank[static_cast<std::size_t>(local_rank())] = {clock_.now(), a, b};
   s.barrier.arrive_and_wait();
   Microseconds mx = 0;
-  for (int lr = 0; lr < procs_per_smp(); ++lr) {
-    mx = std::max(mx, s.clock_slots[static_cast<std::size_t>(lr)]);
+  std::pair<std::int64_t, std::int64_t> sums{0, 0};
+  for (const SmpShared::Slot& slot : bank) {
+    mx = std::max(mx, slot.clock);
+    sums.first += slot.bytes_a;
+    sums.second += slot.bytes_b;
   }
-  s.barrier.arrive_and_wait();
   // Accounting is the caller's job (the comm primitives charge their
   // whole window once, which includes these sync advances).
   clock_.advance_to(mx);
   clock_.advance(rt_.config().smp_barrier_us);
-}
-
-void RankContext::smp_publish_bytes(std::int64_t a, std::int64_t b) {
-  auto& slots = rt_.smp_shared(smp()).slots_i;
-  slots[static_cast<std::size_t>(local_rank()) * 2] = a;
-  slots[static_cast<std::size_t>(local_rank()) * 2 + 1] = b;
-}
-std::pair<std::int64_t, std::int64_t> RankContext::smp_peek_bytes(
-    int local_rank) const {
-  const auto& slots = rt_.smp_shared(smp()).slots_i;
-  return {slots[static_cast<std::size_t>(local_rank) * 2],
-          slots[static_cast<std::size_t>(local_rank) * 2 + 1]};
+  return sums;
 }
 
 void RankContext::charge_comm(Microseconds start_us) {
@@ -250,28 +252,46 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
+  // This rank will never send or reach a barrier again: wake the
+  // receivers blocked on it and any sibling waiting at the SMP barrier,
+  // instead of letting them wait on real time.
+  const auto exit_rank = [this](int r) {
+    bus_.mark_exited(r);
+    if (cfg_.procs_per_smp > 1) {
+      smp_shared(r / cfg_.procs_per_smp).barrier.abort();
+    }
+  };
+  std::exception_ptr spawn_error;
 
   for (int r = 0; r < n; ++r) {
-    threads.emplace_back([this, r, &body, &errors] {
-      RankContext ctx(*this, r);
-      try {
-        body(ctx);
-        // lint:allow(catch-all): rank-thread trampoline -- every unwind
-        // (including RankFailStop) is captured and rethrown on the
-        // driver thread below; nothing is swallowed.
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-      acct_[static_cast<std::size_t>(r)] = ctx.accounting();
-      clocks_[static_cast<std::size_t>(r)] = ctx.clock().now();
-      // This rank will never send or reach a barrier again: wake the
-      // receivers blocked on it and any sibling waiting at the SMP
-      // barrier, instead of letting them wait on real time.
-      bus_.mark_exited(r);
-      if (cfg_.procs_per_smp > 1) smp_shared(ctx.smp()).barrier.abort();
-    });
+    try {
+      threads.emplace_back([this, r, &body, &errors, &exit_rank] {
+        RankContext ctx(*this, r);
+        try {
+          body(ctx);
+          // lint:allow(catch-all): rank-thread trampoline -- every unwind
+          // (including RankFailStop) is captured and rethrown on the
+          // calling thread below; nothing is swallowed.
+        } catch (...) {
+          errors[static_cast<std::size_t>(r)] = std::current_exception();
+        }
+        acct_[static_cast<std::size_t>(r)] = ctx.accounting();
+        clocks_[static_cast<std::size_t>(r)] = ctx.clock().now();
+        exit_rank(r);
+      });
+    } catch (const std::exception&) {
+      // std::thread throws std::system_error (EAGAIN) when the host
+      // cannot start another thread.  Ranks r.. never run, so they are
+      // exits to the started ranks, which unwind with PeerExited or
+      // BarrierAborted; the threads must still be joined before the
+      // spawn error surfaces.
+      spawn_error = std::current_exception();
+      for (int u = r; u < n; ++u) exit_rank(u);
+      break;
+    }
   }
   for (auto& t : threads) t.join();
+  if (spawn_error) std::rethrow_exception(spawn_error);
 
   // Root cause first.  A NodeDown verdict explains an aborted epoch;
   // otherwise the first rank error that is not collateral does.  Ranks

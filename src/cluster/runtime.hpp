@@ -4,15 +4,17 @@
 // SMPs, one StarT-X NIU per SMP, one MPI-like "rank" per processor.  A
 // rank executes real C++ code on a std::thread; all *timing* is virtual
 // (see VirtualClock).  Within an SMP, ranks coordinate through shared
-// memory (modeled with a std::barrier plus shared slots, costed at the
+// memory (modeled with a host barrier plus shared slots, costed at the
 // paper's ~1 us semaphore figures); across SMPs they communicate through
 // the interconnect model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cluster/message_bus.hpp"
@@ -28,9 +30,12 @@ struct MachineConfig {
   int procs_per_smp = 2;
   const net::Interconnect* interconnect = nullptr;  // required
 
-  // Shared-memory coordination cost per SMP barrier crossing.  A local
-  // reduction uses four crossings, totalling the "about 1 usec" the paper
-  // attributes to the shared-memory local sum (Section 4.2).
+  // Shared-memory coordination cost per *modeled* SMP barrier crossing.
+  // smp_sync() charges one and an exchange phase's mix-mode byte
+  // aggregation two; a global sum's local combine and its distribution
+  // charge one each, part of the "about 1 usec" the paper attributes to
+  // the shared-memory local sum (Section 4.2).  The host crosses its
+  // barrier once per smp_sync(), whatever the model charges.
   Microseconds smp_barrier_us = 0.25;
 
   // Optional fault injection (cluster/fault.hpp).  Null (the default)
@@ -124,8 +129,11 @@ class AbortableBarrier {
   void abort();
   void reset();
 
+  // Completed crossings since construction (reset() keeps counting).
+  [[nodiscard]] std::uint64_t crossings() const;
+
  private:
-  support::Mutex mu_;
+  mutable support::Mutex mu_;
   support::CondVar cv_;
   const int count_;
   int waiting_ GUARDED_BY(mu_) = 0;
@@ -133,17 +141,24 @@ class AbortableBarrier {
   bool aborted_ GUARDED_BY(mu_) = false;
 };
 
-// Shared state for one SMP: a barrier across its ranks, the clock slots
-// smp_sync() equalizes through, and the byte-count slots the comm
-// library's mix-mode aggregation publishes.
+// Shared state for one SMP: a barrier across its ranks and the slots
+// smp_sync() exchanges through, one per local rank: its clock and the
+// byte pair the comm library's mix-mode aggregation sums.  The slots come
+// in two banks, picked by the parity of the rank's crossing count: a rank
+// can run at most one crossing ahead of its siblings, so it always writes
+// into the bank they are not reading, and one barrier crossing both
+// publishes and orders the reads.
 struct SmpShared {
+  struct Slot {
+    Microseconds clock = 0;
+    std::int64_t bytes_a = 0, bytes_b = 0;
+  };
   explicit SmpShared(int procs)
       : barrier(procs),
-        slots_i(static_cast<std::size_t>(procs) * 2, 0),
-        clock_slots(static_cast<std::size_t>(procs), 0.0) {}
+        banks{std::vector<Slot>(static_cast<std::size_t>(procs)),
+              std::vector<Slot>(static_cast<std::size_t>(procs))} {}
   AbortableBarrier barrier;
-  std::vector<std::int64_t> slots_i;  // two slots per local rank
-  std::vector<Microseconds> clock_slots;
+  std::array<std::vector<Slot>, 2> banks;
 };
 
 class RankContext {
@@ -200,14 +215,12 @@ class RankContext {
   void send_msg(int to, Message m);
   Message recv_raw(int from, int tag);
 
-  // SMP-local coordination: barrier over the SMP's ranks, with the
-  // shared-memory cost applied and clocks synchronized to the local max.
-  void smp_sync();
-  // Publish a pair of byte counts / read a sibling's published pair.
-  // Only valid between smp_sync() calls that order the accesses.
-  void smp_publish_bytes(std::int64_t a, std::int64_t b);
-  [[nodiscard]] std::pair<std::int64_t, std::int64_t> smp_peek_bytes(
-      int local_rank) const;
+  // SMP-local coordination: one barrier crossing over the SMP's ranks,
+  // with the shared-memory cost applied and clocks synchronized to the
+  // local max.  The same crossing sums each rank's byte pair (a, b) over
+  // the SMP and returns the sums to every rank.
+  std::pair<std::int64_t, std::int64_t> smp_sync(std::int64_t a = 0,
+                                                 std::int64_t b = 0);
 
   // Track communication time: record the clock before a comm operation,
   // then charge the delta to comm accounting.
@@ -260,6 +273,8 @@ class RankContext {
   int epoch_ = 0;
   VirtualClock clock_;
   Accounting acct_;
+  // smp_sync() crossings this run; its parity picks the SmpShared bank.
+  std::uint64_t smp_crossings_ = 0;
   class Tracer* tracer_ = nullptr;
   std::unique_ptr<Membership> membership_;
   // Local copy of the host placement map (empty = identity).
@@ -283,7 +298,9 @@ class Runtime {
   // its SMP barrier.  After the join one rank exception is rethrown,
   // root cause first: NodeDownError, then errors that are not
   // collateral, then the collateral PeerExited/BarrierAborted unwinds;
-  // rank order within each class.
+  // rank order within each class.  If the host cannot start a rank's
+  // thread, the ranks not started count as exited, the started ones are
+  // joined, and the spawn error is rethrown as the root cause.
   void run(const std::function<void(RankContext&)>& body);
 
   // Accounting snapshots captured at the end of the last run().

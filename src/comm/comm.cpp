@@ -8,6 +8,7 @@
 #include <cmath>
 #include <exception>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 namespace hyades::comm {
@@ -488,20 +489,15 @@ ExchangeHandle::Phase Comm::plan_phase(
   };
   p.out_b = bytes_of(buf.out[static_cast<std::size_t>(d)]);
   p.in_b = bytes_of(buf.in[static_cast<std::size_t>(opp)]);
-  p.smp_out = p.out_remote ? p.out_b : 0;
-  p.smp_in = p.in_remote ? p.in_b : 0;
-  const int ppp = ctx_.procs_per_smp();
-  if (ppp > 1) {
-    ctx_.smp_publish_bytes(p.out_remote ? p.out_b : 0,
-                           p.in_remote ? p.in_b : 0);
-    ctx_.smp_sync();
-    p.smp_out = p.smp_in = 0;
-    for (int lr = 0; lr < ppp; ++lr) {
-      const auto [a, b] = ctx_.smp_peek_bytes(lr);
-      p.smp_out += a;
-      p.smp_in += b;
-    }
-    ctx_.smp_sync();
+  std::tie(p.smp_out, p.smp_in) = ctx_.smp_sync(p.out_remote ? p.out_b : 0,
+                                                p.in_remote ? p.in_b : 0);
+  if (ctx_.procs_per_smp() > 1) {
+    // The modeled aggregation costs a second crossing, which the host
+    // need not make: after one smp_sync every clock in the SMP equals
+    // max + smp_barrier_us, so a second sync's advance_to is a no-op and
+    // only its advance remains.  A separate add keeps the rounding of
+    // the two-crossing protocol.
+    ctx_.clock().advance(ctx_.config().smp_barrier_us);
   }
   return p;
 }

@@ -1,7 +1,7 @@
 // Annotated synchronization primitives for the cluster runtime.
 //
-// Thin wrappers over std::mutex / std::condition_variable_any that carry
-// the Clang thread-safety capability attributes (support/
+// Thin wrappers over std::mutex / std::condition_variable that carry the
+// Clang thread-safety capability attributes (support/
 // thread_annotations.hpp).  libstdc++'s own types are un-annotated, so
 // guarding a field with a raw std::mutex is invisible to
 // `-Wthread-safety`; guarding it with support::Mutex lets a Clang build
@@ -53,13 +53,16 @@ class SCOPED_CAPABILITY MutexLock {
 
 // Condition variable that waits directly on a support::Mutex.
 //
-// Built on condition_variable_any (which accepts any BasicLockable), so
-// callers keep the annotated mutex type through the wait and the
-// analysis sees the REQUIRES contract: the mutex must be held to call
-// wait*(), and is held again when it returns.  The transient
-// unlock/relock inside std::condition_variable_any is invisible to the
-// analysis, which is exactly the fiction thread-safety analysis expects
-// of a condition wait (same treatment as Abseil's CondVar).
+// A plain std::condition_variable over the std::mutex inside the
+// support::Mutex: each wait adopts the held mutex into the
+// std::unique_lock the standard type requires and releases it again
+// afterwards (also when the predicate throws), so the caller's MutexLock
+// stays its only owner.  Callers keep the annotated mutex type through
+// the wait and the analysis sees the REQUIRES contract: the mutex must
+// be held to call wait*(), and is held again when it returns.  The
+// transient unlock/relock inside the wait is invisible to the analysis,
+// which is exactly the fiction thread-safety analysis expects of a
+// condition wait (same treatment as Abseil's CondVar).
 class CondVar {
  public:
   CondVar() = default;
@@ -71,18 +74,30 @@ class CondVar {
 
   template <typename Predicate>
   void wait(Mutex& mu, Predicate pred) REQUIRES(mu) {
-    cv_.wait(mu, pred);
+    Adopted held(mu);
+    cv_.wait(held.lock, pred);
   }
 
   // Returns false if `dur` elapsed with the predicate still false.
   template <typename Rep, typename Period, typename Predicate>
   bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& dur,
                 Predicate pred) REQUIRES(mu) {
-    return cv_.wait_for(mu, dur, pred);
+    Adopted held(mu);
+    return cv_.wait_for(held.lock, dur, pred);
   }
 
  private:
-  std::condition_variable_any cv_;
+  // The caller's held mutex, lent to the wait as a std::unique_lock.
+  struct Adopted {
+    explicit Adopted(Mutex& mu) : lock(native(mu), std::adopt_lock) {}
+    ~Adopted() { (void)lock.release(); }
+    Adopted(const Adopted&) = delete;
+    Adopted& operator=(const Adopted&) = delete;
+    std::unique_lock<std::mutex> lock;
+  };
+  static std::mutex& native(Mutex& mu) { return mu.mu_; }
+
+  std::condition_variable cv_;
 };
 
 }  // namespace hyades::support

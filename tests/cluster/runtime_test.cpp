@@ -2,14 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <system_error>
 #include <thread>
 
 #include "net/arctic_model.hpp"
 
 namespace hyades::cluster {
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
 
 MachineConfig machine(const net::Interconnect& net, int smps = 8,
                       int ppp = 2) {
@@ -94,20 +117,107 @@ TEST(Runtime, SmpSyncEqualizesClocks) {
   });
 }
 
-TEST(Runtime, SmpPublishPeek) {
+// Back-to-back byte sums with rank- and iteration-dependent compute in
+// between, on three ranks so a fast sibling keeps lapping a slow one by
+// a crossing: the two slot banks must keep every sum and every
+// equalized clock exact.  Also a TSan target.
+TEST(Runtime, SmpByteSumsSurviveSiblingsLapping) {
+  constexpr int kProcs = 3;
+  constexpr int kIters = 10000;
+  constexpr double kMflops = 50.0;
+  const auto flops = [](int rank, int it) {
+    return 10.0 * ((rank * 7 + it * 13) % 17 + 1);
+  };
+  const auto bytes_a = [](int rank, int it) -> std::int64_t {
+    return rank * 1000 + it;
+  };
+  const auto bytes_b = [](int rank, int it) -> std::int64_t {
+    return 3 * it - rank;
+  };
   const net::ArcticModel net;
-  Runtime rt(machine(net, 1, 2));
-  rt.run([](RankContext& ctx) {
-    ctx.smp_publish_bytes(100 + ctx.local_rank(), 200 + ctx.local_rank());
-    ctx.smp_sync();
-    std::int64_t bsum = 0;
-    for (int lr = 0; lr < ctx.procs_per_smp(); ++lr) {
-      const auto [a, b] = ctx.smp_peek_bytes(lr);
-      bsum += a + b;
+  Runtime rt(machine(net, 1, kProcs));
+  std::array<int, kProcs> first_bad{-1, -1, -1};
+  rt.run([&](RankContext& ctx) {
+    const int me = ctx.rank();
+    Microseconds expect_clock = 0;
+    for (int it = 0; it < kIters; ++it) {
+      ctx.compute(flops(me, it), kMflops);
+      if ((it + me) % 5 == 0) std::this_thread::yield();
+      const auto [a, b] = ctx.smp_sync(bytes_a(me, it), bytes_b(me, it));
+      std::int64_t expect_a = 0, expect_b = 0;
+      Microseconds mx = 0;
+      for (int r = 0; r < kProcs; ++r) {
+        expect_a += bytes_a(r, it);
+        expect_b += bytes_b(r, it);
+        Microseconds t = expect_clock;
+        t += flops(r, it) / kMflops;
+        mx = std::max(mx, t);
+      }
+      expect_clock = mx;
+      expect_clock += ctx.config().smp_barrier_us;
+      if (first_bad[static_cast<std::size_t>(me)] < 0 &&
+          (a != expect_a || b != expect_b ||
+           ctx.clock().now() != expect_clock)) {
+        first_bad[static_cast<std::size_t>(me)] = it;
+      }
     }
-    ctx.smp_sync();
-    EXPECT_EQ(bsum, 100 + 101 + 200 + 201);
   });
+  for (int r = 0; r < kProcs; ++r) {
+    EXPECT_EQ(first_bad[static_cast<std::size_t>(r)], -1)
+        << "rank " << r << " saw a wrong sum or clock first at that iteration";
+  }
+}
+
+// Address space of this process, from /proc/self/status (VmSize).
+std::uint64_t vm_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kb = 0;
+      status >> kb;
+      return kb * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+// The host refuses a rank thread mid-spawn: the started ranks must be
+// joined (a joinable std::thread destroyed in the unwind would call
+// std::terminate) after the unstarted ones count as exited, so every
+// started rank unwinds, and the spawn error surfaces as the root cause.
+// The child caps its address space a few default thread stacks above
+// its current size, so a 16-rank run cannot start every thread.
+TEST(RuntimeDeathTest, FailedSpawnJoinsStartedRanksAndRethrows) {
+  if (kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "ASan/TSan reserve address ranges an RLIMIT_AS cap "
+                    "cannot accommodate";
+  }
+  EXPECT_EXIT(
+      {
+        rlimit lim{};
+        getrlimit(RLIMIT_AS, &lim);
+        lim.rlim_cur = std::min<rlim_t>(vm_bytes() + (48u << 20), lim.rlim_max);
+        setrlimit(RLIMIT_AS, &lim);
+        const net::ArcticModel net;
+        Runtime rt(machine(net, 8, 2));
+        try {
+          rt.run([](RankContext& ctx) {
+            ctx.smp_sync();
+            const int last = ctx.nranks() - 1;
+            if (ctx.rank() != last) (void)ctx.recv_raw(last, 9);
+          });
+        } catch (const std::system_error&) {
+          std::_Exit(0);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "run threw %s\n", e.what());
+          std::_Exit(2);
+        }
+        std::fprintf(stderr, "every rank thread started\n");
+        std::_Exit(3);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Runtime, MessagingBetweenRanks) {

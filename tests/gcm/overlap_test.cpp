@@ -1,11 +1,14 @@
 // Compute/communication overlap in the PS (ModelConfig::overlap_comm).
 //
 // Two regression surfaces:
-//   1. overlap_comm = off must reproduce the seed StepStats *exactly* --
-//      the blocking path is now start+finish of the split-phase core,
-//      and the interior/rim kernel split must not move a single flop or
-//      microsecond.  Golden hexfloat values below were captured from the
-//      pre-split tree on all four topography presets.
+//   1. Both modes must reproduce their golden StepStats *exactly*.  For
+//      overlap_comm = off the blocking path is start+finish of the
+//      split-phase core, and the interior/rim kernel split must not move
+//      a single flop or microsecond; those hexfloat values were captured
+//      from the pre-split tree on all four topography presets.  The
+//      overlap_comm = on rows lock the split-phase path's virtual time
+//      on two-way SMPs (four one-crossing SMP syncs per exchange_start);
+//      they were captured before an SMP sync became one host crossing.
 //   2. overlap_comm = on must leave the model state bitwise identical
 //      (the refactor only re-orders *where* cells are computed, never
 //      the per-cell arithmetic) while recovering exchange time.
@@ -24,17 +27,19 @@ namespace {
 struct RankStats {
   double tps = 0, exch = 0, tds = 0, ps = 0, ds = 0;
   int ni = 0;
+  double interior = 0, hidden = 0;  // overlap mode only; 0 when off
 };
 
 struct GoldenCase {
   ModelConfig::Topography topo;
   double max_clock;
   RankStats rank[4];
+  bool overlap = false;
 };
 
-// Captured from the seed (blocking-only) implementation: 2 SMPs x 2
-// procs, ArcticModel, ocean 16x8x4, px=py=2, halo=2, dt=400,
-// visc_h=1e6, diff_h=1e5, stats of the third step.
+// 2 SMPs x 2 procs, ArcticModel, ocean 16x8x4, px=py=2, halo=2, dt=400,
+// visc_h=1e6, diff_h=1e5, stats of the third step.  The overlap-off rows
+// come from the seed (blocking-only) implementation.
 const GoldenCase kGolden[] = {
     {ModelConfig::Topography::kFlat,
      0x1.36f5a4c55a4c7p+13,
@@ -76,6 +81,66 @@ const GoldenCase kGolden[] = {
        0x1.1e4ap+15, 0x1.2c5p+14, 16},
       {0x1.578116081162p+10, 0x1.369bc5a9bc5ep+9, 0x1.06a66b5d66bdcp+11,
        0x1.261p+15, 0x1.2bdp+14, 16}}},
+    {ModelConfig::Topography::kFlat,
+     0x1.1c0355f4355ddp+13,
+     {{0x1.338bb6c4bb6dcp+10, 0x1.4b05e5505e5bp+8, 0x1.64fe9099e90a8p+10,
+       0x1.5f3cp+15, 0x1.d37p+13, 10, 0x1.01eb851eb852p+7,
+       0x1.a1e500ee50102p+9},
+      {0x1.338bb6c4bb6dcp+10, 0x1.4b05e5505e5bp+8, 0x1.64fe9099e90a8p+10,
+       0x1.5f3cp+15, 0x1.d37p+13, 10, 0x1.01eb851eb852p+7,
+       0x1.a1e500ee50102p+9},
+      {0x1.3d788391883a8p+10, 0x1.4b85e5505e5bp+8, 0x1.5b11c3cd1c3dcp+10,
+       0x1.6e8cp+15, 0x1.d13p+13, 10, 0x1.1e147ae147aep+7,
+       0x1.a2e500ee50102p+9},
+      {0x1.3d788391883a8p+10, 0x1.4b85e5505e5bp+8, 0x1.5b11c3cd1c3dcp+10,
+       0x1.6e8cp+15, 0x1.d13p+13, 10, 0x1.1e147ae147aep+7,
+       0x1.a2e500ee50102p+9}},
+     /*overlap=*/true},
+    {ModelConfig::Topography::kRidge,
+     0x1.67df4fbf74fbap+13,
+     {{0x1.289bed61bed7p+10, 0x1.4b280772807bp+8, 0x1.3bb843068439cp+11,
+       0x1.4e18p+15, 0x1.78d8p+14, 19, 0x1.01eb851eb852p+7,
+       0x1.a1e500ee500eap+9},
+      {0x1.2759cb3f9cb4cp+10, 0x1.4b05e5505e58p+8, 0x1.3c595417954acp+11,
+       0x1.4c2ep+15, 0x1.78f8p+14, 19, 0x1.01eb851eb852p+7,
+       0x1.a1e500ee500eap+9},
+      {0x1.320b498ab4994p+10, 0x1.4ba80772807ap+8, 0x1.370094f209588p+11,
+       0x1.5ca4p+15, 0x1.77c8p+14, 19, 0x1.1e147ae147aep+7,
+       0x1.a2e500ee500eap+9},
+      {0x1.30c9276892774p+10, 0x1.4b85e5505e58p+8, 0x1.37a1a6031a698p+11,
+       0x1.5abap+15, 0x1.77e8p+14, 19, 0x1.1e147ae147aep+7,
+       0x1.a2e500ee500eap+9}},
+     /*overlap=*/true},
+    {ModelConfig::Topography::kContinents,
+     0x1.61e4b0408b03bp+13,
+     {{0x1.015e7cbde7ccp+10, 0x1.73a2e8ba2e8cp+8, 0x1.24b9c3cd1c46p+11,
+       0x1.00f8p+15, 0x1.2064p+14, 18, 0x1.219999999998p+6,
+       0x1.a1e500ee50092p+9},
+      {0x1.012cfe72cfe74p+10, 0x1.4b05e5505e55p+8, 0x1.24b0e9590e9ecp+11,
+       0x1.1088p+15, 0x1.35cp+14, 18, 0x1.64b851eb852p+6,
+       0x1.a1e500ee50092p+9},
+      {0x1.0937a91d7a928p+10, 0x1.7796f6616f68p+8, 0x1.20cd2d9d52e2cp+11,
+       0x1.0bbp+15, 0x1.1fc4p+14, 18, 0x1.2fae147ae148p+6,
+       0x1.a2e500ee500bp+9},
+      {0x1.08a6980c69814p+10, 0x1.4b85e5505e56p+8, 0x1.20f41c8c41d18p+11,
+       0x1.1c04p+15, 0x1.351p+14, 18, 0x1.80e147ae147cp+6,
+       0x1.a2e500ee500bp+9}},
+     /*overlap=*/true},
+    {ModelConfig::Topography::kBasin,
+     0x1.40d5b9df1b9e3p+13,
+     {{0x1.022408b0408c8p+10, 0x1.4b05e5505e5bp+8, 0x1.0bf37dac37e26p+11,
+       0x1.120ap+15, 0x1.2d3p+14, 16, 0x1.01eb851eb852p+7,
+       0x1.a1e500ee50102p+9},
+      {0x1.073fc46bfc484p+10, 0x1.4b8e6dd8e6e3p+8, 0x1.09659fce5a048p+11,
+       0x1.19dp+15, 0x1.2cbp+14, 16, 0x1.01eb851eb852p+7,
+       0x1.a1e500ee50102p+9},
+      {0x1.0a1b12edb1304p+10, 0x1.4b85e5505e5bp+8, 0x1.07f7f88d7f908p+11,
+       0x1.1e4ap+15, 0x1.2c5p+14, 16, 0x1.1e147ae147aep+7,
+       0x1.a2e500ee50102p+9},
+      {0x1.0f36cea96cecp+10, 0x1.4c0e6dd8e6e3p+8, 0x1.056a1aafa1b26p+11,
+       0x1.261p+15, 0x1.2bdp+14, 16, 0x1.1e147ae147aep+7,
+       0x1.a2e500ee50102p+9}},
+     /*overlap=*/true},
 };
 
 ModelConfig golden_cfg(ModelConfig::Topography topo, bool overlap) {
@@ -96,38 +161,50 @@ ModelConfig golden_cfg(ModelConfig::Topography topo, bool overlap) {
   return cfg;
 }
 
-TEST(OverlapOff, ReproducesSeedStepStatsExactly) {
+void expect_golden(const GoldenCase& gc) {
   const net::ArcticModel net;
-  for (const GoldenCase& gc : kGolden) {
-    cluster::MachineConfig mc;
-    mc.smp_count = 2;
-    mc.procs_per_smp = 2;
-    mc.interconnect = &net;
-    cluster::Runtime rt(mc);
-    const ModelConfig cfg = golden_cfg(gc.topo, false);
-    std::mutex mu;
-    rt.run([&](cluster::RankContext& ctx) {
-      comm::Comm comm(ctx);
-      Model m(cfg, comm);
-      m.initialize();
-      StepStats st{};
-      for (int s = 0; s < 3; ++s) st = m.step();
-      std::lock_guard<std::mutex> lock(mu);
-      const RankStats& g = gc.rank[ctx.rank()];
-      // EXPECT_EQ on doubles: the refactored blocking path must be
-      // bit-identical to the seed, not merely close.
-      EXPECT_EQ(st.tps_us, g.tps) << "rank " << ctx.rank();
-      EXPECT_EQ(st.tps_exch_us, g.exch) << "rank " << ctx.rank();
-      EXPECT_EQ(st.tds_us, g.tds) << "rank " << ctx.rank();
-      EXPECT_EQ(st.ps_flops, g.ps) << "rank " << ctx.rank();
-      EXPECT_EQ(st.ds_flops, g.ds) << "rank " << ctx.rank();
-      EXPECT_EQ(st.cg_iterations, g.ni) << "rank " << ctx.rank();
-      // Off mode never reports the overlap-only observables.
-      EXPECT_EQ(st.tps_interior_us, 0.0);
-      EXPECT_EQ(st.overlap_us, 0.0);
+  cluster::MachineConfig mc;
+  mc.smp_count = 2;
+  mc.procs_per_smp = 2;
+  mc.interconnect = &net;
+  cluster::Runtime rt(mc);
+  const ModelConfig cfg = golden_cfg(gc.topo, gc.overlap);
+  std::mutex mu;
+  rt.run([&](cluster::RankContext& ctx) {
+    comm::Comm comm(ctx);
+    Model m(cfg, comm);
+    m.initialize();
+    StepStats st{};
+    for (int s = 0; s < 3; ++s) st = m.step();
+    std::lock_guard<std::mutex> lock(mu);
+    const RankStats& g = gc.rank[ctx.rank()];
+    // EXPECT_EQ on doubles: bit-identical to the golden, not merely close.
+    EXPECT_EQ(st.tps_us, g.tps) << "rank " << ctx.rank();
+    EXPECT_EQ(st.tps_exch_us, g.exch) << "rank " << ctx.rank();
+    EXPECT_EQ(st.tds_us, g.tds) << "rank " << ctx.rank();
+    EXPECT_EQ(st.ps_flops, g.ps) << "rank " << ctx.rank();
+    EXPECT_EQ(st.ds_flops, g.ds) << "rank " << ctx.rank();
+    EXPECT_EQ(st.cg_iterations, g.ni) << "rank " << ctx.rank();
+    // The overlap-only observables; off mode never reports them (the
+    // off rows hold zeros).
+    EXPECT_EQ(st.tps_interior_us, g.interior) << "rank " << ctx.rank();
+    EXPECT_EQ(st.overlap_us, g.hidden) << "rank " << ctx.rank();
+    if (!gc.overlap) {
       EXPECT_EQ(ctx.accounting().overlap_us, 0.0);
-    });
-    EXPECT_EQ(rt.max_clock(), gc.max_clock);
+    }
+  });
+  EXPECT_EQ(rt.max_clock(), gc.max_clock);
+}
+
+TEST(OverlapOff, ReproducesSeedStepStatsExactly) {
+  for (const GoldenCase& gc : kGolden) {
+    if (!gc.overlap) expect_golden(gc);
+  }
+}
+
+TEST(OverlapOn, ReproducesSplitPhaseStepStatsExactly) {
+  for (const GoldenCase& gc : kGolden) {
+    if (gc.overlap) expect_golden(gc);
   }
 }
 
