@@ -31,7 +31,6 @@
 #include "gcm/resilient.hpp"
 #include "net/arctic_model.hpp"
 #include "sim/scheduler.hpp"
-#include "support/logging.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -164,7 +163,6 @@ bool theta_bits_equal(const SchedulePoint& a, const SchedulePoint& b) {
 int main() {
   bench::banner("Ablation: hard failures -- degraded fabric and restart "
                 "recovery");
-  set_log_level(LogLevel::kError);  // membership warnings stay quiet
 
   {
     Table t({"dead links", "completion (us)", "bandwidth (MB/s)",

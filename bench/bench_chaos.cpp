@@ -31,7 +31,6 @@
 #include "gcm/resilient.hpp"
 #include "gcm/tile_ckpt.hpp"
 #include "net/arctic_model.hpp"
-#include "support/logging.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -147,7 +146,6 @@ void rot_payload(const std::string& path) {
 int main() {
   bench::banner("Chaos soak: " + std::to_string(kDraws) +
                 " seeded cascading-failure schedules");
-  set_log_level(LogLevel::kError);  // kill storms stay quiet
 
   // The failure-free baseline every survivor's bits must match.
   // Recovery mode, ring depth, link kills and joins are all

@@ -12,7 +12,6 @@
 #include "bench/bench_util.hpp"
 #include "farm/farm.hpp"
 #include "gcm/config.hpp"
-#include "support/logging.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -54,7 +53,6 @@ int main() {
   constexpr int kSteps = 6;
   constexpr int kClusters = 2;
   bench::banner("Ensemble-farm throughput (deterministic virtual time)");
-  set_log_level(LogLevel::kError);  // the doomed member is meant to die
 
   farm::FarmConfig fc;
   fc.clusters = kClusters;

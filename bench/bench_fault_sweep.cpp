@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
-#include <mutex>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -20,7 +19,6 @@
 #include "comm/comm.hpp"
 #include "gcm/model.hpp"
 #include "net/arctic_model.hpp"
-#include "support/logging.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -51,9 +49,9 @@ gcm::ModelConfig make_cfg() {
 
 struct SweepPoint {
   double step_us = 0;          // max-clock per step
-  std::uint64_t retransmits = 0;
-  std::uint64_t crc_rejects = 0;
-  std::uint64_t drops = 0;
+  std::int64_t retransmits = 0;
+  std::int64_t crc_rejects = 0;
+  std::int64_t drops = 0;
   double retrans_us = 0;       // summed over ranks
   double theta_hash = 0;       // bitwise fingerprint of rank 0's theta
 };
@@ -68,18 +66,11 @@ SweepPoint run_point(const cluster::FaultPlan& plan) {
   cluster::Runtime rt(mc);
   const gcm::ModelConfig cfg = make_cfg();
   SweepPoint out;
-  std::mutex mu;
   rt.run([&](cluster::RankContext& ctx) {
     comm::Comm comm(ctx);
     gcm::Model m(cfg, comm);
     m.initialize();
     m.run(kSteps);
-    const comm::ReliableStats& fs = comm.fault_stats();
-    std::lock_guard<std::mutex> lock(mu);
-    out.retransmits += fs.retransmits;
-    out.crc_rejects += fs.crc_rejects;
-    out.drops += fs.drops_detected;
-    out.retrans_us += fs.retrans_us;
     if (ctx.rank() == 0) {
       // A cheap bitwise fingerprint: the sweep must not change the state.
       const double* d = m.state().theta.data();
@@ -90,6 +81,12 @@ SweepPoint run_point(const cluster::FaultPlan& plan) {
       out.theta_hash = h;
     }
   });
+  for (const cluster::Accounting& a : rt.accounting()) {
+    out.retransmits += a.retransmits;
+    out.crc_rejects += a.crc_rejects;
+    out.drops += a.drops_detected;
+    out.retrans_us += a.retrans_us;
+  }
   out.step_us = rt.max_clock() / kSteps;
   return out;
 }
@@ -98,7 +95,6 @@ SweepPoint run_point(const cluster::FaultPlan& plan) {
 
 int main() {
   bench::banner("Fault sweep: retransmit recovery overhead (gyre, Arctic)");
-  set_log_level(LogLevel::kError);  // fault storms stay quiet
 
   const double rates[] = {0.0, 1e-4, 1e-3, 1e-2};
   SweepPoint base;

@@ -26,7 +26,6 @@
 #include "gcm/resilient.hpp"
 #include "gcm/tile_ckpt.hpp"
 #include "net/arctic_model.hpp"
-#include "support/logging.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -124,7 +123,6 @@ struct Schedule {
 
 int main() {
   bench::banner("Recovery time: live tile migration vs epoch restart");
-  set_log_level(LogLevel::kError);  // kill storms stay quiet
 
   // The failure-free baseline: bits to match, and the clock that
   // anchors each schedule's kill time.

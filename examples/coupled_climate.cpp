@@ -8,6 +8,7 @@
 // prints the combined sustained floating-point performance.
 //
 //   ./coupled_climate [steps] [couple_every] [outdir]
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <mutex>
@@ -21,7 +22,7 @@
 #include "support/argparse.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hyades;
   constexpr const char* kUsage = "coupled_climate [steps] [couple_every] [outdir]";
   const int steps =
@@ -95,4 +96,13 @@ int main(int argc, char** argv) {
   std::cout << "turn-around reading (Section 6): on a dedicated personal "
                "supercomputer the turn-around time IS the CPU time.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "coupled_climate: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -13,12 +13,12 @@
 // Everything below is a pure function of the submitted queue: run it
 // twice and the campaign ledger (KE in hexfloat, schedule stamps,
 // totals) is byte-identical.
+#include <exception>
 #include <iostream>
 
 #include "farm/farm.hpp"
 #include "gcm/config.hpp"
 #include "support/argparse.hpp"
-#include "support/table.hpp"
 
 namespace {
 
@@ -56,7 +56,7 @@ hyades::farm::JobSpec gyre_member(const std::string& name, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hyades;
   constexpr const char* kUsage = "ensemble_farm [members] [steps] [clusters]";
   const int members =
@@ -128,14 +128,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\n" << f.format_summary() << "\n";
 
-  Table mt({"counter", "value"});
-  for (const metrics::Registry::Entry& e : f.campaign_metrics().entries()) {
-    mt.add_row({e.name, Table::fmt(e.value, 1)});
-  }
-  mt.print(std::cout, "campaign cost rollup (farm.* counters)");
-
   const farm::Farm::CampaignSummary s = f.summary();
-  std::cout << "\nnotes:\n"
+  std::cout << "notes:\n"
             << "  validation overtook the bulk sweep (priority 5 vs 0); the\n"
             << "  fault-sweep member exhausted its restart budget and failed\n"
             << "  without wedging the queue; the fault-migrate member\n"
@@ -145,4 +139,13 @@ int main(int argc, char** argv) {
             << s.steps_saved << " simulated steps.\n"
             << "  rerun this command: the ledger above is byte-identical.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "ensemble_farm: " << e.what() << "\n";
+    return 1;
+  }
 }

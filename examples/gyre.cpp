@@ -7,6 +7,7 @@
 // solver in a multiply-bounded domain).
 //
 //   ./gyre [steps] [outdir] [--trace out.trace.json]
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <mutex>
@@ -22,7 +23,7 @@
 #include "support/argparse.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hyades;
   constexpr const char* kUsage = "gyre [steps] [outdir] [--trace out.trace.json]";
   int steps = 2160;  // ~2 months
@@ -121,4 +122,13 @@ int main(int argc, char** argv) {
         static_cast<double>(steps));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "gyre: " << e.what() << "\n";
+    return 1;
+  }
 }

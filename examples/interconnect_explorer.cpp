@@ -9,6 +9,7 @@
 // in investing in hardware that only improves compute performance."
 //
 //   ./interconnect_explorer [nz] [fps_mflops]
+#include <exception>
 #include <iostream>
 
 #include "net/arctic_model.hpp"
@@ -18,7 +19,7 @@
 #include "support/argparse.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hyades;
   constexpr const char* kUsage = "interconnect_explorer [nz] [fps_mflops]";
   const int nz = argc > 1 ? support::checked_int(argv[1], "nz", kUsage) : 10;
@@ -64,4 +65,13 @@ int main(int argc, char** argv) {
   std::cout << "\nDS-phase budget (Section 5.4): tgsum + texchxy must stay "
                "under ~306 us to keep Pfpp,ds at 60 MFlop/s.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "interconnect_explorer: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -12,6 +12,7 @@
 //
 // For the *campaign* version of this pattern -- many queued jobs with
 // priorities, a cluster pool, and result dedup -- see ensemble_farm.
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <mutex>
@@ -26,7 +27,7 @@
 #include "support/argparse.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hyades;
   constexpr const char* kUsage =
       "production_run [segments] [steps_per_segment] [outdir]";
@@ -109,4 +110,13 @@ int main(int argc, char** argv) {
   }
   std::cout << "checkpoints in " << outdir << "/checkpoint.rank*\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "production_run: " << e.what() << "\n";
+    return 1;
+  }
 }

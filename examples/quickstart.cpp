@@ -5,6 +5,7 @@
 // diagnostics plus an ASCII map of the sea-surface temperature.
 //
 //   ./quickstart [steps] [--trace out.trace.json]
+#include <exception>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -20,7 +21,7 @@
 #include "support/argparse.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hyades;
   constexpr const char* kUsage = "quickstart [steps] [--trace out.trace.json]";
   int steps = 216;  // ~1 day at dt=400s
@@ -108,4 +109,13 @@ int main(int argc, char** argv) {
         static_cast<double>(steps));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -1,32 +1,12 @@
 #include "cluster/membership.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "cluster/runtime.hpp"
 #include "cluster/trace.hpp"
-#include "support/logging.hpp"
 
 namespace hyades::cluster {
-
-namespace {
-// Membership escalations warn at most a handful of times per process: a
-// heartbeat storm against a dead peer must not flood the log.
-RateLimiter g_membership_warn_limiter(/*burst=*/4, /*every=*/256);
-}  // namespace
-
-Membership::Membership(RankContext& ctx, const FaultPlan& plan)
-    : ctx_(ctx),
-      plan_(plan),
-      last_heard_(static_cast<std::size_t>(ctx.nranks()), 0.0) {}
-
-void Membership::note_alive(int peer, Microseconds stamp_us) {
-  Microseconds& t = last_heard_[static_cast<std::size_t>(peer)];
-  t = std::max(t, stamp_us);
-}
-
-Microseconds Membership::last_heard(int peer) const {
-  return last_heard_[static_cast<std::size_t>(peer)];
-}
 
 const NodeKill* Membership::kill_on_smp(int smp) const {
   // Kill matching is *host*-granular: a kill naming rank R takes down
@@ -108,7 +88,7 @@ NodeDownVerdict Membership::coalesced_verdict() const {
   return coalesce_expired_kills(plan_, ctx_.epoch());
 }
 
-void Membership::escalate(int peer, const NodeKill& kill) {
+void Membership::escalate(int peer) {
   // Idle-time probes on the reserved tag: fire-and-forget heartbeats the
   // dead peer will never answer, each costed one small-message send
   // through the virtual clock.
@@ -131,13 +111,6 @@ void Membership::escalate(int peer, const NodeKill& kill) {
   if (ctx_.tracer() != nullptr) {
     ctx_.tracer()->record("node_down", SpanCat::kNodeDown, began,
                           ctx_.clock().now());
-  }
-  if (g_membership_warn_limiter.admit()) {
-    log_warn() << "membership: rank " << ctx_.rank() << " declares rank "
-               << peer << " DOWN (epoch " << verdict.epoch << ", "
-               << verdict.ranks.size() << " rank(s) in the coalesced verdict, "
-               << "silent since t=" << kill.at_us << " us, deadline "
-               << plan_.heartbeat_deadline_us << " us)";
   }
   ctx_.declare_node_down(verdict);
   throw NodeDownError(verdict);

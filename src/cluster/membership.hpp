@@ -1,14 +1,12 @@
 // Heartbeat/membership service: converts a peer's permanent silence
 // into a collectively agreed NodeDown verdict.
 //
-// Liveness information is piggybacked on normal traffic (every accepted
-// bulk message refreshes the sender's last-heard time); when a peer's
-// rank exits with nothing queued for a blocked receiver (the bus's exit
-// event, cluster::PeerExited), the receiver asks this service whether
-// the plan explains the exit as a scheduled fail-stop.  The service fires
-// `FaultPlan::dead_peer_probes` idle-time heartbeat probes on the
-// reserved tag (costed through the virtual clock like any small
-// message) and, if the plan confirms the peer's scheduled fail-stop,
+// When a peer's rank exits with nothing queued for a blocked receiver
+// (the bus's exit event, cluster::PeerExited), the receiver asks this
+// service whether the plan explains the exit as a scheduled fail-stop.
+// The service fires `FaultPlan::dead_peer_probes` idle-time heartbeat
+// probes on the reserved tag (costed through the virtual clock like any
+// small message) and, if the plan confirms the peer's scheduled fail-stop,
 // escalates: the plan-pure verdict {rank, epoch, kill time + heartbeat
 // deadline} is published by poisoning the MessageBus, every survivor
 // unwinds with NodeDownError, and the resilient driver restarts the
@@ -19,10 +17,7 @@
 // the verdict every other survivor would have.
 #pragma once
 
-#include <vector>
-
 #include "cluster/fault.hpp"
-#include "support/units.hpp"
 
 namespace hyades::cluster {
 
@@ -34,12 +29,8 @@ inline constexpr int kTagMembership = 5000;
 
 class Membership {
  public:
-  Membership(RankContext& ctx, const FaultPlan& plan);
-
-  // Piggybacked liveness: an accepted message stamped `stamp_us`
-  // proves the sender was alive then.
-  void note_alive(int peer, Microseconds stamp_us);
-  [[nodiscard]] Microseconds last_heard(int peer) const;
+  Membership(RankContext& ctx, const FaultPlan& plan)
+      : ctx_(ctx), plan_(plan) {}
 
   // Fail-stop self-check, called at every communication point.  If the
   // plan kills this rank in the current epoch and the virtual clock has
@@ -62,7 +53,7 @@ class Membership {
   // `dead_peer_probes` times on the reserved tag, advance to the
   // plan-pure detection time, record a kNodeDown span, poison the bus,
   // and unwind this rank's epoch by throwing NodeDownError.
-  [[noreturn]] void escalate(int peer, const NodeKill& kill);
+  [[noreturn]] void escalate(int peer);
 
   // The canonical verdict for the current epoch: every kill whose
   // heartbeat deadline has expired at the detection fixpoint is
@@ -83,7 +74,6 @@ class Membership {
 
   RankContext& ctx_;
   const FaultPlan& plan_;
-  std::vector<Microseconds> last_heard_;
 };
 
 // The coalescing fixpoint as a pure function of (plan, epoch) -- what

@@ -1,6 +1,8 @@
 #include "cluster/report.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "support/table.hpp"
 
@@ -42,27 +44,10 @@ std::vector<RankBreakdown> wait_attribution(
   for (std::size_t r = 0; r < per_rank.size(); ++r) {
     if (per_rank[r] == nullptr) continue;
     const Tracer& t = *per_rank[r];
-    const Accounting& a = acct[r];
-    RankBreakdown b;
-    b.rank = static_cast<int>(r);
-    b.compute_us = a.compute_us;
-    b.exchange_us = t.total_cat(SpanCat::kExchange);
-    b.gsum_us = t.total_cat(SpanCat::kGsum);
-    b.barrier_us = t.total_cat(SpanCat::kBarrier);
-    b.overlap_us = a.overlap_us;
-    b.imbalance_us = a.imbalance_us;
-    b.retrans_us = a.retrans_us;
-    b.reroute_us = a.reroute_us;
-    b.restart_us = a.restart_us;
-    b.migrate_us = a.migrate_us;
-    b.degraded_sends = a.degraded_sends;
-    b.restarts = a.restarts;
-    b.migrations = a.migrations;
-    b.rebalances = a.rebalances;
-    b.downgrades = a.downgrades;
-    b.comm_us = a.comm_us;
-    b.total_us = a.total_us();
-    rows.push_back(b);
+    rows.push_back({static_cast<int>(r), acct[r],
+                    t.total_cat(SpanCat::kExchange),
+                    t.total_cat(SpanCat::kGsum),
+                    t.total_cat(SpanCat::kBarrier)});
   }
   return rows;
 }
@@ -75,53 +60,51 @@ void print_wait_attribution(std::ostream& os,
            "barrier (ms)", "overlap-hidden (ms)", "imbalance-wait (ms)",
            "retrans (ms)", "reroute (ms)", "restart (ms)", "migrate (ms)",
            "degraded/restarts", "migr/rebal", "downgr", "total (ms)"});
-  const auto ms = [divisor](Microseconds us) {
-    return Table::fmt(us / divisor / 1000.0, 3);
-  };
   const auto counts = [](std::int64_t a, std::int64_t b) {
     return Table::fmt_int(static_cast<int>(a)) + "/" +
            Table::fmt_int(static_cast<int>(b));
   };
+  // One table row; its times are divided by `n` ranks (1 for a rank's
+  // own row, the rank count for the mean row) and by `divisor`.
+  const auto add_row = [&](std::string label, const RankBreakdown& b,
+                           Microseconds total_us, double n) {
+    const auto ms = [&](Microseconds us) {
+      return Table::fmt(us / n / divisor / 1000.0, 3);
+    };
+    const Accounting& a = b.acct;
+    t.add_row({std::move(label), ms(a.compute_us), ms(b.exchange_us),
+               ms(b.gsum_us), ms(b.barrier_us), ms(a.overlap_us),
+               ms(a.imbalance_us), ms(a.retrans_us), ms(a.reroute_us),
+               ms(a.restart_us), ms(a.migrate_us),
+               counts(a.degraded_sends, a.restarts),
+               counts(a.migrations, a.rebalances),
+               Table::fmt_int(static_cast<int>(a.downgrades)), ms(total_us)});
+  };
   RankBreakdown sum;
+  Microseconds total_us = 0;  // the per-rank totals, summed as printed
   for (const RankBreakdown& b : rows) {
-    t.add_row({Table::fmt_int(b.rank), ms(b.compute_us), ms(b.exchange_us),
-               ms(b.gsum_us), ms(b.barrier_us), ms(b.overlap_us),
-               ms(b.imbalance_us), ms(b.retrans_us), ms(b.reroute_us),
-               ms(b.restart_us), ms(b.migrate_us),
-               counts(b.degraded_sends, b.restarts),
-               counts(b.migrations, b.rebalances),
-               Table::fmt_int(static_cast<int>(b.downgrades)),
-               ms(b.total_us)});
-    sum.compute_us += b.compute_us;
+    const Accounting& a = b.acct;
+    add_row(Table::fmt_int(b.rank), b, a.total_us(), 1.0);
+    Accounting& s = sum.acct;
+    s.compute_us += a.compute_us;
     sum.exchange_us += b.exchange_us;
     sum.gsum_us += b.gsum_us;
     sum.barrier_us += b.barrier_us;
-    sum.overlap_us += b.overlap_us;
-    sum.imbalance_us += b.imbalance_us;
-    sum.retrans_us += b.retrans_us;
-    sum.reroute_us += b.reroute_us;
-    sum.restart_us += b.restart_us;
-    sum.migrate_us += b.migrate_us;
-    sum.degraded_sends += b.degraded_sends;
-    sum.restarts += b.restarts;
-    sum.migrations += b.migrations;
-    sum.rebalances += b.rebalances;
-    sum.downgrades += b.downgrades;
-    sum.total_us += b.total_us;
+    s.overlap_us += a.overlap_us;
+    s.imbalance_us += a.imbalance_us;
+    s.retrans_us += a.retrans_us;
+    s.reroute_us += a.reroute_us;
+    s.restart_us += a.restart_us;
+    s.migrate_us += a.migrate_us;
+    s.degraded_sends += a.degraded_sends;
+    s.restarts += a.restarts;
+    s.migrations += a.migrations;
+    s.rebalances += a.rebalances;
+    s.downgrades += a.downgrades;
+    total_us += a.total_us();
   }
   if (!rows.empty()) {
-    const auto n = static_cast<double>(rows.size());
-    const auto mean = [&](Microseconds us) {
-      return Table::fmt(us / n / divisor / 1000.0, 3);
-    };
-    t.add_row({"mean", mean(sum.compute_us), mean(sum.exchange_us),
-               mean(sum.gsum_us), mean(sum.barrier_us), mean(sum.overlap_us),
-               mean(sum.imbalance_us), mean(sum.retrans_us),
-               mean(sum.reroute_us), mean(sum.restart_us),
-               mean(sum.migrate_us), counts(sum.degraded_sends, sum.restarts),
-               counts(sum.migrations, sum.rebalances),
-               Table::fmt_int(static_cast<int>(sum.downgrades)),
-               mean(sum.total_us)});
+    add_row("mean", sum, total_us, static_cast<double>(rows.size()));
   }
   t.print(os, "wait-time attribution (overlap-hidden is a credit, not part "
               "of total; imbalance-wait is a subset of comm)");

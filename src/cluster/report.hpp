@@ -1,8 +1,8 @@
 // Wait-time attribution: the live analog of the paper's Figure 11.
 //
-// Folds a run's per-rank Tracers and Accounting snapshots into a
-// per-rank breakdown of where virtual time went -- compute, halo
-// exchange, global sums, barriers -- plus the two visibility buckets:
+// Pairs each rank's Accounting snapshot with the three comm totals only
+// its Tracer holds -- halo exchange, global sums, barriers -- and prints
+// where the virtual time went, including the two visibility buckets:
 // communication hidden under computation (overlap credit, not part of
 // the total) and the share of the comm waits caused by partner lateness
 // (load imbalance) rather than wire time.
@@ -18,25 +18,12 @@ namespace hyades::cluster {
 
 struct RankBreakdown {
   int rank = 0;
-  Microseconds compute_us = 0;    // Accounting::compute_us
+  Accounting acct;                // the rank's buckets and event counts
   Microseconds exchange_us = 0;   // SpanCat::kExchange total
   Microseconds gsum_us = 0;       // SpanCat::kGsum total
   Microseconds barrier_us = 0;    // SpanCat::kBarrier total
-  Microseconds overlap_us = 0;    // comm hidden under compute (credit)
-  Microseconds imbalance_us = 0;  // of the comm waits: partner lateness
-  Microseconds retrans_us = 0;    // of the comm waits: fault recovery
-  Microseconds reroute_us = 0;    // of the comm waits: dead-link detours
-  Microseconds restart_us = 0;    // restart-from-checkpoint (not in total)
-  Microseconds migrate_us = 0;    // live tile adoption/handoff (not in total)
-  std::int64_t degraded_sends = 0;  // transfers on a route-around path
-  std::int64_t restarts = 0;        // epochs restarted into
-  std::int64_t migrations = 0;      // dead tiles adopted live
-  std::int64_t rebalances = 0;      // tiles handed back to a hot join
-  std::int64_t downgrades = 0;      // recovery-ladder rungs fallen
-  Microseconds comm_us = 0;       // Accounting::comm_us (cross-check)
-  Microseconds total_us = 0;      // compute + comm
 
-  // exchange + gsum + barrier; must agree with comm_us to within
+  // exchange + gsum + barrier; must agree with acct.comm_us to within
   // accumulation rounding (the trace and the accounting see the same
   // intervals).
   [[nodiscard]] Microseconds traced_comm_us() const {

@@ -6,15 +6,8 @@
 
 #include "cluster/fault.hpp"
 #include "cluster/membership.hpp"
-#include "support/logging.hpp"
 
 namespace hyades::cluster {
-
-namespace {
-// Straggler detection is logged once per rank with a global limiter so
-// a long run does not repeat the same line every compute call.
-RateLimiter g_straggler_warn_limiter(/*burst=*/4, /*every=*/1u << 20);
-}  // namespace
 
 void AbortableBarrier::arrive_and_wait() {
   {
@@ -120,11 +113,6 @@ void RankContext::compute(double flops, double mflops) {
   if (plan != nullptr && plan->has_straggler() &&
       plan->straggler_rank == rank_) {
     dt *= plan->straggler_factor;
-    if (flops > 0 && g_straggler_warn_limiter.admit()) {
-      log_warn() << "fault: rank " << rank_ << " is a configured straggler ("
-                 << plan->straggler_factor << "x slower) at t="
-                 << clock_.now() << " us";
-    }
   }
   if (elastic_factor_ > 1.0) dt *= elastic_factor_;
   clock_.advance(dt);

@@ -48,16 +48,12 @@ void reset_abandoned_handles() {
 //
 // During exception unwinding (an epoch aborting on a NodeDown verdict
 // tears down whole call stacks holding live handles) abandonment is the
-// expected teardown path, not a caller bug: the counter still ticks, but
-// the log line drops to a rate-limitable warning.
+// expected teardown path, not a caller bug: it is counted, not logged.
 
 ExchangeHandle::~ExchangeHandle() {
   if (buf_ != nullptr) {
     g_abandoned_handles.fetch_add(1, std::memory_order_relaxed);
-    if (std::uncaught_exceptions() > 0) {
-      log_warn() << "ExchangeHandle abandoned during unwinding (seq " << seq_
-                 << "): epoch abort tore down an in-flight exchange";
-    } else {
+    if (std::uncaught_exceptions() == 0) {
       log_error() << "ExchangeHandle abandoned while active (seq " << seq_
                   << "): exchange_finish was never called; its tag slot is "
                      "poisoned and messages may be left undrained";
@@ -97,10 +93,7 @@ ExchangeHandle& ExchangeHandle::operator=(ExchangeHandle&& o) noexcept {
 GsumHandle::~GsumHandle() {
   if (active_) {
     g_abandoned_handles.fetch_add(1, std::memory_order_relaxed);
-    if (std::uncaught_exceptions() > 0) {
-      log_warn() << "GsumHandle abandoned during unwinding (salt " << salt_
-                 << "): epoch abort tore down an in-flight reduction";
-    } else {
+    if (std::uncaught_exceptions() == 0) {
       log_error() << "GsumHandle abandoned while active (salt " << salt_
                   << "): global_sum_finish was never called; its tag slot is "
                      "poisoned and messages may be left undrained";

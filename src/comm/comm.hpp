@@ -205,12 +205,6 @@ class Comm {
   [[nodiscard]] std::uint64_t gsums_done() const { return gsum_seq_; }
   [[nodiscard]] std::uint64_t barriers_done() const { return barrier_seq_; }
 
-  // Reliability-protocol counters for this rank's transfers through this
-  // communicator (all zero when no FaultPlan is attached).
-  [[nodiscard]] const ReliableStats& fault_stats() const {
-    return rel_.stats();
-  }
-
  private:
   [[nodiscard]] int abs_rank(int group_rank) const {
     return rank_base_ + group_rank;

@@ -105,9 +105,6 @@ void Reliable::send(int to, int tag, std::vector<double> data,
   good.recovery_us = t - base;
   good.reroute_us = reroute_us;
   ctx_.send_msg(to, std::move(good));
-
-  ++stats_.sent;
-  stats_.retransmits += static_cast<std::uint64_t>(attempt);
   ctx_.accounting().retransmits += attempt;
 }
 
@@ -137,9 +134,7 @@ std::optional<cluster::Message> Reliable::accept(cluster::Message m, int from,
     st.serial = m.serial;
     st.last_attempt = m.attempt;
     ++st.ghosts;
-    ++stats_.crc_rejects;
     ++ctx_.accounting().crc_rejects;
-    warn_recovery("CRC reject (NAK)", from, m.serial, m.attempt, m.stamp_us);
     return std::nullopt;
   }
 
@@ -167,22 +162,14 @@ std::optional<cluster::Message> Reliable::accept(cluster::Message m, int from,
     // The transfer rode a route-around path past a dead link; attribute
     // the detour separately from fault recovery.
     ctx_.charge_reroute(m.reroute_us);
-    ++stats_.degraded_sends;
-    stats_.reroute_us += m.reroute_us;
   }
   if (m.attempt > 0) {
     // Attempts not seen as ghosts were dropped in flight and recovered
     // by the timeout watchdog.
     const auto drops =
         static_cast<std::int64_t>(m.attempt) - st.ghosts;
-    if (drops > 0) {
-      stats_.drops_detected += static_cast<std::uint64_t>(drops);
-      ctx_.accounting().drops_detected += drops;
-      warn_recovery("timeout recovery", from, m.serial, m.attempt,
-                    m.stamp_us);
-    }
+    if (drops > 0) ctx_.accounting().drops_detected += drops;
     ctx_.charge_retrans(m.recovery_us);
-    stats_.retrans_us += m.recovery_us;
     if (ctx_.tracer() != nullptr) {
       cluster::SpanCounters ctr;
       ctr.bytes = static_cast<std::int64_t>(m.data.size() * sizeof(double));
@@ -210,28 +197,13 @@ cluster::Message Reliable::recv(int from, int tag) {
       // plan explains that as a scheduled fail-stop, publish the
       // collective verdict (escalate throws NodeDownError); otherwise
       // the message can never come and the typed exit surfaces as is.
-      if (ms != nullptr) {
-        if (const cluster::NodeKill* kill = ms->killed_peer(from)) {
-          ms->escalate(from, *kill);
-        }
+      if (ms != nullptr && ms->killed_peer(from) != nullptr) {
+        ms->escalate(from);
       }
       throw;
     }
-    if (ms != nullptr) ms->note_alive(from, m.stamp_us);
     std::optional<cluster::Message> good = accept(std::move(m), from, tag);
     if (good) return std::move(*good);
-  }
-}
-
-void Reliable::warn_recovery(const char* what, int from, std::uint64_t serial,
-                             int attempt, Microseconds t) {
-  if (warn_limiter_.admit()) {
-    ++stats_.warns_emitted;
-    log_warn() << "fault: rank " << ctx_.rank() << " " << what
-               << " from rank " << from << " serial " << serial
-               << " attempt " << attempt << " at t=" << t << " us";
-  } else {
-    ++stats_.warns_suppressed;
   }
 }
 

@@ -27,9 +27,8 @@
 // zero extra clock or accounting effects: fault-free runs stay
 // bit-identical to the pre-fault-layer library (regression-locked).
 //
-// Recovery cost lands in Accounting::retrans_us plus a kFault trace
-// span per recovered transfer; warnings are rate-limited so a fault
-// storm cannot flood the log.
+// Recovery cost lands in Accounting::retrans_us, its events in the
+// Accounting counters, plus a kFault trace span per recovered transfer.
 //
 // Hard failures (PR 4) hook in at the same choke point:
 //
@@ -55,7 +54,6 @@
 
 #include "cluster/fault.hpp"
 #include "cluster/runtime.hpp"
-#include "support/logging.hpp"
 
 namespace hyades::comm {
 
@@ -76,21 +74,6 @@ struct DeliveryFailure : std::runtime_error {
   int attempts;
 };
 
-// Per-rank counters for the reliability protocol (the sender and
-// receiver sides of this rank's transfers).  Mirrored into the rank's
-// Accounting; exposed separately for tests and the fault-sweep bench.
-struct ReliableStats {
-  std::uint64_t sent = 0;            // reliable transfers originated
-  std::uint64_t retransmits = 0;     // extra attempts beyond the first
-  std::uint64_t crc_rejects = 0;     // flagged attempts discarded (NAK'd)
-  std::uint64_t drops_detected = 0;  // attempts recovered via timeout
-  Microseconds retrans_us = 0;       // total recovery delay charged
-  std::uint64_t degraded_sends = 0;  // transfers received via route-around
-  Microseconds reroute_us = 0;       // total route-around delay charged
-  std::uint64_t warns_emitted = 0;   // recovery warnings actually logged
-  std::uint64_t warns_suppressed = 0;  // swallowed by the rate limiter
-};
-
 class Reliable {
  public:
   explicit Reliable(cluster::RankContext& ctx) : ctx_(ctx) {}
@@ -108,18 +91,13 @@ class Reliable {
   // as a scheduled fail-stop, else rethrows cluster::PeerExited.
   cluster::Message recv(int from, int tag);
 
-  [[nodiscard]] const ReliableStats& stats() const { return stats_; }
-
  private:
   // Handle one arrived attempt.  Returns the message if it is a good
   // (unflagged) attempt, nullopt if it was a ghost that was discarded.
   std::optional<cluster::Message> accept(cluster::Message m, int from,
                                          int tag);
-  void warn_recovery(const char* what, int from, std::uint64_t serial,
-                     int attempt, Microseconds t);
 
   cluster::RankContext& ctx_;
-  ReliableStats stats_;
   // Next outbound serial per destination rank.
   std::map<int, std::uint64_t> next_serial_;
   // Serial of the ghost sequence currently being drained per
@@ -130,7 +108,6 @@ class Reliable {
     std::int64_t ghosts = 0;  // flagged attempts seen for `serial`
   };
   std::map<std::pair<int, int>, StreamState> streams_;
-  RateLimiter warn_limiter_{/*burst=*/5, /*every=*/256};
 };
 
 }  // namespace hyades::comm

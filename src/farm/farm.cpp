@@ -38,12 +38,10 @@ int Farm::submit(JobSpec spec) {
   rec.id = id;
   rec.spec = std::move(spec);
   rec.submit_us = now_;
-  metrics_.inc("farm.jobs_submitted");
   if (!queue_.push(id, rec.spec.priority)) {
     rec.status = JobStatus::kRejected;
     rec.error = "admission: queue full (" +
                 std::to_string(queue_.max_pending()) + " pending)";
-    metrics_.inc("farm.jobs_rejected");
   }
   jobs_.push_back(std::move(rec));
   return id;
@@ -53,7 +51,6 @@ void Farm::run_until_drained() {
   for (int id = queue_.pop(); id >= 0; id = queue_.pop()) {
     dispatch(jobs_[static_cast<std::size_t>(id)]);
   }
-  metrics_.set("farm.makespan_us", now_);
 }
 
 void Farm::dispatch(JobRecord& rec) {
@@ -67,9 +64,6 @@ void Farm::dispatch(JobRecord& rec) {
     rec.start_us = rec.finish_us = now_;
     rec.result.kinetic_energy = hit->kinetic_energy;
     rec.result.mean_theta = hit->mean_theta;
-    metrics_.inc("farm.jobs_completed");
-    metrics_.inc("farm.cache_hits");
-    metrics_.inc("farm.steps_saved", static_cast<double>(rec.spec.steps));
     return;
   }
 
@@ -87,24 +81,12 @@ void Farm::dispatch(JobRecord& rec) {
   pool_free_at_[slot] = rec.finish_us;
   now_ = std::max(now_, rec.finish_us);
   rec.result = out.result;
-
-  metrics_.inc("farm.steps_committed",
-               static_cast<double>(out.result.steps_committed));
-  metrics_.inc("farm.busy_us", out.result.busy_us);
-  metrics_.inc("farm.retransmits",
-               static_cast<double>(out.result.retransmits));
-  metrics_.inc("farm.restarts", static_cast<double>(out.result.restarts));
-  metrics_.inc("farm.migrations", static_cast<double>(out.result.migrations));
-  metrics_.inc("farm.rebalances", static_cast<double>(out.result.rebalances));
-  metrics_.inc("farm.downgrades", static_cast<double>(out.result.downgrades));
   if (out.ok) {
     rec.status = JobStatus::kCompleted;
-    metrics_.inc("farm.jobs_completed");
     cache_.insert(key, rec.result);
   } else {
     rec.status = JobStatus::kFailed;
     rec.error = out.error;
-    metrics_.inc("farm.jobs_failed");
   }
 }
 

@@ -32,7 +32,6 @@
 #include "farm/cache.hpp"
 #include "farm/job.hpp"
 #include "farm/queue.hpp"
-#include "support/metrics.hpp"
 #include "support/units.hpp"
 
 namespace hyades::farm {
@@ -84,12 +83,6 @@ class Farm {
   // runs of the same queue produce byte-identical strings.
   [[nodiscard]] std::string format_summary() const;
 
-  // Campaign-wide cost/usage counters (farm.* namespace), rolled up
-  // from every executed job.
-  [[nodiscard]] const metrics::Registry& campaign_metrics() const {
-    return metrics_;
-  }
-
   [[nodiscard]] Microseconds now() const { return now_; }
   [[nodiscard]] const ResultCache& cache() const { return cache_; }
 
@@ -100,7 +93,6 @@ class Farm {
   FarmConfig cfg_;
   JobQueue queue_;
   ResultCache cache_;
-  metrics::Registry metrics_;
   std::vector<JobRecord> jobs_;
   std::vector<Microseconds> pool_free_at_;
   Microseconds now_ = 0.0;

@@ -38,7 +38,7 @@ class JobQueue {
   };
   int max_pending_;
   std::uint64_t next_seq_ = 0;
-  std::vector<Pending> pending_;  // small-N linear scan, like metrics
+  std::vector<Pending> pending_;  // small-N: a linear scan beats a map
 };
 
 }  // namespace hyades::farm

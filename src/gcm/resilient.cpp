@@ -10,7 +10,6 @@
 #include "gcm/decomp.hpp"
 #include "gcm/model.hpp"
 #include "gcm/tile_ckpt.hpp"
-#include "support/logging.hpp"
 
 namespace hyades::gcm {
 
@@ -40,11 +39,6 @@ int durable_slot(long s, int ckpt_every) {
 int ring_slot(long s, int ckpt_every, int depth) {
   return static_cast<int>((s / ckpt_every) % depth);
 }
-
-// A chaos soak recovers hundreds of times per process: the per-epoch
-// recovery warnings must not flood the log.  Burst covers interactive
-// runs (every recovery of a normal campaign still prints).
-RateLimiter g_recovery_warn_limiter(/*burst=*/6, /*every=*/64);
 
 // One committed in-memory snapshot of a rank's tile, written at every
 // checkpoint cut in migrate mode.  `ring_depth` of these per rank form
@@ -413,12 +407,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         st.restart_steps.push_back(resume_step);
         clock_base = e.verdict.detected_us +
                      (plan != nullptr ? plan->restart_cost_us : 0.0);
-        if (g_recovery_warn_limiter.admit()) {
-          log_warn() << "run_resilient: epoch " << epoch << " aborted (rank "
-                     << e.verdict.rank << " down at t="
-                     << e.verdict.detected_us << " us); restarting from step "
-                     << st.restart_steps.back();
-        }
       } else {
         // ---- live migration: survivors rewind in memory, adopters ----
         // ---- re-load only the dead tiles' durable checkpoints.    ----
@@ -611,17 +599,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           resume_step = s_recover;
           st.restart_steps.push_back(s_recover);
           clock_base = e.verdict.detected_us;
-          if (g_recovery_warn_limiter.admit()) {
-            log_warn() << "run_resilient: epoch " << epoch
-                       << " aborted (rank " << e.verdict.rank << " down, "
-                       << dead_boards.size() << " board(s), t="
-                       << e.verdict.detected_us << " us); "
-                       << to_string(ev.landed()) << ": migrating "
-                       << dead.size() << " tile(s) and resuming from step "
-                       << s_recover;
-          }
         } else {
-          const std::string migrate_fail_reason = ev.attempts.back().reason;
           if (!plan_epoch_restart(&ev)) {
             throw RecoveryExhausted(e.verdict, ev.attempts, gave_up);
           }
@@ -639,13 +617,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           st.restart_steps.push_back(resume_step);
           clock_base = e.verdict.detected_us +
                        (plan != nullptr ? plan->restart_cost_us : 0.0);
-          if (g_recovery_warn_limiter.admit()) {
-            log_warn() << "run_resilient: epoch " << epoch
-                       << " aborted (rank " << e.verdict.rank
-                       << " down); migration unplannable ("
-                       << migrate_fail_reason
-                       << "); epoch restart from step " << resume_step;
-          }
         }
       }
       pending_rung = ev.landed();

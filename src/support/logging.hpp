@@ -2,8 +2,6 @@
 // runs ranks on threads, so log lines must not interleave mid-line.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -47,47 +45,5 @@ inline detail::LogStream log_warn() { return detail::LogStream(LogLevel::kWarn);
 inline detail::LogStream log_error() {
   return detail::LogStream(LogLevel::kError);
 }
-
-// Admission control for high-frequency warning sites (fault storms can
-// produce one recovery event per packet).  The first `burst` events are
-// admitted, after which only every `every`-th event passes; suppressed()
-// reports how many were swallowed so a summary line can say so.
-// Thread-safe: each rank-thread may share one limiter.
-class RateLimiter {
- public:
-  explicit RateLimiter(std::uint64_t burst = 5, std::uint64_t every = 100)
-      : burst_(burst), every_(every == 0 ? 1 : every) {}
-
-  // The pure admission rule for event number `n` (0-based): inside the
-  // burst window, or on a stride boundary past it.  With burst == 0 the
-  // very first event is still admitted (0 % every == 0) -- a limiter is
-  // a thinner, never a silencer.  Unsigned wraparound of `n` is
-  // well-defined and merely restarts the cycle.
-  static constexpr bool admits(std::uint64_t n, std::uint64_t burst,
-                               std::uint64_t every) {
-    return n < burst || (n - burst) % (every == 0 ? 1 : every) == 0;
-  }
-
-  // True if the caller should emit this event's log line.
-  bool admit() {
-    const std::uint64_t n = seen_.fetch_add(1, std::memory_order_relaxed);
-    const bool ok = admits(n, burst_, every_);
-    if (!ok) suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return ok;
-  }
-
-  [[nodiscard]] std::uint64_t seen() const {
-    return seen_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t suppressed() const {
-    return suppressed_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::uint64_t burst_;
-  std::uint64_t every_;
-  std::atomic<std::uint64_t> seen_{0};
-  std::atomic<std::uint64_t> suppressed_{0};
-};
 
 }  // namespace hyades

@@ -28,19 +28,12 @@
 #include "gcm/resilient.hpp"
 #include "gcm/state.hpp"
 #include "gcm/tile_ckpt.hpp"
-#include "support/logging.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct QuietLog {
-  LogLevel before = log_level();
-  QuietLog() { set_log_level(LogLevel::kError); }
-  ~QuietLog() { set_log_level(before); }
-};
 
 bool bits_equal(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
@@ -158,7 +151,6 @@ void expect_all_ranks_bit_identical(const ChaosRun& a, const ChaosRun& b,
 // Concurrent node loss: one coalesced verdict, one recovery.
 
 TEST(Chaos, TwoBoardsDownInOneWindowIsOneCoalescedRecovery) {
-  QuietLog quiet;
   ChaosSetup clean_setup;
   const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_two_clean",
                                         gcm::RecoveryMode::kMigrate);
@@ -189,7 +181,6 @@ TEST(Chaos, KillDuringRecoveryIsASecondLadderEvent) {
   // Epoch 0 loses rank 3; while the recovered epoch is replaying, rank
   // 1's board dies too (an epoch-1 kill fires during recovery).  Two
   // verdicts, two ladder events, still bit-identical.
-  QuietLog quiet;
   ChaosSetup clean_setup;
   const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_dur_clean",
                                         gcm::RecoveryMode::kMigrate);
@@ -220,7 +211,6 @@ TEST(Chaos, CorruptAdoptedTileFallsOneRungToTheOlderCut) {
   // fails deep verification, rung 2 recovers from one cut further back.
   // The ladder history says exactly that, and the run still finishes
   // bit-identical.
-  QuietLog quiet;
   ChaosSetup clean_setup;
   const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_rot_clean",
                                         gcm::RecoveryMode::kMigrate);
@@ -266,7 +256,6 @@ TEST(Chaos, EveryBoardDownDegradesToEpochRestart) {
   // coalesced verdict, rungs 1-2 fail ("every board down"), and rung 3
   // restarts the epoch from the newest verified slot -- bit-identical,
   // with the full ladder history on record.
-  QuietLog quiet;
   ChaosSetup clean_setup;
   clean_setup.smp_count = 2;
   clean_setup.procs_per_smp = 2;
@@ -305,7 +294,6 @@ TEST(Chaos, BothSlotsCorruptIsTypedRecoveryExhausted) {
   // cut), rung 3 fails (no slot passes deep verification).  The run
   // must end in a typed RecoveryExhausted carrying the whole ladder
   // history -- never a hang, never a bare runtime_error.
-  QuietLog quiet;
   ChaosSetup probe_setup;
   const ChaosRun probe = run_chaos_gyre(probe_setup, "hyades_ch_exh_probe",
                                         gcm::RecoveryMode::kMigrate);
@@ -346,7 +334,6 @@ TEST(Chaos, RestartModeCorruptNewestSlotDegradesToOlder) {
   // The ladder exists under kEpochRestart too: when the newest
   // consistent slot fails deep verification, recovery degrades to the
   // older slot (one downgrade) instead of loading rotten bits.
-  QuietLog quiet;
   ChaosSetup clean_setup;
   const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_rsl_clean",
                                         gcm::RecoveryMode::kEpochRestart);
@@ -385,7 +372,6 @@ TEST(Chaos, RestartModeCorruptNewestSlotDegradesToOlder) {
 // The in-memory ring: depth is a knob, bits are not.
 
 TEST(Chaos, RingDepthThreeIsBitIdenticalToDepthTwo) {
-  QuietLog quiet;
   ChaosSetup clean_setup;
   const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_rd_clean",
                                         gcm::RecoveryMode::kMigrate);

@@ -24,19 +24,12 @@
 #include "gcm/resilient.hpp"
 #include "gcm/state.hpp"
 #include "gcm/tile_ckpt.hpp"
-#include "support/logging.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct QuietLog {
-  LogLevel before = log_level();
-  QuietLog() { set_log_level(LogLevel::kError); }
-  ~QuietLog() { set_log_level(before); }
-};
 
 bool bits_equal(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
@@ -265,7 +258,6 @@ TEST(Elastic, NoKillMigrateMatchesEpochRestartBitIdentically) {
   // With no kills scheduled the snapshot ring is pure bookkeeping: the
   // migrate-mode run must be bit-identical to the restart-mode run and
   // charge nothing to the elastic accounts.
-  QuietLog quiet;
   const ElasticRun a =
       run_elastic_gyre(10, nullptr, "hyades_el_clean_restart", 4, 1,
                        gcm::RecoveryMode::kEpochRestart);
@@ -291,7 +283,6 @@ TEST(Elastic, NodeKillMigratesTheDeadTileBitIdentically) {
   // disk), rank 3's tile is adopted from its durable step-0 file by a
   // surviving board, and the run finishes bit-identical to the
   // kill-free run.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/3, /*at_us=*/50.0, /*epoch=*/0});
 
@@ -329,7 +320,6 @@ TEST(Elastic, MidRunKillMigratesFromTheLatestCut) {
   // A kill landing after the first checkpoint rotations must resume
   // from a non-zero cut: survivors rewind their rings to the newest cut
   // the dead rank also made durable -- never all the way to step 0.
-  QuietLog quiet;
   const ElasticRun clean = run_elastic_gyre(
       12, nullptr, "hyades_el_mid_clean", 4, 1, gcm::RecoveryMode::kMigrate);
   cluster::FaultPlan plan;
@@ -352,7 +342,6 @@ TEST(Elastic, SmpKillMigratesEveryHostedTile) {
   // Kills are node-granular: killing rank 2 on a two-way SMP takes rank
   // 3 with it, so migration must adopt *both* tiles onto the surviving
   // board -- and still converge bit-identically.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/2, /*at_us=*/50.0, /*epoch=*/0});
 
@@ -375,7 +364,6 @@ TEST(Elastic, MigrationRecoversStrictlyFasterThanEpochRestart) {
   // detection-to-first-post-recovery-step is strictly cheaper under
   // migration (survivors skip the restart penalty and the disk reload;
   // only the adopters pay the migration cost).
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/3, /*at_us=*/50.0, /*epoch=*/0});
 
@@ -404,7 +392,6 @@ TEST(Elastic, HotJoinHandsMigratedTilesBackBitIdentically) {
   // at step 6: the adopted tile is handed home at that cut (one
   // rebalance charged to the moved rank) and the run still finishes
   // bit-identical to the failure-free run.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/3, /*at_us=*/50.0, /*epoch=*/0});
   plan.node_joins.push_back({/*smp=*/3, /*at_step=*/6});
@@ -427,7 +414,6 @@ TEST(Elastic, HotJoinHandsMigratedTilesBackBitIdentically) {
 TEST(Elastic, JoinWithoutAnyMigrationIsANoOp) {
   // A join scheduled with nothing migrated away must change neither
   // bits nor accounting: every tile is already home.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/3, /*at_us=*/50.0, /*epoch=*/1});
   plan.node_joins.push_back({/*smp=*/0, /*at_step=*/3});

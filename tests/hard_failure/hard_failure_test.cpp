@@ -24,17 +24,10 @@
 #include "gcm/model.hpp"
 #include "gcm/resilient.hpp"
 #include "gcm/tile_ckpt.hpp"
-#include "support/logging.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades {
 namespace {
-
-struct QuietLog {
-  LogLevel before = log_level();
-  QuietLog() { set_log_level(LogLevel::kError); }
-  ~QuietLog() { set_log_level(before); }
-};
 
 bool bits_equal(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
@@ -117,7 +110,6 @@ TEST(HardFailure, ResilientNoKillsMatchesPlainRun) {
   // With no kills scheduled the resilient driver is pure plumbing: one
   // epoch, zero restarts, and (checkpoint barriers are state-neutral)
   // final state bit-identical to a plain uninterrupted run.
-  QuietLog quiet;
   gcm::ModelConfig cfg = gcm::testing::small_ocean(2, 2);
   cfg.topography = gcm::ModelConfig::Topography::kBasin;
   std::map<int, gcm::State> plain;
@@ -149,7 +141,6 @@ TEST(HardFailure, LinkKillsRerouteWithoutChangingState) {
   // between those SMP pairs rides the route-around and pays the
   // penalty (visible in degraded_sends / reroute_us), but payloads are
   // untouched, so the run completes bit-identically to the clean one.
-  QuietLog quiet;
   const cluster::FaultPlan clean;
   cluster::FaultPlan faulty;
   faulty.link_kills.push_back({0, 1, 0.0});
@@ -179,7 +170,6 @@ TEST(HardFailure, NodeKillRestartsFromCheckpointBitIdentically) {
   // abort the epoch, and epoch 1 restarts everyone from the durable
   // step-0 checkpoint -- finishing bit-identical to the kill-free run,
   // with the recovery visible in accounting and the trace.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/3, /*at_us=*/50.0, /*epoch=*/0});
 
@@ -215,7 +205,6 @@ TEST(HardFailure, NodeKillTakesWholeSmpWithIt) {
   // sibling rank 3 down too (no half-dead SMP deadlocks the shared
   // barrier).  Survivors on SMP 0 declare one of the dead ranks down
   // and the restart still converges bit-identically.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/2, /*at_us=*/50.0, /*epoch=*/0});
 
@@ -240,7 +229,6 @@ TEST(HardFailure, RestartBudgetExhaustionIsTypedNeverAHang) {
   // after max_restarts aborted epochs the driver throws the typed
   // RestartExhausted (with the last verdict attached) instead of
   // looping or hanging.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   for (int epoch = 0; epoch < 4; ++epoch) {
     plan.node_kills.push_back({/*rank=*/1, /*at_us=*/50.0, epoch});
@@ -293,7 +281,6 @@ TEST(HardFailure, FailStoppedPeerExitEscalatesCoalescedVerdict) {
   // time; the survivors blocked on them wake on the exit event (no
   // real-time grace), and whichever escalates first publishes the
   // plan-pure verdict coalesce_expired_kills predicts.
-  QuietLog quiet;
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/1, /*at_us=*/50.0, /*epoch=*/0});
   plan.node_kills.push_back({/*rank=*/2, /*at_us=*/60.0, /*epoch=*/0});
@@ -342,7 +329,6 @@ TEST(HardFailure, BusPoisonWakesBlockedReceivers) {
   // NodeDownError carrying the identical verdict.  The declaring rank
   // stays alive until the receiver has woken, so the wake-up must come
   // from the poison, not from the declarer's exit.
-  QuietLog quiet;
   cluster::MachineConfig mc;
   mc.smp_count = 2;
   mc.procs_per_smp = 1;

@@ -1,7 +1,7 @@
 // The observability layer end to end: typed spans with counter
 // payloads, full-precision CSV (regression for the 6-digit truncation
-// bug), Chrome trace-event JSON schema, the metrics registry, and the
-// wait-time-attribution report -- plus the load-bearing invariant that
+// bug), Chrome trace-event JSON schema, and the wait-time-attribution
+// report -- plus the load-bearing invariant that
 // tracing is timing-invisible (an instrumented run's virtual timeline
 // and measurements are bit-identical to an uninstrumented one).
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "gcm/model.hpp"
 #include "net/arctic_model.hpp"
 #include "perf/calibrate.hpp"
-#include "support/metrics.hpp"
 #include "support/table.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
@@ -194,11 +193,10 @@ TEST(Observability, WaitAttributionMatchesAccounting) {
   for (const RankBreakdown& b : rows) {
     // The traced comm spans and the Accounting buckets see the same
     // intervals: totals agree to well under a microsecond per rank.
-    EXPECT_NEAR(b.traced_comm_us(), b.comm_us, 1.0) << "rank " << b.rank;
-    EXPECT_DOUBLE_EQ(b.total_us, b.compute_us + b.comm_us);
-    EXPECT_GE(b.imbalance_us, 0.0);
-    EXPECT_LE(b.imbalance_us, b.comm_us + 1e-9);
-    EXPECT_GT(b.compute_us, 0.0);
+    EXPECT_NEAR(b.traced_comm_us(), b.acct.comm_us, 1.0) << "rank " << b.rank;
+    EXPECT_GE(b.acct.imbalance_us, 0.0);
+    EXPECT_LE(b.acct.imbalance_us, b.acct.comm_us + 1e-9);
+    EXPECT_GT(b.acct.compute_us, 0.0);
   }
   // Printing must not throw and mentions every rank.
   std::ostringstream os;
@@ -216,28 +214,6 @@ TEST(Observability, SolverSpansCountIterations) {
   EXPECT_DOUBLE_EQ(cg.cg_iterations, m.ni * static_cast<double>(m.steps));
   const SpanCounters ex = cap.tracers[0].counters("exchange");
   EXPECT_GT(ex.bytes, 0);
-}
-
-// ---- metrics registry ----------------------------------------------------
-
-TEST(Metrics, RegistryBasics) {
-  metrics::Registry r;
-  EXPECT_FALSE(r.has("a"));
-  EXPECT_DOUBLE_EQ(r.get("a"), 0.0);
-  r.inc("a", 2.0);
-  r.inc("a", 3.0);
-  r.inc("b");
-  r.set("c", 7.0);
-  r.set("a", 10.0);
-  EXPECT_TRUE(r.has("a"));
-  EXPECT_DOUBLE_EQ(r.get("a"), 10.0);
-  EXPECT_DOUBLE_EQ(r.get("b"), 1.0);
-  EXPECT_DOUBLE_EQ(r.get("c"), 7.0);
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_EQ(r.entries()[0].name, "a");  // insertion order preserved
-  EXPECT_EQ(r.entries()[2].name, "c");
-  r.clear();
-  EXPECT_EQ(r.size(), 0u);
 }
 
 }  // namespace

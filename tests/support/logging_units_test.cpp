@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -60,66 +58,6 @@ TEST(Logging, SuppressedBelowThreshold) {
   log_info() << "also suppressed";
   set_log_level(before);
   SUCCEED();
-}
-
-TEST(RateLimiter, BurstThenEveryNth) {
-  RateLimiter lim(/*burst=*/3, /*every=*/10);
-  int admitted = 0;
-  for (int i = 0; i < 33; ++i) {
-    if (lim.admit()) ++admitted;
-  }
-  // First 3 pass, then events 3, 13, 23 of the remaining 30.
-  EXPECT_EQ(admitted, 6);
-  EXPECT_EQ(lim.seen(), 33u);
-  EXPECT_EQ(lim.suppressed(), 27u);
-}
-
-TEST(RateLimiter, ZeroBurstStillAdmitsFirstAndEveryNth) {
-  // burst == 0 must not silence the limiter entirely: event 0 lands on
-  // the stride boundary (0 % every == 0), then every `every`-th event.
-  RateLimiter lim(/*burst=*/0, /*every=*/4);
-  std::vector<int> admitted;
-  for (int i = 0; i < 10; ++i) {
-    if (lim.admit()) admitted.push_back(i);
-  }
-  EXPECT_EQ(admitted, (std::vector<int>{0, 4, 8}));
-  EXPECT_EQ(lim.seen(), 10u);
-  EXPECT_EQ(lim.suppressed(), 7u);
-}
-
-TEST(RateLimiter, AdmissionRuleIsTotalOverCounterWrap) {
-  // The rule is a pure function of the (unsigned) event counter, so it
-  // stays well-defined when the counter wraps: `n - burst` wraps modulo
-  // 2^64 and the stride cycle simply restarts -- no UB, no crash, and
-  // never a permanently silent limiter.
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  static_assert(RateLimiter::admits(0, 0, 1));
-  static_assert(RateLimiter::admits(kMax, kMax, 7));   // n < burst
-  static_assert(!RateLimiter::admits(kMax, 5, 100));   // deep in a stride
-  static_assert(RateLimiter::admits(2, 5, 100));       // inside the burst
-  // every == 0 is normalized to 1: everything is admitted.
-  for (std::uint64_t n : {std::uint64_t{0}, std::uint64_t{17}, kMax}) {
-    EXPECT_TRUE(RateLimiter::admits(n, 0, 0));
-  }
-  // Around the wrap point itself the stride pattern is periodic.
-  int hits = 0;
-  for (std::uint64_t n = kMax - 8; n != 9; ++n) {  // wraps through 0
-    if (RateLimiter::admits(n, 0, 3)) ++hits;
-  }
-  EXPECT_EQ(hits, 6);  // 18 consecutive events, stride 3
-}
-
-TEST(RateLimiter, ThreadSafeCountsAreExact) {
-  RateLimiter lim(/*burst=*/5, /*every=*/100);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) (void)lim.admit();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(lim.seen(), 4000u);
-  EXPECT_EQ(lim.seen() - lim.suppressed(), 5u + 3995u / 100u + 1u);
 }
 
 }  // namespace
