@@ -9,7 +9,7 @@
 //
 // Only successful runs are cached: a failed member (restart budget
 // exhausted, solver divergence) depends on its injected adversity, and
-// campaigns retry failures on purpose.
+// campaigns retry failures on purpose in a later drain.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,10 @@ class ResultCache {
 
   // The cached result for the key, or nullptr on a miss (counted).
   [[nodiscard]] const JobResult* lookup(const Key& key);
+  // Whether the key is cached; counts neither a hit nor a miss.
+  [[nodiscard]] bool contains(const Key& key) const {
+    return entries_.contains(key);
+  }
   // Record a successful run.  First write wins: the bits are identical
   // by construction, and keeping the original preserves its cost
   // accounting in the producer's record.

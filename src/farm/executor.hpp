@@ -5,9 +5,12 @@
 // requested shape (a pool slot models *availability*, not reuse of
 // warm state -- exactly the paper's dedicated machine being handed the
 // next queued job).  Execution is synchronous and virtual-time
-// deterministic, so the farm can drive the pool sequentially and still
-// produce the schedule a concurrent pool would: a job's cost in
-// virtual microseconds is independent of when the farm dispatches it.
+// deterministic: a job's outcome and its cost in virtual microseconds
+// depend on its spec alone, not on when, on which host thread, or
+// beside which other jobs it runs.  Calls share no mutable state, so
+// the farm runs distinct jobs concurrently on host threads (each under
+// its own scratch prefix) and places them on the virtual pool
+// afterwards, in dispatch order.
 //
 // Jobs whose fault plan schedules node kills route through the
 // resilient restart driver (gcm/resilient.hpp); a RestartExhausted or

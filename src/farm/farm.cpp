@@ -1,10 +1,18 @@
 #include "farm/farm.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
+#include <utility>
 
 #include "farm/executor.hpp"
 #include "support/table.hpp"
@@ -19,17 +27,61 @@ std::string hexfloat(double v) {
   return buf;
 }
 
+// Run task(0) .. task(n - 1) on host threads: the calling thread plus up
+// to hardware_concurrency() - 1 more, never more threads than tasks, so
+// n <= 1 starts none.  Each thread claims the next unclaimed index, and
+// every thread has joined when this returns.  `task` must not throw.
+template <typename Task>
+void for_each_on_host_pool(std::size_t n, const Task& task) {
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      task(i);
+    }
+  };
+  // hardware_concurrency() costs a few microseconds of system calls, as
+  // much as dispatching a dozen cache hits: ask only when there is work
+  // to share.
+  const std::size_t threads =
+      n < 2 ? n
+            : std::min<std::size_t>(
+                  std::max(1u, std::thread::hardware_concurrency()), n);
+  std::vector<std::jthread> pool;  // each joins when destroyed
+  for (std::size_t t = 1; t < threads; ++t) {
+    try {
+      pool.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no more host threads: the running ones take the rest
+    }
+  }
+  work();
+}
+
 }  // namespace
+
+// A key's spec and scratch prefix (its first job's), and then its
+// outcome, or the exception execute_job threw for it (a caller bug),
+// which the replay rethrows on the calling thread.
+struct Farm::Execution {
+  const JobSpec* spec = nullptr;
+  std::string scratch_prefix;
+  ExecutionOutcome out;
+  std::exception_ptr error;
+};
 
 Farm::Farm(FarmConfig cfg) : cfg_(cfg), queue_(cfg.max_pending) {
   if (cfg_.clusters < 1) {
     throw std::invalid_argument("Farm: pool needs at least one cluster");
   }
-  if (cfg_.scratch_dir.empty()) {
-    cfg_.scratch_dir =
-        (std::filesystem::temp_directory_path() / "hyades_farm").string();
-  }
   pool_free_at_.assign(static_cast<std::size_t>(cfg_.clusters), 0.0);
+}
+
+Farm::~Farm() {
+  if (cfg_.scratch_dir.empty() && !scratch_dir_.empty()) {
+    std::error_code ec;  // best effort: a destructor must not throw
+    std::filesystem::remove_all(scratch_dir_, ec);
+  }
 }
 
 int Farm::submit(JobSpec spec) {
@@ -48,13 +100,50 @@ int Farm::submit(JobSpec spec) {
 }
 
 void Farm::run_until_drained() {
-  for (int id = queue_.pop(); id >= 0; id = queue_.pop()) {
-    dispatch(jobs_[static_cast<std::size_t>(id)]);
+  // Plan on a copy of the queue: each job's key in dispatch order, and
+  // the distinct keys the cache cannot serve, in first-occurrence order.
+  std::vector<std::pair<ResultCache::Key, const Execution*>> plan;
+  plan.reserve(queue_.pending());
+  std::map<ResultCache::Key, Execution> runs;
+  std::vector<Execution*> todo;
+  JobQueue order = queue_;
+  for (int id = order.pop(); id >= 0; id = order.pop()) {
+    const JobSpec& spec = jobs_[static_cast<std::size_t>(id)].spec;
+    const ResultCache::Key key{spec.config_hash(), spec.seed};
+    Execution* run = nullptr;
+    if (!cache_.contains(key)) {
+      const auto [it, fresh] = runs.try_emplace(key);
+      run = &it->second;
+      if (fresh) {
+        run->spec = &spec;
+        run->scratch_prefix = scratch_prefix(id);
+        todo.push_back(run);
+      }
+    }
+    plan.emplace_back(key, run);
+  }
+
+  for_each_on_host_pool(todo.size(), [&todo](std::size_t i) {
+    Execution& run = *todo[i];
+    try {
+      run.out = execute_job(*run.spec, run.scratch_prefix);
+      // lint:allow(catch-all): worker trampoline -- the exception is
+      // rethrown on the calling thread when the replay reaches the job.
+    } catch (...) {
+      run.error = std::current_exception();
+    }
+  });
+
+  // Replay: queue_ pops in the order its copy did above.
+  std::size_t next = 0;
+  for (int id = queue_.pop(); id >= 0; id = queue_.pop(), ++next) {
+    dispatch(jobs_[static_cast<std::size_t>(id)], plan[next].first,
+             plan[next].second);
   }
 }
 
-void Farm::dispatch(JobRecord& rec) {
-  const ResultCache::Key key{rec.spec.config_hash(), rec.spec.seed};
+void Farm::dispatch(JobRecord& rec, const ResultCache::Key& key,
+                    const Execution* run) {
   if (const JobResult* hit = cache_.lookup(key)) {
     // Dedup: identical (config, seed) was already computed, and runs
     // are bit-deterministic, so the cached diagnostics ARE the result.
@@ -67,13 +156,18 @@ void Farm::dispatch(JobRecord& rec) {
     return;
   }
 
+  // A miss means the cache did not hold the key when the drain was
+  // planned, so the key has an execution.  A failed run is never
+  // inserted: a duplicate of a failed member misses again and reuses the
+  // same outcome.
+  if (run->error) std::rethrow_exception(run->error);
+  const ExecutionOutcome& out = run->out;
+
   // Earliest-free pool slot, lowest id on ties: deterministic.
   std::size_t slot = 0;
   for (std::size_t c = 1; c < pool_free_at_.size(); ++c) {
     if (pool_free_at_[c] < pool_free_at_[slot]) slot = c;
   }
-  const ExecutionOutcome out =
-      execute_job(rec.spec, scratch_prefix(rec.id));
 
   rec.cluster = static_cast<int>(slot);
   rec.start_us = std::max(pool_free_at_[slot], rec.submit_us);
@@ -91,11 +185,24 @@ void Farm::dispatch(JobRecord& rec) {
 }
 
 std::string Farm::scratch_prefix(int job_id) {
-  if (!scratch_ready_) {
-    std::filesystem::create_directories(cfg_.scratch_dir);
-    scratch_ready_ = true;
+  if (scratch_dir_.empty()) {
+    if (cfg_.scratch_dir.empty()) {
+      // Every Farm numbers its jobs from 0, so a shared default would let
+      // two farms overwrite each other's checkpoints.
+      std::string dir =
+          (std::filesystem::temp_directory_path() / "hyades_farm.XXXXXX")
+              .string();
+      if (::mkdtemp(dir.data()) == nullptr) {
+        throw std::system_error(errno, std::generic_category(),
+                                "Farm: cannot create " + dir);
+      }
+      scratch_dir_ = std::move(dir);
+    } else {
+      std::filesystem::create_directories(cfg_.scratch_dir);
+      scratch_dir_ = cfg_.scratch_dir;
+    }
   }
-  return cfg_.scratch_dir + "/job" + std::to_string(job_id);
+  return scratch_dir_ + "/job" + std::to_string(job_id);
 }
 
 const JobRecord& Farm::job(int id) const {

@@ -12,11 +12,19 @@
 // built on) the per-run rank clocks.  A job's duration is its cluster's
 // final virtual time -- a pure function of the spec -- so the whole
 // schedule (start/finish stamps, pool-slot choice, makespan) is a pure
-// function of the submitted queue.  Dispatch is sequential in priority
-// order onto the earliest-free pool slot (lowest slot id on ties);
-// cache-served jobs complete instantly at the dispatch-time clock.
-// Two runs of the same queue therefore produce bit-identical campaign
-// summaries -- the whole service is golden-lockable.
+// function of the submitted queue.  The virtual schedule dispatches in
+// priority order onto the earliest-free pool slot (lowest slot id on
+// ties); cache-served jobs complete instantly at the dispatch-time clock.
+//
+// Host: a drain first runs every distinct (config hash, seed) that the
+// cache cannot serve on a pool of host threads (one per core, never more
+// than there are such keys), then replays the dispatch above one member
+// at a time, taking each member's outcome from the pool.  Only the
+// replay touches the clock, the slots, the cache and the ledger, so the
+// order in which host threads finish cannot reach them: two runs of the
+// same queue produce bit-identical campaign summaries -- the whole
+// service is golden-lockable.  Within one drain a duplicate of a failed
+// member reuses its outcome, which determinism makes identical.
 //
 // Failure: a member whose cluster exhausts its restart budget (or whose
 // solver diverges) is recorded kFailed with the typed error message and
@@ -39,20 +47,30 @@ namespace hyades::farm {
 struct FarmConfig {
   int clusters = 2;      // pool size (>= 1)
   int max_pending = 0;   // admission cap; <= 0 = unbounded
-  // Durable-checkpoint scratch directory for resilient members; ""
-  // resolves to <temp dir>/hyades_farm.  Created on first use.
+  // Durable-checkpoint scratch directory for resilient members, created
+  // on first use.  "" makes a directory no other Farm shares,
+  // <temp dir>/hyades_farm.XXXXXX, removed with the Farm; a named one
+  // is kept.
   std::string scratch_dir;
 };
 
 class Farm {
  public:
   explicit Farm(FarmConfig cfg);
+  // Removes the private scratch directory, if this Farm made one; a
+  // copy would remove it twice.
+  ~Farm();
+  Farm(const Farm&) = delete;
+  Farm& operator=(const Farm&) = delete;
 
   // Enqueue a job; returns its id.  An over-capacity submit is recorded
   // kRejected (check job(id).status), never silently dropped.
   int submit(JobSpec spec);
 
   // Dispatch every pending job to completion (deterministic order).
+  // Throws what execute_job throws for a caller bug (a spec it rejects)
+  // when the dispatch reaches that member; the members behind it stay
+  // queued.
   void run_until_drained();
 
   // The ledger entry for `id`.  The reference is into a growing
@@ -87,7 +105,12 @@ class Farm {
   [[nodiscard]] const ResultCache& cache() const { return cache_; }
 
  private:
-  void dispatch(JobRecord& rec);
+  // One distinct (config hash, seed) a drain runs on the host pool.
+  struct Execution;
+  // `run` is the key's execution, null when the cache held the key
+  // before the drain.
+  void dispatch(JobRecord& rec, const ResultCache::Key& key,
+                const Execution* run);
   [[nodiscard]] std::string scratch_prefix(int job_id);
 
   FarmConfig cfg_;
@@ -96,7 +119,7 @@ class Farm {
   std::vector<JobRecord> jobs_;
   std::vector<Microseconds> pool_free_at_;
   Microseconds now_ = 0.0;
-  bool scratch_ready_ = false;
+  std::string scratch_dir_;  // resolved on first use; "" until then
 };
 
 }  // namespace hyades::farm

@@ -8,6 +8,7 @@
 // non-survivable one ends in a typed error -- never a hang, never a
 // bare throw.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -50,8 +51,12 @@ void expect_state_bits_equal(const gcm::State& a, const gcm::State& b,
   EXPECT_EQ(a.step, b.step) << what;
 }
 
+// The pid keeps concurrent processes of this binary apart: ctest -j
+// runs the suite aggregate beside the discovered copies of its tests.
 std::string ckpt_prefix_for(const char* name) {
-  return (fs::temp_directory_path() / name).string();
+  return (fs::temp_directory_path() /
+          (std::string(name) + "." + std::to_string(getpid())))
+      .string();
 }
 
 // Flip one payload byte of a committed checkpoint file in place:

@@ -7,6 +7,7 @@
 // than restarting the world, and neither recovery nor rebalance ever
 // costs bits.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -51,8 +52,12 @@ void expect_state_bits_equal(const gcm::State& a, const gcm::State& b,
   EXPECT_EQ(a.step, b.step) << what;
 }
 
+// The pid keeps concurrent processes of this binary apart: ctest -j
+// runs the suite aggregate beside the discovered copies of its tests.
 std::string ckpt_prefix_for(const char* name) {
-  return (fs::temp_directory_path() / name).string();
+  return (fs::temp_directory_path() /
+          (std::string(name) + "." + std::to_string(getpid())))
+      .string();
 }
 
 // One resilient gyre run parameterized by recovery mode, collecting

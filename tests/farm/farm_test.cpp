@@ -6,14 +6,18 @@
 // seed) submission is served from the result cache for zero additional
 // simulated steps; (3) priorities and admission control order/refuse
 // dispatch deterministically; (4) a member that exhausts its restart
-// budget is reported failed without wedging the queue.
+// budget is reported failed without wedging the queue; (5) running a
+// drain's members side by side on host threads changes no ledger byte.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
-#include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "cluster/fault.hpp"
 #include "farm/farm.hpp"
@@ -22,12 +26,12 @@
 namespace hyades::farm {
 namespace {
 
+// The default scratch dir is private to each Farm, so concurrent
+// processes of this binary (ctest -j) never share checkpoint files.
 FarmConfig farm_config(int clusters, int max_pending = 0) {
   FarmConfig fc;
   fc.clusters = clusters;
   fc.max_pending = max_pending;
-  fc.scratch_dir =
-      (std::filesystem::temp_directory_path() / "hyades_farm_test").string();
   return fc;
 }
 
@@ -53,6 +57,16 @@ JobSpec doomed_member(const std::string& name) {
   for (int epoch = 0; epoch <= s.max_restarts + 1; ++epoch) {
     s.faults.node_kills.push_back({/*rank=*/1, /*at_us=*/50.0, epoch});
   }
+  return s;
+}
+
+// A member whose node 1 dies early in epoch 0 and whose tile a
+// survivor adopts live: it completes, and it writes durable checkpoints
+// under the farm's scratch dir on the way.
+JobSpec kill_migrate_member(const std::string& name, std::uint64_t seed) {
+  JobSpec s = member(name, seed);
+  s.recovery = gcm::RecoveryMode::kMigrate;
+  s.faults.node_kills.push_back({/*rank=*/1, /*at_us=*/50.0, /*epoch=*/0});
   return s;
 }
 
@@ -375,6 +389,110 @@ TEST(Farm, PoolSpreadsIndependentMembersAcrossClusters) {
   const Farm::CampaignSummary s = f.summary();
   // Makespan is the slower member, not the sum.
   EXPECT_LT(s.makespan_us, s.busy_us);
+}
+
+// The ledger of the two-drain queue below under one-member-at-a-time
+// execution.  A drain may run its distinct members side by side on host
+// threads, but the schedule, cache traffic and results must stay these.
+constexpr const char* kGoldenLedger = R"(+-----+------------+------+-----------+--------+---------+------------+-------------+-------+----------+------+--------+-----------------------+
+| job |       name | prio |    status | served | cluster | start (ms) | finish (ms) | steps | recovery | migr | downgr |           KE (J, hex) |
++-----+------------+------+-----------+--------+---------+------------+-------------+-------+----------+------+--------+-----------------------+
+|   0 |      ens-0 |    0 | completed |   pool |       1 |      0.000 |      26.286 |     6 |        - |    - |      - | 0x1.10fcb99f753c2p+48 |
+|   1 |      ens-1 |    0 | completed |   pool |       0 |     26.286 |      52.405 |     6 |        - |    - |      - | 0x1.10feae92859b4p+48 |
+|   2 |      ens-2 |    0 | completed |   pool |       1 |     26.286 |      52.405 |     6 |        - |    - |      - |  0x1.10fc774d670ap+48 |
+|   3 |     urgent |    5 | completed |   pool |       0 |      0.000 |      26.286 |     6 |        - |    - |      - | 0x1.10f6af75da70fp+48 |
+|   4 |       wind |    0 | completed |   pool |       0 |     52.405 |      79.023 |     6 |        - |    - |      - | 0x1.1783a0131d4c1p+48 |
+|   5 |     doomed |    0 |    failed |   pool |       1 |     52.405 |      59.455 |     0 |  restart |    0 |      0 |                     - |
+|   6 |  ens-0-dup |    0 | completed |  cache |       - |     79.023 |      79.023 |     0 |        - |    - |      - | 0x1.10fcb99f753c2p+48 |
+|   7 |    migrate |    0 | completed |   pool |       1 |     59.455 |      92.319 |     6 |  migrate |    1 |      0 | 0x1.10f4946159d61p+48 |
+|   8 | doomed-dup |    0 |    failed |   pool |       0 |     79.023 |      86.073 |     0 |  restart |    0 |      0 |                     - |
+|   9 |      ens-3 |    0 | completed |   pool |       0 |     86.073 |     112.192 |     6 |        - |    - |      - | 0x1.10f32cf76637cp+48 |
+|  10 |      ens-4 |    0 | completed |   pool |       1 |    112.192 |     138.478 |     6 |        - |    - |      - | 0x1.10f5251e11233p+48 |
+|  11 |  ens-1-dup |    0 | completed |  cache |       - |    138.478 |     138.478 |     0 |        - |    - |      - | 0x1.10feae92859b4p+48 |
+|  12 | urgent-dup |    5 | completed |  cache |       - |    112.192 |     112.192 |     0 |        - |    - |      - | 0x1.10f6af75da70fp+48 |
++-----+------------+------+-----------+--------+---------+------------+-------------+-------+----------+------+--------+-----------------------+
+campaign: 13 submitted, 11 completed (3 from cache), 2 failed, 0 rejected
+steps: 48 simulated, 18 saved by dedup; cluster busy 230.797 ms; makespan 138.478 ms
+recovery: 0 retransmits, 8 restarts, 1 migrations, 0 rebalances, 0 ladder downgrades
+)";
+
+TEST(Farm, ParallelDrainReproducesSequentialLedger) {
+  // More distinct members than a 4-core host has workers, a member that
+  // overtakes the rest, a duplicate of a completed member, and a doomed
+  // member with its duplicate in the same drain; then a drain with one
+  // fresh member among cache hits.
+  for (int run = 0; run < 5; ++run) {
+    Farm f(farm_config(2));
+    f.submit(member("ens-0", 601));
+    f.submit(member("ens-1", 602));
+    f.submit(member("ens-2", 603));
+    f.submit(member("urgent", 604, /*steps=*/6, /*priority=*/5));
+    JobSpec wind = member("wind", 601);
+    wind.config.wind_tau0 += 0.05;
+    f.submit(wind);
+    f.submit(doomed_member("doomed"));
+    f.submit(member("ens-0-dup", 601));
+    f.submit(kill_migrate_member("migrate", 605));
+    f.submit(doomed_member("doomed-dup"));
+    f.submit(member("ens-3", 606));
+    f.run_until_drained();
+    f.submit(member("ens-4", 607));
+    f.submit(member("ens-1-dup", 602));
+    f.submit(member("urgent-dup", 604, /*steps=*/6, /*priority=*/5));
+    f.run_until_drained();
+    EXPECT_EQ(f.format_summary(), kGoldenLedger) << "run " << run;
+    EXPECT_EQ(f.cache().hits(), 3) << "run " << run;
+    EXPECT_EQ(f.cache().misses(), 10) << "run " << run;
+  }
+}
+
+TEST(Farm, CallerBugOnAWorkerThrowsFromTheDrain) {
+  // A spec the executor rejects is a caller bug, not a failed member:
+  // the drain throws on the calling thread, the members dispatched
+  // before it keep their ledger rows, and the ones behind it stay
+  // queued for the next drain.
+  Farm f(farm_config(2));
+  const int first = f.submit(member("first", 701));
+  JobSpec bad = member("bad", 702);
+  bad.machine = {2, 1};  // 2 ranks for 4 tiles
+  const int bug = f.submit(bad);
+  const int last = f.submit(member("last", 703));
+  EXPECT_THROW(f.run_until_drained(), std::invalid_argument);
+  EXPECT_EQ(f.job(first).status, JobStatus::kCompleted);
+  EXPECT_EQ(f.job(bug).status, JobStatus::kQueued);
+  EXPECT_EQ(f.job(last).status, JobStatus::kQueued);
+
+  f.run_until_drained();
+  EXPECT_EQ(f.job(last).status, JobStatus::kCompleted);
+  EXPECT_EQ(f.summary().completed, 2);
+}
+
+TEST(Farm, DefaultScratchDirIsPrivateToEachFarm) {
+  // Two farms of one process on the default scratch dir, each draining
+  // a member that checkpoints: neither may overwrite the other's files.
+  const JobSpec spec = kill_migrate_member("kill-migrate", 801);
+  for (int round = 0; round < 20; ++round) {
+    std::array<JobRecord, 2> rec;
+    {
+      std::vector<std::jthread> farms;
+      for (std::size_t t = 0; t < rec.size(); ++t) {
+        farms.emplace_back([&spec, &rec, t] {
+          try {
+            Farm f(FarmConfig{});
+            const int id = f.submit(spec);
+            f.run_until_drained();
+            rec[t] = f.job(id);
+          } catch (const std::exception& e) {
+            rec[t].error = e.what();
+          }
+        });
+      }
+    }
+    for (const JobRecord& r : rec) {
+      EXPECT_EQ(r.status, JobStatus::kCompleted)
+          << "round " << round << ": " << r.error;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // bit-identical to the failure-free run -- hard failures cost virtual
 // time and accounting, never bits.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
@@ -49,8 +50,12 @@ void expect_state_bits_equal(const gcm::State& a, const gcm::State& b,
   EXPECT_EQ(a.step, b.step) << what;
 }
 
+// The pid keeps concurrent processes of this binary apart: ctest -j
+// runs the suite aggregate beside the discovered copies of its tests.
 std::string ckpt_prefix_for(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::string(name) + "." + std::to_string(getpid())))
+      .string();
 }
 
 void cleanup_slots(const std::string& prefix, int ranks) {

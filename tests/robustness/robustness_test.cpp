@@ -3,6 +3,7 @@
 // only virtual timing, never the model state), the solver's NaN guard,
 // stragglers, and faults and recoveries leaving stderr silent.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -344,8 +345,10 @@ TEST(Robustness, FaultsAndRecoveryLeaveStderrSilent) {
   mc.interconnect = &gcm::testing::test_net();
   mc.faults = &kill;
   gcm::ResilientConfig rcfg;
-  rcfg.ckpt_prefix =
-      (std::filesystem::temp_directory_path() / "hyades_rb_silent").string();
+  // The pid keeps concurrent processes of this binary apart (ctest -j).
+  rcfg.ckpt_prefix = (std::filesystem::temp_directory_path() /
+                      ("hyades_rb_silent." + std::to_string(getpid())))
+                         .string();
   rcfg.ckpt_every = 3;
 
   ::testing::internal::CaptureStderr();
