@@ -1,12 +1,14 @@
 // Host-side microbenchmarks (google-benchmark): throughput of the
 // simulator substrate itself -- event scheduling, packet routing through
-// the fat tree, CG operator application, and a full GCM model step.
+// the fat tree, CG operator application, the line preconditioner and
+// the tracer kernel on an ocean tile, and a full GCM model step.
 // These guard the *reproduction's* performance, not the paper's numbers.
 #include <benchmark/benchmark.h>
 
 #include "arctic/fabric.hpp"
 #include "gcm/cg.hpp"
 #include "gcm/halo.hpp"
+#include "gcm/kernels.hpp"
 #include "gcm/model.hpp"
 #include "net/arctic_model.hpp"
 #include "sim/scheduler.hpp"
@@ -67,6 +69,70 @@ void BM_EllipticApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.nx * cfg.ny);
 }
 BENCHMARK(BM_EllipticApply);
+
+// The ocean preset's 128x64x30 tile (continents) on one rank, after two
+// steps: the state the tile kernels see in a run.
+struct OceanTile {
+  gcm::ModelConfig cfg = gcm::ocean_preset(1, 1);
+  gcm::Decomp dec{cfg, 0};
+  gcm::TileGrid grid{cfg, dec};
+  gcm::State state;
+
+  OceanTile() {
+    const net::ArcticModel net;
+    cluster::MachineConfig mc;
+    mc.smp_count = 1;
+    mc.procs_per_smp = 1;
+    mc.interconnect = &net;
+    cluster::Runtime rt(mc);
+    rt.run([&](cluster::RankContext& ctx) {
+      comm::Comm comm(ctx);
+      gcm::Model m(cfg, comm);
+      m.initialize();
+      (void)m.step();
+      (void)m.step();
+      state = m.state();
+    });
+  }
+};
+
+const OceanTile& ocean_tile() {
+  static const OceanTile tile;
+  return tile;
+}
+
+void BM_Precondition(benchmark::State& state) {
+  const OceanTile& t = ocean_tile();
+  const gcm::EllipticOperator op(t.cfg, t.dec, t.grid);
+  Array2D<double> r(t.state.ps.nx(), t.state.ps.ny(), 0.0);
+  Array2D<double> z = r;
+  (void)op.apply(t.state.ps, r);  // a residual shaped like the solver's
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(op.precondition(r, z));
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * t.dec.snx * t.dec.sny);
+}
+BENCHMARK(BM_Precondition);
+
+void BM_TracerTendency(benchmark::State& state) {
+  // DST-3 tracer tendency over the step's window, as Timestepper::step
+  // calls it under implicit vertical mixing.
+  const OceanTile& t = ocean_tile();
+  const gcm::State& s = t.state;
+  const gcm::kernels::Range r1 = gcm::kernels::extended(t.dec, 1);
+  Array3D<double> gt = s.gt;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gcm::kernels::tracer_tendency(
+        t.cfg, t.grid, s.u, s.v, s.w, s.theta, gt, t.cfg.diff_h, 0.0, r1));
+    benchmark::DoNotOptimize(gt.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (r1.i1 - r1.i0) *
+                          (r1.j1 - r1.j0) * t.cfg.nz);
+}
+BENCHMARK(BM_TracerTendency)->Unit(benchmark::kMillisecond);
 
 void BM_ModelStepSingleTile(benchmark::State& state) {
   // Host cost of one full 128x64x10 atmosphere step on one tile (no

@@ -67,12 +67,30 @@ double dot_interior(const InteriorRuns& in, const double* a, const double* b) {
   return s;
 }
 
-// y += alpha * x
-void axpy_interior(const InteriorRuns& in, double alpha, const double* x,
-                   double* y) {
+// {<a,b>, <a,c>} in one pass; each sum adds its terms in dot_interior's
+// order, so both equal dot_interior's bit for bit.
+std::vector<double> dot2_interior(const InteriorRuns& in, const double* a,
+                                  const double* b, const double* c) {
+  double s = 0.0, t = 0.0;
   for (std::size_t row = 0; row < in.rows; ++row) {
     const std::size_t o0 = in.first + row * in.stride;
-    for (std::size_t o = o0; o < o0 + in.len; ++o) y[o] += alpha * x[o];
+    for (std::size_t o = o0; o < o0 + in.len; ++o) {
+      s += a[o] * b[o];
+      t += a[o] * c[o];
+    }
+  }
+  return {s, t};
+}
+
+// p += alpha * d and r += (-alpha) * q in one pass.
+void update_interior(const InteriorRuns& in, double alpha, const double* d,
+                     double* p, const double* q, double* r) {
+  for (std::size_t row = 0; row < in.rows; ++row) {
+    const std::size_t o0 = in.first + row * in.stride;
+    for (std::size_t o = o0; o < o0 + in.len; ++o) {
+      p[o] += alpha * d[o];
+      r[o] += -alpha * q[o];
+    }
   }
 }
 
@@ -112,14 +130,16 @@ CgResult solve(comm::Comm& comm, const Decomp& dec, const Op& op,
 
   res.flops += op.precondition(r, z);
   d = z;
-  double rz = comm.global_sum(dot_interior(in, r.data(), z.data()));
+  const std::vector<double> rz_rr =
+      dot2_interior(in, r.data(), z.data(), r.data());
+  double rz = comm.global_sum(rz_rr[0]);
   res.flops += 2.0 * cells;
   // ||b|| only scales the stopping test and is not flop-charged.
   res.rhs_norm = std::sqrt(
       std::max(comm.global_sum(dot_interior(in, b.data(), b.data())), 0.0));
   const double target = tol * std::max(res.rhs_norm, 1e-300);
 
-  double rr = comm.global_sum(dot_interior(in, r.data(), r.data()));
+  double rr = comm.global_sum(rz_rr[1]);
   res.flops += 2.0 * cells;
   if (!std::isfinite(rr) || !std::isfinite(rz)) {
     throw SolverDivergence("cg_solve", 0, rr);
@@ -156,8 +176,7 @@ CgResult solve(comm::Comm& comm, const Decomp& dec, const Op& op,
     res.flops += 2.0 * cells;
     if (dq <= 0.0) break;  // L is SPD on the wet subspace; dq==0 => done
     const double alpha = rz / dq;
-    axpy_interior(in, alpha, d.data(), p.data());
-    axpy_interior(in, -alpha, q.data(), r.data());
+    update_interior(in, alpha, d.data(), p.data(), q.data(), r.data());
     res.flops += 4.0 * cells;
 
     res.flops += op.precondition(r, z);
@@ -168,8 +187,7 @@ CgResult solve(comm::Comm& comm, const Decomp& dec, const Op& op,
     exchange_halo1(comm, dec, z);
     // Fused into one butterfly payload; still costed (and counted) as
     // the paper's two global sums.
-    std::vector<double> sums{dot_interior(in, r.data(), z.data()),
-                             dot_interior(in, r.data(), r.data())};
+    std::vector<double> sums = dot2_interior(in, r.data(), z.data(), r.data());
     res.flops += 4.0 * cells;
     comm.global_sum(sums);
     const double rz_new = sums[0];

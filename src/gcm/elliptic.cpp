@@ -1,8 +1,16 @@
 #include "gcm/elliptic.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace hyades::gcm {
+
+namespace {
+// Offset of cell (i, j) in a tile array with rows of ny.
+inline std::size_t cell(std::size_t ny, int i, int j) {
+  return static_cast<std::size_t>(i) * ny + static_cast<std::size_t>(j);
+}
+}  // namespace
 
 EllipticOperator::EllipticOperator(const ModelConfig& cfg, const Decomp& dec,
                                    const TileGrid& grid)
@@ -47,7 +55,9 @@ EllipticOperator::EllipticOperator(const ModelConfig& cfg, const Decomp& dec,
                       wS_(si, sj + 1);
     }
   }
-  ybuf_.assign(static_cast<std::size_t>(dec.sny), 0.0);
+  ybuf_.assign(diag_.size(), 0.0);
+  carry_.assign(static_cast<std::size_t>(std::max(ex, ey)), 0.0);
+  open_.assign(carry_.size(), 0);
   factor_lines();
 }
 
@@ -121,121 +131,138 @@ void EllipticOperator::factor_lines() {
 
 double EllipticOperator::apply(const Array2D<double>& p,
                                Array2D<double>& out) const {
-  double flops = 0;
+  assert(p.nx() == diag_.nx() && p.ny() == diag_.ny() &&
+         out.nx() == diag_.nx() && out.ny() == diag_.ny());
+  const std::size_t ny = diag_.ny();
+  const double* dg = diag_.data();
+  const double* ww = wW_.data();
+  const double* ws = wS_.data();
+  const double* pp = p.data();
+  double* o = out.data();
+  long flops = 0;
   for (int i = dec_.halo; i < dec_.halo + dec_.snx; ++i) {
     for (int j = dec_.halo; j < dec_.halo + dec_.sny; ++j) {
-      const auto si = static_cast<std::size_t>(i);
-      const auto sj = static_cast<std::size_t>(j);
-      if (diag_(si, sj) <= 0) {
-        out(si, sj) = 0.0;
+      const std::size_t c = cell(ny, i, j);
+      if (dg[c] <= 0) {
+        o[c] = 0.0;
         continue;
       }
       // L = -A: diag * p_c - sum w_f p_nb.
-      out(si, sj) = diag_(si, sj) * p(si, sj) -
-                    wW_(si, sj) * p(si - 1, sj) -
-                    wW_(si + 1, sj) * p(si + 1, sj) -
-                    wS_(si, sj) * p(si, sj - 1) -
-                    wS_(si, sj + 1) * p(si, sj + 1);
-      flops += 9.0;
+      o[c] = dg[c] * pp[c] - ww[c] * pp[c - ny] - ww[c + ny] * pp[c + ny] -
+             ws[c] * pp[c - 1] - ws[c + 1] * pp[c + 1];
+      flops += 9;
     }
   }
-  return flops;
+  return static_cast<double>(flops);
 }
 
 double EllipticOperator::precondition(const Array2D<double>& r,
                                       Array2D<double>& z) const {
-  double flops = 0;
+  assert(r.nx() == diag_.nx() && r.ny() == diag_.ny() &&
+         z.nx() == diag_.nx() && z.ny() == diag_.ny());
+  const std::size_t ny = diag_.ny();
   const int h = dec_.halo;
+  const int i0 = h, i1 = h + dec_.snx, j0 = h, j1 = h + dec_.sny;
+  const double* dg = diag_.data();
+  const double* rr = r.data();
+  double* zz = z.data();
   if (jacobi_) {  // z = r / diag(L)
-    for (int i = h; i < h + dec_.snx; ++i) {
-      for (int j = h; j < h + dec_.sny; ++j) {
-        const auto si = static_cast<std::size_t>(i);
-        const auto sj = static_cast<std::size_t>(j);
-        z(si, sj) = diag_(si, sj) > 0 ? r(si, sj) / diag_(si, sj) : 0.0;
-        flops += 1.0;
+    for (int i = i0; i < i1; ++i) {
+      for (int j = j0; j < j1; ++j) {
+        const std::size_t c = cell(ny, i, j);
+        zz[c] = dg[c] > 0 ? rr[c] / dg[c] : 0.0;
       }
     }
-    return flops;
+    return static_cast<double>(dec_.snx) * static_cast<double>(dec_.sny);
   }
 
   // Thomas solves per line in both directions (restarting at land
-  // breaks, where rows are decoupled identity blocks), averaged.
+  // breaks, where rows are decoupled identity blocks), averaged.  All
+  // lines of a pass advance together, the line index innermost: line l
+  // carries its last value and whether its previous cell was wet.
+  long flops = 0;
+  double* carry = carry_.data();
+  int* open = open_.data();
   // ---- zonal pass: z holds Mx^-1 r -------------------------------------
-  for (int j = h; j < h + dec_.sny; ++j) {
-    const auto sj = static_cast<std::size_t>(j);
-    bool have_prev = false;
-    double prev_z = 0.0;
-    for (int i = h; i < h + dec_.snx; ++i) {
-      const auto si = static_cast<std::size_t>(i);
-      if (diag_(si, sj) <= 0) {
-        z(si, sj) = 0.0;
-        have_prev = false;
+  const double* ww = wW_.data();
+  const double* iv = inv_.data();
+  const double* cp = cp_.data();
+  std::fill(carry + j0, carry + j1, 0.0);
+  std::fill(open + j0, open + j1, 0);
+  for (int i = i0; i < i1; ++i) {
+    for (int j = j0; j < j1; ++j) {
+      const std::size_t c = cell(ny, i, j);
+      if (dg[c] <= 0) {
+        zz[c] = 0.0;
+        open[j] = 0;
         continue;
       }
-      const double a = (have_prev && i > h) ? -wW_(si, sj) : 0.0;
-      z(si, sj) = (r(si, sj) - a * prev_z) * inv_(si, sj);
-      prev_z = z(si, sj);
-      have_prev = true;
-      flops += 3.0;
+      const double a = open[j] ? -ww[c] : 0.0;
+      zz[c] = (rr[c] - a * carry[j]) * iv[c];
+      carry[j] = zz[c];
+      open[j] = 1;
+      flops += 3;
     }
-    bool have_next = false;
-    double next_z = 0.0;
-    for (int i = h + dec_.snx - 1; i >= h; --i) {
-      const auto si = static_cast<std::size_t>(i);
-      if (diag_(si, sj) <= 0) {
-        have_next = false;
+  }
+  std::fill(open + j0, open + j1, 0);
+  for (int i = i1 - 1; i >= i0; --i) {
+    for (int j = j0; j < j1; ++j) {
+      const std::size_t c = cell(ny, i, j);
+      if (dg[c] <= 0) {
+        open[j] = 0;
         continue;
       }
-      if (have_next) {
-        z(si, sj) -= cp_(si, sj) * next_z;
-        flops += 2.0;
+      if (open[j]) {
+        zz[c] -= cp[c] * carry[j];
+        flops += 2;
       }
-      next_z = z(si, sj);
-      have_next = true;
+      carry[j] = zz[c];
+      open[j] = 1;
     }
   }
 
   // ---- meridional pass, accumulated: z = (Mx^-1 r + My^-1 r) / 2 -------
-  for (int i = h; i < h + dec_.snx; ++i) {
-    const auto si = static_cast<std::size_t>(i);
-    bool have_prev = false;
-    double prev_y = 0.0;
-    double* ybuf = ybuf_.data();
-    for (int j = h; j < h + dec_.sny; ++j) {
-      const auto sj = static_cast<std::size_t>(j);
-      const int jj = j - h;
-      if (diag_(si, sj) <= 0) {
-        ybuf[jj] = 0.0;
-        have_prev = false;
+  // ybuf_ holds My^-1 r until the back substitution averages it into z.
+  const double* ws = wS_.data();
+  const double* ivy = invy_.data();
+  const double* cpy = cpy_.data();
+  double* y = ybuf_.data();
+  std::fill(carry + i0, carry + i1, 0.0);
+  std::fill(open + i0, open + i1, 0);
+  for (int j = j0; j < j1; ++j) {
+    for (int i = i0; i < i1; ++i) {
+      const std::size_t c = cell(ny, i, j);
+      if (dg[c] <= 0) {
+        open[i] = 0;
         continue;
       }
-      const double a = (have_prev && j > h) ? -wS_(si, sj) : 0.0;
-      ybuf[jj] = (r(si, sj) - a * prev_y) * invy_(si, sj);
-      prev_y = ybuf[jj];
-      have_prev = true;
-      flops += 3.0;
-    }
-    bool have_next = false;
-    double next_y = 0.0;
-    for (int j = h + dec_.sny - 1; j >= h; --j) {
-      const auto sj = static_cast<std::size_t>(j);
-      const int jj = j - h;
-      if (diag_(si, sj) <= 0) {
-        have_next = false;
-        continue;
-      }
-      double yj = ybuf[jj];
-      if (have_next) {
-        yj -= cpy_(si, sj) * next_y;
-        flops += 2.0;
-      }
-      next_y = yj;
-      have_next = true;
-      z(si, sj) = 0.5 * (z(si, sj) + yj);
-      flops += 2.0;
+      const double a = open[i] ? -ws[c] : 0.0;
+      y[c] = (rr[c] - a * carry[i]) * ivy[c];
+      carry[i] = y[c];
+      open[i] = 1;
+      flops += 3;
     }
   }
-  return flops;
+  std::fill(open + i0, open + i1, 0);
+  for (int j = j1 - 1; j >= j0; --j) {
+    for (int i = i0; i < i1; ++i) {
+      const std::size_t c = cell(ny, i, j);
+      if (dg[c] <= 0) {
+        open[i] = 0;
+        continue;
+      }
+      double yj = y[c];
+      if (open[i]) {
+        yj -= cpy[c] * carry[i];
+        flops += 2;
+      }
+      carry[i] = yj;
+      open[i] = 1;
+      zz[c] = 0.5 * (zz[c] + yj);
+      flops += 2;
+    }
+  }
+  return static_cast<double>(flops);
 }
 
 }  // namespace hyades::gcm

@@ -67,7 +67,9 @@ class EllipticOperator {
   // y-direction sets.
   Array2D<double> cp_, inv_;
   Array2D<double> cpy_, invy_;
-  mutable std::vector<double> ybuf_;  // meridional Thomas scratch
+  // precondition's scratch: Thomas values, per-line carries and wet flags.
+  mutable std::vector<double> ybuf_, carry_;
+  mutable std::vector<int> open_;
 };
 
 }  // namespace hyades::gcm

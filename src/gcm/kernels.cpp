@@ -1,15 +1,17 @@
 #include "gcm/kernels.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "gcm/eos.hpp"
 
 namespace hyades::gcm::kernels {
 
 namespace {
-// Terse local accessors (indices are validated by the Array asserts in
-// debug builds).
+// Terse local accessors, checked by the Array asserts in debug builds.
 inline double at(const Array3D<double>& f, int i, int j, int k) {
   return f(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
            static_cast<std::size_t>(k));
@@ -26,6 +28,61 @@ inline double& at(Array2D<double>& f, int i, int j) {
 }
 inline double m1(const std::vector<double>& v, int j) {
   return v[static_cast<std::size_t>(j)];
+}
+
+// The contiguous k column at (i, j).  The Array asserts never see walks
+// of these pointers, so each kernel that walks them asserts once, before
+// its loops, that its window plus its stencil reach is `inside`.
+inline const double* col(const Array3D<double>& f, int i, int j) {
+  return f.column(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+}
+inline double* col(Array3D<double>& f, int i, int j) {
+  return f.column(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+}
+
+// True when window r, widened by `lo` cells below i0/j0 and `hi` cells
+// at and beyond i1/j1, lies inside every array, each holding nz levels.
+template <typename... Arrays>
+bool inside(const Range& r, int lo, int hi, int nz, const Arrays&... fs) {
+  const auto fits = [&](const Array3D<double>& f) {
+    return r.i0 - lo >= 0 && r.j0 - lo >= 0 &&
+           r.i1 + hi <= static_cast<int>(f.nx()) &&
+           r.j1 + hi <= static_cast<int>(f.ny()) &&
+           nz <= static_cast<int>(f.nz());
+  };
+  return empty(r) || (fits(fs) && ...);
+}
+
+// Sweeps the columns of r in (i, j) order, computing every horizontal
+// face once: xfaces(i, j, out) fills out[0..nz) for the west faces of
+// column (i, j), yfaces for its south faces, and column(i, j, w, e, s, n)
+// uses them.  Column i-1's east faces are carried as column i's west
+// faces in a (j, k) plane, row j-1's north faces in a k row.
+template <typename XFaces, typename YFaces, typename Column>
+void face_sweep(const Range& r, int nz, XFaces xfaces, YFaces yfaces,
+                Column column) {
+  if (empty(r)) return;
+  const auto nzs = static_cast<std::size_t>(nz);
+  const auto plane = static_cast<std::size_t>(r.j1 - r.j0) * nzs;
+  std::vector<double> buf(2 * plane + 2 * nzs);
+  double* west = buf.data();
+  double* east = west + plane;
+  double* south = east + plane;
+  double* north = south + nzs;
+  for (int j = r.j0; j < r.j1; ++j) {
+    xfaces(r.i0, j, west + static_cast<std::size_t>(j - r.j0) * nzs);
+  }
+  for (int i = r.i0; i < r.i1; ++i) {
+    yfaces(i, r.j0, south);
+    for (int j = r.j0; j < r.j1; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j - r.j0) * nzs;
+      xfaces(i + 1, j, east + off);
+      yfaces(i, j + 1, north);
+      column(i, j, west + off, east + off, south, north);
+      std::swap(south, north);
+    }
+    std::swap(west, east);
+  }
 }
 }  // namespace
 
@@ -208,27 +265,6 @@ double momentum_tendencies(const ModelConfig& cfg, const TileGrid& grid,
 }
 
 namespace {
-// Downward volume flux through the top face of cell (i,j,k) implied by
-// advective transport of `tr`, plus vertical diffusion.
-inline double vertical_tracer_flux(const TileGrid& grid,
-                                   const Array3D<double>& w,
-                                   const Array3D<double>& tr, double kappa_v,
-                                   int i, int j, int k) {
-  if (k == 0) return 0.0;  // no flux through the surface
-  if (at(grid.hFacC, i, j, k) <= 0 || at(grid.hFacC, i, j, k - 1) <= 0) {
-    return 0.0;
-  }
-  const double area = m1(grid.rAc, j);
-  const double adv =
-      at(w, i, j, k) * area * 0.5 * (at(tr, i, j, k - 1) + at(tr, i, j, k));
-  const double dzc = grid.zC[static_cast<std::size_t>(k)] -
-                     grid.zC[static_cast<std::size_t>(k - 1)];
-  // Downward diffusive flux: F = -kv * d(tr)/d(depth) * area.
-  const double diff =
-      -kappa_v * area * (at(tr, i, j, k) - at(tr, i, j, k - 1)) / dzc;
-  return adv + diff;
-}
-
 // 3rd-order direct space-time face value (MITgcm's DST-3 scheme):
 // upwind-biased, with the Courant number folded into the weights.  The
 // slope differences are masked so the stencil degrades gracefully to
@@ -248,56 +284,6 @@ inline double dst3_face_value(double vel, double cfl, double t_m2,
   return t_0 - (d0 * rj + d1 * rjp);
 }
 
-// Eastward tracer flux (advection + diffusion) through the west face of
-// cell (i,j,k).
-inline double zonal_tracer_flux(const ModelConfig& cfg, const TileGrid& grid,
-                                const Array3D<double>& u,
-                                const Array3D<double>& tr, double kappa_h,
-                                int i, int j, int k, double dz) {
-  const double open = at(grid.hFacW, i, j, k);
-  if (open <= 0) return 0.0;
-  const double area = open * grid.dyC * dz;
-  const double vel = at(u, i, j, k);
-  double face;
-  if (cfg.advection == ModelConfig::Advection::kDst3) {
-    const double cfl = vel * cfg.dt / m1(grid.dxC, j);
-    face = dst3_face_value(vel, cfl, at(tr, i - 2, j, k), at(tr, i - 1, j, k),
-                           at(tr, i, j, k), at(tr, i + 1, j, k),
-                           at(grid.hFacC, i - 2, j, k) > 0,
-                           at(grid.hFacC, i + 1, j, k) > 0);
-  } else {
-    face = 0.5 * (at(tr, i - 1, j, k) + at(tr, i, j, k));
-  }
-  const double adv = vel * area * face;
-  const double diff = -kappa_h * area *
-                      (at(tr, i, j, k) - at(tr, i - 1, j, k)) / m1(grid.dxC, j);
-  return adv + diff;
-}
-
-// Northward tracer flux through the south face of cell (i,j,k).
-inline double merid_tracer_flux(const ModelConfig& cfg, const TileGrid& grid,
-                                const Array3D<double>& v,
-                                const Array3D<double>& tr, double kappa_h,
-                                int i, int j, int k, double dz) {
-  const double open = at(grid.hFacS, i, j, k);
-  if (open <= 0) return 0.0;
-  const double area = open * m1(grid.dxS, j) * dz;
-  const double vel = at(v, i, j, k);
-  double face;
-  if (cfg.advection == ModelConfig::Advection::kDst3) {
-    const double cfl = vel * cfg.dt / grid.dyC;
-    face = dst3_face_value(vel, cfl, at(tr, i, j - 2, k), at(tr, i, j - 1, k),
-                           at(tr, i, j, k), at(tr, i, j + 1, k),
-                           at(grid.hFacC, i, j - 2, k) > 0,
-                           at(grid.hFacC, i, j + 1, k) > 0);
-  } else {
-    face = 0.5 * (at(tr, i, j - 1, k) + at(tr, i, j, k));
-  }
-  const double adv = vel * area * face;
-  const double diff =
-      -kappa_h * area * (at(tr, i, j, k) - at(tr, i, j - 1, k)) / grid.dyC;
-  return adv + diff;
-}
 }  // namespace
 
 double tracer_tendency(const ModelConfig& cfg, const TileGrid& grid,
@@ -306,75 +292,157 @@ double tracer_tendency(const ModelConfig& cfg, const TileGrid& grid,
                        Array3D<double>& gtr, double kappa_h, double kappa_v,
                        const Range& r) {
   const int nz = cfg.nz;
-  double flops = 0;
-  for (int i = r.i0; i < r.i1; ++i) {
-    for (int j = r.j0; j < r.j1; ++j) {
-      for (int k = 0; k < nz; ++k) {
-        const double hfac = at(grid.hFacC, i, j, k);
-        if (hfac <= 0) {
-          at(gtr, i, j, k) = 0.0;
-          continue;
-        }
-        const double dz = grid.dzf[static_cast<std::size_t>(k)];
-        const double fw =
-            zonal_tracer_flux(cfg, grid, u, tr, kappa_h, i, j, k, dz);
-        const double fe =
-            zonal_tracer_flux(cfg, grid, u, tr, kappa_h, i + 1, j, k, dz);
-        const double fs =
-            merid_tracer_flux(cfg, grid, v, tr, kappa_h, i, j, k, dz);
-        const double fn =
-            merid_tracer_flux(cfg, grid, v, tr, kappa_h, i, j + 1, k, dz);
-        const double ftop =
-            vertical_tracer_flux(grid, w, tr, kappa_v, i, j, k);
-        const double fbot = (k + 1 < nz)
-                                ? vertical_tracer_flux(grid, w, tr, kappa_v,
-                                                       i, j, k + 1)
-                                : 0.0;
-        const double vol = m1(grid.rAc, j) * dz * hfac;
-        at(gtr, i, j, k) = -((fe - fw) + (fn - fs) + (fbot - ftop)) / vol;
-        flops += cfg.advection == ModelConfig::Advection::kDst3 ? 102.0 : 54.0;
+  const bool dst3 = cfg.advection == ModelConfig::Advection::kDst3;
+  [[maybe_unused]] const int reach = dst3 ? 2 : 1;
+  assert(inside(r, reach, reach, nz, u, v, tr, grid.hFacC, grid.hFacW,
+                grid.hFacS) &&
+         inside(r, 0, 0, nz, w, gtr));
+  const double dt = cfg.dt;
+  const double* dzf = grid.dzf.data();
+  const double* zc = grid.zC.data();
+  // Flux (advection + diffusion) through the faces between columns
+  // (i-di, j-dj) and (i, j) of face length `len`, centers `dist` apart.
+  // Only DST-3 addresses the columns one further out on each side.
+  const auto fluxes = [&](const Array3D<double>& open,
+                          const Array3D<double>& vel, int i, int j, int di,
+                          int dj, double len, double dist, double* out) {
+    const double* op = col(open, i, j);
+    const double* ve = col(vel, i, j);
+    const double* t_m1 = col(tr, i - di, j - dj);
+    const double* t_0 = col(tr, i, j);
+    const double* t_m2 = dst3 ? col(tr, i - 2 * di, j - 2 * dj) : nullptr;
+    const double* t_p1 = dst3 ? col(tr, i + di, j + dj) : nullptr;
+    const double* h_m2 =
+        dst3 ? col(grid.hFacC, i - 2 * di, j - 2 * dj) : nullptr;
+    const double* h_p1 = dst3 ? col(grid.hFacC, i + di, j + dj) : nullptr;
+    for (int k = 0; k < nz; ++k) {
+      if (op[k] <= 0) {
+        out[k] = 0.0;
+        continue;
       }
+      const double area = op[k] * len * dzf[k];
+      double face;
+      if (dst3) {
+        const double cfl = ve[k] * dt / dist;
+        face = dst3_face_value(ve[k], cfl, t_m2[k], t_m1[k], t_0[k], t_p1[k],
+                               h_m2[k] > 0, h_p1[k] > 0);
+      } else {
+        face = 0.5 * (t_m1[k] + t_0[k]);
+      }
+      const double adv = ve[k] * area * face;
+      const double diff = -kappa_h * area * (t_0[k] - t_m1[k]) / dist;
+      out[k] = adv + diff;
     }
-  }
-  return flops;
+  };
+  // Downward fluxes through the top of each level: none through the
+  // surface or the bottom (vt[0] = vt[nz] = 0).
+  std::vector<double> vert(static_cast<std::size_t>(nz) + 1, 0.0);
+  double* vt = vert.data();
+  long cells = 0;
+  face_sweep(
+      r, nz,
+      [&](int i, int j, double* out) {
+        fluxes(grid.hFacW, u, i, j, 1, 0, grid.dyC, m1(grid.dxC, j), out);
+      },
+      [&](int i, int j, double* out) {
+        fluxes(grid.hFacS, v, i, j, 0, 1, m1(grid.dxS, j), grid.dyC, out);
+      },
+      [&](int i, int j, const double* fw, const double* fe, const double* fs,
+          const double* fn) {
+        const double* hf = col(grid.hFacC, i, j);
+        const double* wc = col(w, i, j);
+        const double* t = col(tr, i, j);
+        double* g = col(gtr, i, j);
+        const double area = m1(grid.rAc, j);
+        for (int k = 1; k < nz; ++k) {
+          vt[k] = 0.0;
+          if (hf[k] <= 0 || hf[k - 1] <= 0) continue;
+          const double adv = wc[k] * area * 0.5 * (t[k - 1] + t[k]);
+          const double dzc = zc[k] - zc[k - 1];
+          // Downward diffusive flux: F = -kv * d(tr)/d(depth) * area.
+          const double diff = -kappa_v * area * (t[k] - t[k - 1]) / dzc;
+          vt[k] = adv + diff;
+        }
+        for (int k = 0; k < nz; ++k) {
+          if (hf[k] <= 0) {
+            g[k] = 0.0;
+            continue;
+          }
+          const double vol = area * dzf[k] * hf[k];
+          g[k] = -((fe[k] - fw[k]) + (fn[k] - fs[k]) + (vt[k + 1] - vt[k])) /
+                 vol;
+          ++cells;
+        }
+      });
+  return static_cast<double>(cells) * (dst3 ? 102.0 : 54.0);
 }
+
+namespace {
+// One sweep of the masked Laplacian over r: acc = sum over the four faces
+// of w_f (f_nb - f_c), w_f = min(m_c, m_nb) len dz / dist, then
+// store(out_k, acc, vol) per wet cell, and out_k = 0 per dry one when
+// `zero_dry`.  A face term is computed once, as the east (north) term of
+// the cell on its low side; the cell across subtracts it, which equals
+// adding its own west (south) term but for the sign of a zero, and acc,
+// which starts at +0.0, is never -0.0.  Returns the number of wet cells.
+template <typename Store>
+long laplacian_sweep(const ModelConfig& cfg, const TileGrid& grid,
+                     const Array3D<double>& f, const Array3D<double>& mask,
+                     Array3D<double>& out, const Range& r, bool zero_dry,
+                     Store store) {
+  const int nz = cfg.nz;
+  const double* dzf = grid.dzf.data();
+  // Terms of the faces between cells (i-di, j-dj) and (i, j).
+  const auto terms = [&](int i, int j, int di, int dj, double len,
+                         double dist, double* t) {
+    const double* fa = col(f, i - di, j - dj);
+    const double* fb = col(f, i, j);
+    const double* ma = col(mask, i - di, j - dj);
+    const double* mb = col(mask, i, j);
+    for (int k = 0; k < nz; ++k) {
+      t[k] = std::min(ma[k], mb[k]) * len * dzf[k] / dist * (fb[k] - fa[k]);
+    }
+  };
+  long wet = 0;
+  face_sweep(
+      r, nz,
+      [&](int i, int j, double* t) {
+        terms(i, j, 1, 0, grid.dyC, m1(grid.dxC, j), t);
+      },
+      [&](int i, int j, double* t) {
+        terms(i, j, 0, 1, m1(grid.dxS, j), grid.dyC, t);
+      },
+      [&](int i, int j, const double* tw, const double* te, const double* ts,
+          const double* tn) {
+        const double* mc = col(mask, i, j);
+        double* o = col(out, i, j);
+        const double area = m1(grid.rAc, j);
+        for (int k = 0; k < nz; ++k) {
+          if (mc[k] > 0) {
+            double acc = 0.0;
+            acc -= tw[k];
+            acc += te[k];
+            acc -= ts[k];
+            acc += tn[k];
+            store(o[k], acc, area * dzf[k] * mc[k]);
+            ++wet;
+          } else if (zero_dry) {
+            o[k] = 0.0;
+          }
+        }
+      });
+  return wet;
+}
+}  // namespace
 
 double masked_laplacian(const ModelConfig& cfg, const TileGrid& grid,
                         const Array3D<double>& f, const Array3D<double>& mask,
                         Array3D<double>& out, const Range& r) {
-  const int nz = cfg.nz;
-  const double dy = grid.dyC;
-  double flops = 0;
-  for (int i = r.i0; i < r.i1; ++i) {
-    for (int j = r.j0; j < r.j1; ++j) {
-      const double dx = m1(grid.dxC, j);
-      for (int k = 0; k < nz; ++k) {
-        const double mc = at(mask, i, j, k);
-        if (mc <= 0) {
-          at(out, i, j, k) = 0.0;
-          continue;
-        }
-        const double dz = grid.dzf[static_cast<std::size_t>(k)];
-        const double vol = m1(grid.rAc, j) * dz * mc;
-        double acc = 0.0;
-        // East/west faces.
-        const double mw = std::min(mc, at(mask, i - 1, j, k));
-        const double me = std::min(mc, at(mask, i + 1, j, k));
-        acc += mw * dy * dz / dx * (at(f, i - 1, j, k) - at(f, i, j, k));
-        acc += me * dy * dz / dx * (at(f, i + 1, j, k) - at(f, i, j, k));
-        // North/south faces.
-        const double ms = std::min(mc, at(mask, i, j - 1, k));
-        const double mn = std::min(mc, at(mask, i, j + 1, k));
-        acc += ms * m1(grid.dxS, j) * dz / dy *
-               (at(f, i, j - 1, k) - at(f, i, j, k));
-        acc += mn * m1(grid.dxS, j + 1) * dz / dy *
-               (at(f, i, j + 1, k) - at(f, i, j, k));
-        at(out, i, j, k) = acc / vol;
-        flops += 26.0;
-      }
-    }
-  }
-  return flops;
+  assert(inside(r, 1, 1, cfg.nz, f, mask) && inside(r, 0, 0, cfg.nz, out));
+  const long wet = laplacian_sweep(
+      cfg, grid, f, mask, out, r, true,
+      [](double& o, double acc, double vol) { o = acc / vol; });
+  return 26.0 * static_cast<double>(wet);
 }
 
 double biharmonic_tendency(const ModelConfig& cfg, const TileGrid& grid,
@@ -383,39 +451,14 @@ double biharmonic_tendency(const ModelConfig& cfg, const TileGrid& grid,
                            Array3D<double>& scratch, Array3D<double>& g,
                            double a4, const Range& r) {
   if (a4 <= 0) return 0.0;
-  double flops = 0;
+  assert(inside(r, 1, 1, cfg.nz, scratch) && inside(r, 0, 0, cfg.nz, g));
   // First pass one ring wider, so the second pass's stencil is covered.
   const Range r1{r.i0 - 1, r.i1 + 1, r.j0 - 1, r.j1 + 1};
-  flops += masked_laplacian(cfg, grid, f, mask, scratch, r1);
-  const int nz = cfg.nz;
-  for (int i = r.i0; i < r.i1; ++i) {
-    for (int j = r.j0; j < r.j1; ++j) {
-      const double dx = m1(grid.dxC, j);
-      const double dy = grid.dyC;
-      for (int k = 0; k < nz; ++k) {
-        const double mc = at(mask, i, j, k);
-        if (mc <= 0) continue;
-        const double dz = grid.dzf[static_cast<std::size_t>(k)];
-        const double vol = m1(grid.rAc, j) * dz * mc;
-        double acc = 0.0;
-        const double mw = std::min(mc, at(mask, i - 1, j, k));
-        const double me = std::min(mc, at(mask, i + 1, j, k));
-        acc += mw * dy * dz / dx *
-               (at(scratch, i - 1, j, k) - at(scratch, i, j, k));
-        acc += me * dy * dz / dx *
-               (at(scratch, i + 1, j, k) - at(scratch, i, j, k));
-        const double ms = std::min(mc, at(mask, i, j - 1, k));
-        const double mn = std::min(mc, at(mask, i, j + 1, k));
-        acc += ms * m1(grid.dxS, j) * dz / dy *
-               (at(scratch, i, j - 1, k) - at(scratch, i, j, k));
-        acc += mn * m1(grid.dxS, j + 1) * dz / dy *
-               (at(scratch, i, j + 1, k) - at(scratch, i, j, k));
-        at(g, i, j, k) -= a4 * acc / vol;
-        flops += 28.0;
-      }
-    }
-  }
-  return flops;
+  const double flops = masked_laplacian(cfg, grid, f, mask, scratch, r1);
+  const long wet = laplacian_sweep(
+      cfg, grid, scratch, mask, g, r, false,
+      [a4](double& o, double acc, double vol) { o -= a4 * acc / vol; });
+  return flops + 28.0 * static_cast<double>(wet);
 }
 
 double ab2_update(const ModelConfig& cfg, const Array3D<double>& mask,
@@ -424,19 +467,24 @@ double ab2_update(const ModelConfig& cfg, const Array3D<double>& mask,
                   const Range& r) {
   const double c1 = first_step ? 1.0 : 1.5 + cfg.ab_eps;
   const double c0 = first_step ? 0.0 : 0.5 + cfg.ab_eps;
+  const double dt = cfg.dt;
   const int nz = static_cast<int>(f.nz());
-  double flops = 0;
+  assert(inside(r, 0, 0, nz, mask, f, g, g_nm1));
+  long flops = 0;
   for (int i = r.i0; i < r.i1; ++i) {
     for (int j = r.j0; j < r.j1; ++j) {
+      const double* m = col(mask, i, j);
+      const double* gn = col(g, i, j);
+      const double* go = col(g_nm1, i, j);
+      double* fc = col(f, i, j);
       for (int k = 0; k < nz; ++k) {
-        if (at(mask, i, j, k) <= 0) continue;
-        at(f, i, j, k) += cfg.dt * (c1 * at(g, i, j, k) -
-                                    c0 * at(g_nm1, i, j, k));
-        flops += 5.0;
+        if (m[k] <= 0) continue;
+        fc[k] += dt * (c1 * gn[k] - c0 * go[k]);
+        flops += 5;
       }
     }
   }
-  return flops;
+  return static_cast<double>(flops);
 }
 
 namespace {
@@ -565,6 +613,44 @@ double correct_velocity_nh(const ModelConfig& cfg, const TileGrid& grid,
   return flops;
 }
 
+namespace {
+// Calls column(i, j, div) for each column of r, where div[k] equals
+// column_flux_divergence(grid, u, v, i, j, k) on every level, each face
+// volume flux computed once.
+template <typename Column>
+void divergence_sweep(const ModelConfig& cfg, const TileGrid& grid,
+                      const Array3D<double>& u, const Array3D<double>& v,
+                      const Range& r, Column column) {
+  const int nz = cfg.nz;
+  const double* dzf = grid.dzf.data();
+  std::vector<double> div(static_cast<std::size_t>(nz));
+  const auto fluxes = [&](const Array3D<double>& vel,
+                          const Array3D<double>& open, double len, int i,
+                          int j, double* out) {
+    const double* ve = col(vel, i, j);
+    const double* op = col(open, i, j);
+    for (int k = 0; k < nz; ++k) {
+      out[k] = ve[k] * op[k] * len * dzf[k];
+    }
+  };
+  face_sweep(
+      r, nz,
+      [&](int i, int j, double* out) {
+        fluxes(u, grid.hFacW, grid.dyC, i, j, out);
+      },
+      [&](int i, int j, double* out) {
+        fluxes(v, grid.hFacS, m1(grid.dxS, j), i, j, out);
+      },
+      [&](int i, int j, const double* uw, const double* ue, const double* vs,
+          const double* vn) {
+        for (int k = 0; k < nz; ++k) {
+          div[static_cast<std::size_t>(k)] = (ue[k] - uw[k]) + (vn[k] - vs[k]);
+        }
+        column(i, j, div.data());
+      });
+}
+}  // namespace
+
 double column_flux_divergence(const TileGrid& grid, const Array3D<double>& u,
                               const Array3D<double>& v, int i, int j, int k) {
   const double dz = grid.dzf[static_cast<std::size_t>(k)];
@@ -582,42 +668,47 @@ double diagnose_w(const ModelConfig& cfg, const TileGrid& grid,
                   const Array3D<double>& u, const Array3D<double>& v,
                   Array3D<double>& w, const Range& r) {
   const int nz = cfg.nz;
-  double flops = 0;
-  for (int i = r.i0; i < r.i1; ++i) {
-    for (int j = r.j0; j < r.j1; ++j) {
-      double wf = 0.0;  // downward volume flux at the face below level k
-      for (int k = nz - 1; k >= 0; --k) {
-        if (at(grid.hFacC, i, j, k) <= 0) {
-          at(w, i, j, k) = 0.0;
-          continue;
-        }
-        wf += column_flux_divergence(grid, u, v, i, j, k);
-        at(w, i, j, k) = wf / m1(grid.rAc, j);
-        flops += 12.0;
+  assert(inside(r, 0, 1, nz, u, v, grid.hFacW, grid.hFacS) &&
+         inside(r, 0, 0, nz, w, grid.hFacC));
+  long cells = 0;
+  divergence_sweep(cfg, grid, u, v, r, [&](int i, int j, const double* div) {
+    const double* hf = col(grid.hFacC, i, j);
+    double* wc = col(w, i, j);
+    const double area = m1(grid.rAc, j);
+    double wf = 0.0;  // downward volume flux at the face below level k
+    for (int k = nz - 1; k >= 0; --k) {
+      if (hf[k] <= 0) {
+        wc[k] = 0.0;
+        continue;
       }
+      wf += div[k];
+      wc[k] = wf / area;
+      ++cells;
     }
-  }
-  return flops;
+  });
+  return 12.0 * static_cast<double>(cells);
 }
 
 double ps_rhs(const ModelConfig& cfg, const TileGrid& grid,
               const Array3D<double>& u, const Array3D<double>& v,
               Array2D<double>& rhs, const Range& r) {
   const int nz = cfg.nz;
-  double flops = 0;
-  for (int i = r.i0; i < r.i1; ++i) {
-    for (int j = r.j0; j < r.j1; ++j) {
-      double div = 0.0;
-      for (int k = 0; k < nz; ++k) {
-        if (at(grid.hFacC, i, j, k) <= 0) continue;
-        div += column_flux_divergence(grid, u, v, i, j, k);
-        flops += 11.0;
-      }
-      at(rhs, i, j) = div / cfg.dt;
-      flops += 1.0;
+  const double dt = cfg.dt;
+  assert(inside(r, 0, 1, nz, u, v, grid.hFacW, grid.hFacS) &&
+         inside(r, 0, 0, nz, grid.hFacC));
+  long flops = 0;
+  divergence_sweep(cfg, grid, u, v, r, [&](int i, int j, const double* div) {
+    const double* hf = col(grid.hFacC, i, j);
+    double d = 0.0;
+    for (int k = 0; k < nz; ++k) {
+      if (hf[k] <= 0) continue;
+      d += div[k];
+      flops += 11;
     }
-  }
-  return flops;
+    at(rhs, i, j) = d / dt;
+    flops += 1;
+  });
+  return static_cast<double>(flops);
 }
 
 double correct_velocity(const ModelConfig& cfg, const TileGrid& grid,
@@ -653,71 +744,82 @@ double implicit_vertical_diffusion(const ModelConfig& cfg,
   if (kv <= 0) return 0.0;
   const int nz = cfg.nz;
   if (nz < 2) return 0.0;
+  assert(inside(r, 0, 0, nz, f, mask) && f.nz() == mask.nz());
+  if (empty(r)) return 0.0;
   const double dt = cfg.dt;
-  double flops = 0;
-  // Thomas-solve workspaces.
-  std::vector<double> cp(static_cast<std::size_t>(nz));
-  std::vector<double> rhs(static_cast<std::size_t>(nz));
+  const auto nzs = static_cast<std::size_t>(nz);
+  const auto nj = static_cast<std::size_t>(r.j1 - r.j0);
+  // Interface conductances g_k = kv / (zC_k - zC_{k-1}) between cells k-1
+  // and k, one per level; a row uses g_k only where both cells are wet.
+  // Row k: (hfac_k dz_k + dt(g_k + g_{k+1})) f_k - dt g_k f_{k-1}
+  //        - dt g_{k+1} f_{k+1} = hfac_k dz_k f*_k   (flux form,
+  // multiplied through by the open thickness -> symmetric & conservative).
+  std::vector<double> gk(nzs + 1, 0.0);
+  for (std::size_t k = 1; k < nzs; ++k) {
+    gk[k] = kv / (grid.zC[k] - grid.zC[k - 1]);
+  }
+  // The Thomas solves of an i-slab's columns advance together, level by
+  // level with j innermost, in level-major workspaces; each column carries
+  // its last factor (then solution) and whether that level was wet.
+  std::vector<double> cp(nzs * nj), rhs(nzs * nj), carry(nj);
+  std::vector<int> open(nj);
+  const std::size_t stride = f.nz();  // from column (i, j) to (i, j+1)
+  long flops = 0;
   for (int i = r.i0; i < r.i1; ++i) {
-    for (int j = r.j0; j < r.j1; ++j) {
-      // Interface conductances g_k (between cells k-1 and k), open only
-      // where both cells are wet.
-      // Row k: (hfac_k dz_k + dt(g_k + g_{k+1})) f_k - dt g_k f_{k-1}
-      //        - dt g_{k+1} f_{k+1} = hfac_k dz_k f*_k   (flux form,
-      // multiplied through by the open thickness -> symmetric & conservative).
-      double prev_cp = 0.0;
-      bool have_prev = false;
-      for (int k = 0; k < nz; ++k) {
-        const double hfac = at(mask, i, j, k);
+    double* f0 = col(f, i, r.j0);
+    const double* m0 = col(mask, i, r.j0);
+    std::fill(carry.begin(), carry.end(), 0.0);
+    std::fill(open.begin(), open.end(), 0);
+    for (std::size_t k = 0; k < nzs; ++k) {
+      const double dz = grid.dzf[k];
+      double* cpk = cp.data() + k * nj;
+      double* rk = rhs.data() + k * nj;
+      for (std::size_t jj = 0; jj < nj; ++jj) {
+        const double* m = m0 + jj * stride;
+        const double hfac = m[k];
         if (hfac <= 0) {
-          cp[static_cast<std::size_t>(k)] = 0.0;
-          rhs[static_cast<std::size_t>(k)] = 0.0;
-          have_prev = false;
+          open[jj] = 0;
           continue;
         }
-        const double vol = hfac * grid.dzf[static_cast<std::size_t>(k)];
+        const double vol = hfac * dz;
         double g_up = 0.0, g_dn = 0.0;
-        if (k > 0 && at(mask, i, j, k - 1) > 0) {
-          g_up = kv / (grid.zC[static_cast<std::size_t>(k)] -
-                       grid.zC[static_cast<std::size_t>(k - 1)]);
-        }
-        if (k + 1 < nz && at(mask, i, j, k + 1) > 0) {
-          g_dn = kv / (grid.zC[static_cast<std::size_t>(k + 1)] -
-                       grid.zC[static_cast<std::size_t>(k)]);
-        }
-        const double a = have_prev ? -dt * g_up : 0.0;
+        if (k > 0 && m[k - 1] > 0) g_up = gk[k];
+        if (k + 1 < nzs && m[k + 1] > 0) g_dn = gk[k + 1];
+        const double a = open[jj] ? -dt * g_up : 0.0;
         const double b = vol + dt * (g_up + g_dn);
         const double c = -dt * g_dn;
-        const double denom = b - a * prev_cp;
-        cp[static_cast<std::size_t>(k)] = c / denom;
-        rhs[static_cast<std::size_t>(k)] =
-            (vol * at(f, i, j, k) -
-             a * (have_prev ? rhs[static_cast<std::size_t>(k - 1)] : 0.0)) /
-            denom;
-        prev_cp = cp[static_cast<std::size_t>(k)];
-        have_prev = true;
-        flops += 14.0;
+        const double denom = b - a * carry[jj];
+        cpk[jj] = c / denom;
+        rk[jj] = (vol * f0[jj * stride + k] -
+                  a * (open[jj] ? rhs[(k - 1) * nj + jj] : 0.0)) /
+                 denom;
+        carry[jj] = cpk[jj];
+        open[jj] = 1;
+        flops += 14;
       }
-      // Back substitution.
-      bool have_next = false;
-      double next_f = 0.0;
-      for (int k = nz - 1; k >= 0; --k) {
-        if (at(mask, i, j, k) <= 0) {
-          have_next = false;
+    }
+    // Back substitution.
+    std::fill(open.begin(), open.end(), 0);
+    for (std::size_t k = nzs; k-- > 0;) {
+      const double* cpk = cp.data() + k * nj;
+      const double* rk = rhs.data() + k * nj;
+      for (std::size_t jj = 0; jj < nj; ++jj) {
+        if (m0[jj * stride + k] <= 0) {
+          open[jj] = 0;
           continue;
         }
-        double fk = rhs[static_cast<std::size_t>(k)];
-        if (have_next) {
-          fk -= cp[static_cast<std::size_t>(k)] * next_f;
-          flops += 2.0;
+        double fk = rk[jj];
+        if (open[jj]) {
+          fk -= cpk[jj] * carry[jj];
+          flops += 2;
         }
-        at(f, i, j, k) = fk;
-        next_f = fk;
-        have_next = true;
+        f0[jj * stride + k] = fk;
+        carry[jj] = fk;
+        open[jj] = 1;
       }
     }
   }
-  return flops;
+  return static_cast<double>(flops);
 }
 
 void apply_velocity_masks(const TileGrid& grid, Array3D<double>& u,

@@ -1,6 +1,7 @@
 #include "gcm/physics.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <vector>
 
@@ -254,67 +255,67 @@ double richardson_mixing(const ModelConfig& cfg, const TileGrid& grid,
   }
   const int nz = cfg.nz;
   if (nz < 2) return 0.0;
-  double flops = 0;
-  std::vector<double> nu(static_cast<std::size_t>(nz) + 1, 0.0);
+  assert(kernels::empty(r) ||  // the column walks bypass the Array asserts
+         (r.i0 >= 0 && r.j0 >= 0 &&
+          r.i1 <= static_cast<int>(grid.hFacC.nx()) &&
+          r.j1 <= static_cast<int>(grid.hFacC.ny())));
+  const auto nzs = static_cast<std::size_t>(nz);
+  // Center spacings across each interface k (between levels k-1 and k).
+  std::vector<double> dzc(nzs, 0.0);
+  for (std::size_t k = 1; k < nzs; ++k) dzc[k] = grid.zC[k] - grid.zC[k - 1];
+  std::vector<double> nu(nzs + 1, 0.0);    // interface diffusivities
+  std::vector<double> flux(nzs + 1, 0.0);  // interface fluxes; 0 at the ends
+  std::vector<double> b(nzs);              // level buoyancies
+  long flops = 0;
   for (int i = r.i0; i < r.i1; ++i) {
     for (int j = r.j0; j < r.j1; ++j) {
       const auto si = static_cast<std::size_t>(i);
       const auto sj = static_cast<std::size_t>(j);
+      const double* hf = grid.hFacC.column(si, sj);
+      const double* th = s.theta.column(si, sj);
+      const double* sa = s.salt.column(si, sj);
+      const double* uc = s.u.column(si, sj);
+      const double* vc = s.v.column(si, sj);
+      for (std::size_t k = 0; k < nzs; ++k) {
+        if (hf[k] > 0) b[k] = buoyancy(cfg, th[k], sa[k]);
+      }
       // Interface diffusivities from the local Richardson number.
-      for (int k = 1; k < nz; ++k) {
-        nu[static_cast<std::size_t>(k)] = 0.0;
-        if (grid.hFacC(si, sj, static_cast<std::size_t>(k)) <= 0 ||
-            grid.hFacC(si, sj, static_cast<std::size_t>(k - 1)) <= 0) {
-          continue;
-        }
-        const double dzc = grid.zC[static_cast<std::size_t>(k)] -
-                           grid.zC[static_cast<std::size_t>(k - 1)];
-        const double b_up = buoyancy(cfg, at3(s.theta, i, j, k - 1),
-                                     at3(s.salt, i, j, k - 1));
-        const double b_dn =
-            buoyancy(cfg, at3(s.theta, i, j, k), at3(s.salt, i, j, k));
-        const double n2 = (b_up - b_dn) / dzc;  // > 0 when stable
-        const double du = (at3(s.u, i, j, k - 1) - at3(s.u, i, j, k));
-        const double dv = (at3(s.v, i, j, k - 1) - at3(s.v, i, j, k));
-        const double shear2 = (du * du + dv * dv) / (dzc * dzc) + 1e-12;
+      for (std::size_t k = 1; k < nzs; ++k) {
+        nu[k] = 0.0;
+        if (hf[k] <= 0 || hf[k - 1] <= 0) continue;
+        const double n2 = (b[k - 1] - b[k]) / dzc[k];  // > 0 when stable
+        const double du = (uc[k - 1] - uc[k]);
+        const double dv = (vc[k - 1] - vc[k]);
+        const double shear2 = (du * du + dv * dv) / (dzc[k] * dzc[k]) + 1e-12;
         const double ri = std::max(n2 / shear2, 0.0);
         const double denom = 1.0 + 5.0 * ri;
-        nu[static_cast<std::size_t>(k)] = cfg.ri_nu0 / (denom * denom);
-        flops += 26.0;
+        nu[k] = cfg.ri_nu0 / (denom * denom);
+        flops += 26;
       }
-      // Conservative vertical diffusion with the interface coefficients.
-      auto diffuse = [&](const Array3D<double>& f, Array3D<double>& g,
-                         double scale) {
-        for (int k = 0; k < nz; ++k) {
-          const double hfac = grid.hFacC(si, sj, static_cast<std::size_t>(k));
-          if (hfac <= 0) continue;
-          double flux_top = 0.0, flux_bot = 0.0;
-          if (k > 0 && nu[static_cast<std::size_t>(k)] > 0) {
-            const double dzc = grid.zC[static_cast<std::size_t>(k)] -
-                               grid.zC[static_cast<std::size_t>(k - 1)];
-            flux_top = nu[static_cast<std::size_t>(k)] * scale *
-                       (at3(f, i, j, k - 1) - at3(f, i, j, k)) / dzc;
-          }
-          if (k + 1 < nz && nu[static_cast<std::size_t>(k) + 1] > 0) {
-            const double dzc = grid.zC[static_cast<std::size_t>(k) + 1] -
-                               grid.zC[static_cast<std::size_t>(k)];
-            flux_bot = nu[static_cast<std::size_t>(k) + 1] * scale *
-                       (at3(f, i, j, k) - at3(f, i, j, k + 1)) / dzc;
-          }
+      // Conservative vertical diffusion with the interface coefficients:
+      // each interface flux is computed once, as the bottom flux of the
+      // level above and the top flux of the level below.
+      auto diffuse = [&](const Array3D<double>& f, Array3D<double>& g) {
+        const double* fc = f.column(si, sj);
+        double* gc = g.column(si, sj);
+        for (std::size_t k = 1; k < nzs; ++k) {
+          flux[k] = nu[k] > 0 ? nu[k] * (fc[k - 1] - fc[k]) / dzc[k] : 0.0;
+        }
+        for (std::size_t k = 0; k < nzs; ++k) {
+          if (hf[k] <= 0) continue;
           // Divide by the *open* thickness so column totals telescope
           // exactly even through partial bottom cells.
-          at3(g, i, j, k) += (flux_top - flux_bot) /
-                             (grid.dzf[static_cast<std::size_t>(k)] * hfac);
-          flops += 10.0;
+          gc[k] += (flux[k] - flux[k + 1]) / (grid.dzf[k] * hf[k]);
+          flops += 10;
         }
       };
-      diffuse(s.theta, s.gt, 1.0);
-      diffuse(s.salt, s.gs, 1.0);
-      diffuse(s.u, s.gu, 1.0);
-      diffuse(s.v, s.gv, 1.0);
+      diffuse(s.theta, s.gt);
+      diffuse(s.salt, s.gs);
+      diffuse(s.u, s.gu);
+      diffuse(s.v, s.gv);
     }
   }
-  return flops;
+  return static_cast<double>(flops);
 }
 
 double convective_adjustment(const ModelConfig& cfg, const TileGrid& grid,
