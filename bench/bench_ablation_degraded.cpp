@@ -29,6 +29,7 @@
 #include "comm/comm.hpp"
 #include "gcm/model.hpp"
 #include "gcm/resilient.hpp"
+#include "gcm/tile_ckpt.hpp"
 #include "net/arctic_model.hpp"
 #include "sim/scheduler.hpp"
 #include "support/table.hpp"
@@ -119,7 +120,7 @@ SchedulePoint run_schedule(const cluster::FaultPlan* plan) {
   cluster::Runtime rt(mc);
 
   gcm::ResilientConfig rcfg;
-  rcfg.ckpt_prefix = "/tmp/hyades_bench_degraded_ckpt";
+  rcfg.ckpt_prefix = bench::private_tmp("hyades_bench_degraded_ckpt");
   rcfg.ckpt_every = 6;
   rcfg.max_restarts = 4;
   SchedulePoint out;
@@ -131,6 +132,7 @@ SchedulePoint run_schedule(const cluster::FaultPlan* plan) {
                       std::vector<double>(d, d + m.state().theta.size()));
   };
   const gcm::ResilientStats st = gcm::run_resilient(rt, gyre_cfg(), kSteps, rcfg);
+  gcm::tile_ckpt::remove_slots(rcfg.ckpt_prefix, mc.nranks());
   out.restarts = st.restarts;
   for (const cluster::Accounting& a : rt.accounting()) {
     out.degraded_sends += a.degraded_sends;
@@ -160,7 +162,7 @@ bool theta_bits_equal(const SchedulePoint& a, const SchedulePoint& b) {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   bench::banner("Ablation: hard failures -- degraded fabric and restart "
                 "recovery");
 
@@ -248,3 +250,5 @@ int main() {
          "compound per epoch, which is why the restart budget exists.\n";
   return 0;
 }
+
+int main() { return bench::run_main("bench_ablation_degraded", run_bench); }

@@ -143,15 +143,16 @@ void rot_payload(const std::string& path) {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   bench::banner("Chaos soak: " + std::to_string(kDraws) +
                 " seeded cascading-failure schedules");
 
   // The failure-free baseline every survivor's bits must match.
   // Recovery mode, ring depth, link kills and joins are all
   // bits-neutral, so one baseline covers every draw.
-  const RunOut clean = run_draw(nullptr, gcm::RecoveryMode::kMigrate, 2,
-                                "/tmp/hyades_bch_clean", nullptr);
+  const RunOut clean =
+      run_draw(nullptr, gcm::RecoveryMode::kMigrate, 2,
+               bench::private_tmp("hyades_bch_clean"), nullptr);
 
   int survived = 0;
   int failed_typed = 0;
@@ -200,20 +201,21 @@ int main() {
                                        : gcm::RecoveryMode::kMigrate;
     const bool corrupt = rng.next_double() < 0.3;
     bool rotted = false;
+    const std::string prefix =
+        bench::private_tmp("hyades_bch_d" + std::to_string(d));
     auto pre_recovery = [&](int, const cluster::NodeDownVerdict& v) {
       // Post-commit bit rot on the first recovery's primary casualty:
       // its newest durable tile decays between commit and adoption.
       if (rotted || !corrupt || v.rank < 0) return;
       rotted = true;
-      const gcm::tile_ckpt::TileHit newest = gcm::tile_ckpt::newest_rank_ckpt(
-          "/tmp/hyades_bch_d" + std::to_string(d), v.rank, kSteps);
+      const gcm::tile_ckpt::TileHit newest =
+          gcm::tile_ckpt::newest_rank_ckpt(prefix, v.rank, kSteps);
       if (newest.step >= 0) rot_payload(newest.path);
     };
 
     try {
-      const RunOut got = run_draw(&plan, mode, ring_depth,
-                                  "/tmp/hyades_bch_d" + std::to_string(d),
-                                  pre_recovery);
+      const RunOut got =
+          run_draw(&plan, mode, ring_depth, prefix, pre_recovery);
       ++survived;
       if (!states_bit_identical(clean, got)) {
         ++bits_broken;
@@ -335,3 +337,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return bench::run_main("bench_chaos", run_bench); }

@@ -121,13 +121,14 @@ struct Schedule {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   bench::banner("Recovery time: live tile migration vs epoch restart");
 
   // The failure-free baseline: bits to match, and the clock that
   // anchors each schedule's kill time.
   const RunOut clean =
-      run_mode(nullptr, gcm::RecoveryMode::kEpochRestart, "/tmp/hyades_brc");
+      run_mode(nullptr, gcm::RecoveryMode::kEpochRestart,
+               bench::private_tmp("hyades_brc"));
 
   const std::vector<Schedule> schedules = {
       {"early (pre-rotation)", {{3, 0.0, 0}}, -1, 1},
@@ -162,9 +163,11 @@ int main() {
     }
 
     const RunOut restart =
-        run_mode(&plan, gcm::RecoveryMode::kEpochRestart, "/tmp/hyades_brr");
+        run_mode(&plan, gcm::RecoveryMode::kEpochRestart,
+                 bench::private_tmp("hyades_brr"));
     const RunOut migrate =
-        run_mode(&plan, gcm::RecoveryMode::kMigrate, "/tmp/hyades_brm");
+        run_mode(&plan, gcm::RecoveryMode::kMigrate,
+                 bench::private_tmp("hyades_brm"));
     if (static_cast<int>(restart.stats.recovery_us.size()) !=
             s.expect_events ||
         static_cast<int>(migrate.stats.recovery_us.size()) !=
@@ -254,3 +257,5 @@ int main() {
   bench::write_json("BENCH_recovery.json", root);
   return ok ? 0 : 1;
 }
+
+int main() { return bench::run_main("bench_recovery", run_bench); }

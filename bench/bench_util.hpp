@@ -3,6 +3,9 @@
 // measured analogs, with the relative deviation.
 #pragma once
 
+#include <unistd.h>
+
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +29,24 @@ inline std::string pct(double measured, double paper) {
 
 inline void banner(const std::string& title) {
   std::cout << "\n==== " << title << " ====\n";
+}
+
+// "/tmp/<name>.<pid>": a checkpoint prefix no other process shares, so
+// two copies of one bench can run side by side.
+inline std::string private_tmp(const std::string& name) {
+  return "/tmp/" + name + "." + std::to_string(::getpid());
+}
+
+// Runs a bench's body; an error escaping it prints one "<bench>: <what>"
+// line on stderr and exits 1.
+template <typename Body>
+int run_main(const char* bench, const Body& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << bench << ": " << e.what() << "\n";
+    return 1;
+  }
 }
 
 // `--trace <path>` flag: returns the path, or nullptr when absent.

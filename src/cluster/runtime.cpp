@@ -1,6 +1,7 @@
 #include "cluster/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <thread>
 
@@ -8,6 +9,11 @@
 #include "cluster/membership.hpp"
 
 namespace hyades::cluster {
+
+namespace {
+// Rank threads of every Runtime::run in progress in this process.
+std::atomic<int> g_live_ranks{0};
+}  // namespace
 
 void AbortableBarrier::arrive_and_wait() {
   {
@@ -216,6 +222,13 @@ void RankContext::declare_node_down(const NodeDownVerdict& verdict) {
   rt_.bus().declare_down(verdict);
 }
 
+support::HostPool& RankContext::host_pool() {
+  if (!pool_) {
+    pool_ = std::make_unique<support::HostPool>(rt_.helpers_per_rank());
+  }
+  return *pool_;
+}
+
 Runtime::Runtime(MachineConfig cfg) : cfg_(cfg), bus_(cfg.nranks()) {
   if (cfg_.interconnect == nullptr) {
     throw std::invalid_argument("Runtime: interconnect model is required");
@@ -233,6 +246,15 @@ Runtime::Runtime(MachineConfig cfg) : cfg_(cfg), bus_(cfg.nranks()) {
 
 void Runtime::run(const std::function<void(RankContext&)>& body) {
   const int n = cfg_.nranks();
+  // Count this run's ranks among the live ones, so that runs side by
+  // side (a farm drain's members) leave each other the cores.
+  const int live = g_live_ranks.fetch_add(n, std::memory_order_relaxed) + n;
+  struct Leave {
+    int n;
+    ~Leave() { g_live_ranks.fetch_sub(n, std::memory_order_relaxed); }
+  } const leave{n};
+  helpers_per_rank_ =
+      std::max(0, static_cast<int>(support::host_cores()) / live - 1);
   for (auto& s : smps_) s->barrier.reset();
   bus_.clear_exits();
   acct_.assign(static_cast<std::size_t>(n), Accounting{});

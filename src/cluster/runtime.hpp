@@ -20,6 +20,7 @@
 #include "cluster/message_bus.hpp"
 #include "cluster/virtual_clock.hpp"
 #include "net/interconnect.hpp"
+#include "support/host_pool.hpp"
 #include "support/sync.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -260,6 +261,12 @@ class RankContext {
   // rank's next transport call unwinds with NodeDownError.
   void declare_node_down(const NodeDownVerdict& verdict);
 
+  // The host threads this rank's kernels split across: its own thread
+  // plus Runtime::helpers_per_rank() helpers (see Runtime::run).  Made on
+  // first use and joined when the rank's body has returned; only the
+  // rank's own thread may run regions on it.
+  support::HostPool& host_pool();
+
   // Optional tracing: when set, instrumented layers record operation
   // intervals here.  Not owned.
   void set_tracer(class Tracer* tracer) { tracer_ = tracer; }
@@ -282,6 +289,7 @@ class RankContext {
   // Compute slowdown when this rank's host SMP is oversubscribed (more
   // hosted ranks than processors after a migration); 1.0 otherwise.
   double elastic_factor_ = 1.0;
+  std::unique_ptr<support::HostPool> pool_;
 };
 
 class Runtime {
@@ -301,7 +309,16 @@ class Runtime {
   // rank order within each class.  If the host cannot start a rank's
   // thread, the ranks not started count as exited, the started ones are
   // joined, and the spawn error is rethrown as the root cause.
+  //
+  // Each rank may also use the host cores the process's rank threads
+  // leave idle: RankContext::host_pool() gets host cores / rank threads
+  // live in the process (this run's included) - 1 helpers, none when
+  // the ranks already cover the cores.  Its helpers are joined before
+  // run() returns.
   void run(const std::function<void(RankContext&)>& body);
+
+  // Helpers each rank of the current (or last) run() gets.
+  [[nodiscard]] int helpers_per_rank() const { return helpers_per_rank_; }
 
   // Accounting snapshots captured at the end of the last run().
   [[nodiscard]] const std::vector<Accounting>& accounting() const {
@@ -328,6 +345,7 @@ class Runtime {
  private:
   MachineConfig cfg_;
   int epoch_ = 0;
+  int helpers_per_rank_ = 0;
   std::vector<int> host_map_;
   MessageBus bus_;
   std::vector<std::unique_ptr<SmpShared>> smps_;

@@ -1,7 +1,6 @@
 #include "farm/farm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -11,10 +10,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 #include <utility>
 
 #include "farm/executor.hpp"
+#include "support/host_pool.hpp"
 #include "support/table.hpp"
 
 namespace hyades::farm {
@@ -25,37 +24,6 @@ std::string hexfloat(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", v);
   return buf;
-}
-
-// Run task(0) .. task(n - 1) on host threads: the calling thread plus up
-// to hardware_concurrency() - 1 more, never more threads than tasks, so
-// n <= 1 starts none.  Each thread claims the next unclaimed index, and
-// every thread has joined when this returns.  `task` must not throw.
-template <typename Task>
-void for_each_on_host_pool(std::size_t n, const Task& task) {
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      task(i);
-    }
-  };
-  // hardware_concurrency() costs a few microseconds of system calls, as
-  // much as dispatching a dozen cache hits: ask only when there is work
-  // to share.
-  const std::size_t threads =
-      n < 2 ? n
-            : std::min<std::size_t>(
-                  std::max(1u, std::thread::hardware_concurrency()), n);
-  std::vector<std::jthread> pool;  // each joins when destroyed
-  for (std::size_t t = 1; t < threads; ++t) {
-    try {
-      pool.emplace_back(work);
-    } catch (const std::system_error&) {
-      break;  // no more host threads: the running ones take the rest
-    }
-  }
-  work();
 }
 
 }  // namespace
@@ -123,7 +91,7 @@ void Farm::run_until_drained() {
     plan.emplace_back(key, run);
   }
 
-  for_each_on_host_pool(todo.size(), [&todo](std::size_t i) {
+  const auto execute = [&todo](std::size_t i) {
     Execution& run = *todo[i];
     try {
       run.out = execute_job(*run.spec, run.scratch_prefix);
@@ -132,7 +100,18 @@ void Farm::run_until_drained() {
     } catch (...) {
       run.error = std::current_exception();
     }
-  });
+  };
+  // The first drain with two keys to share starts the host pool, one
+  // thread per core; until then the calling thread runs them.
+  if (todo.size() > 1 && !pool_) {
+    pool_ = std::make_unique<support::HostPool>(
+        static_cast<int>(support::host_cores()) - 1);
+  }
+  if (pool_) {
+    pool_->run(todo.size(), execute);
+  } else {
+    for (std::size_t i = 0; i < todo.size(); ++i) execute(i);
+  }
 
   // Replay: queue_ pops in the order its copy did above.
   std::size_t next = 0;

@@ -17,8 +17,8 @@
 // ties); cache-served jobs complete instantly at the dispatch-time clock.
 //
 // Host: a drain first runs every distinct (config hash, seed) that the
-// cache cannot serve on a pool of host threads (one per core, never more
-// than there are such keys), then replays the dispatch above one member
+// cache cannot serve on a pool of host threads (one per core, kept for
+// the Farm's later drains), then replays the dispatch above one member
 // at a time, taking each member's outcome from the pool.  Only the
 // replay touches the clock, the slots, the cache and the ledger, so the
 // order in which host threads finish cannot reach them: two runs of the
@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,10 @@
 #include "farm/job.hpp"
 #include "farm/queue.hpp"
 #include "support/units.hpp"
+
+namespace hyades::support {
+class HostPool;
+}  // namespace hyades::support
 
 namespace hyades::farm {
 
@@ -120,6 +125,8 @@ class Farm {
   std::vector<Microseconds> pool_free_at_;
   Microseconds now_ = 0.0;
   std::string scratch_dir_;  // resolved on first use; "" until then
+  // Host threads for the drains, started by the first with two keys.
+  std::unique_ptr<support::HostPool> pool_;
 };
 
 }  // namespace hyades::farm

@@ -451,14 +451,21 @@ double biharmonic_tendency(const ModelConfig& cfg, const TileGrid& grid,
                            Array3D<double>& scratch, Array3D<double>& g,
                            double a4, const Range& r) {
   if (a4 <= 0) return 0.0;
-  assert(inside(r, 1, 1, cfg.nz, scratch) && inside(r, 0, 0, cfg.nz, g));
   // First pass one ring wider, so the second pass's stencil is covered.
-  const Range r1{r.i0 - 1, r.i1 + 1, r.j0 - 1, r.j1 + 1};
-  const double flops = masked_laplacian(cfg, grid, f, mask, scratch, r1);
+  const double flops =
+      masked_laplacian(cfg, grid, f, mask, scratch, widen(r, 1));
+  return flops + biharmonic_second_pass(cfg, grid, scratch, mask, g, a4, r);
+}
+
+double biharmonic_second_pass(const ModelConfig& cfg, const TileGrid& grid,
+                              const Array3D<double>& lap,
+                              const Array3D<double>& mask,
+                              Array3D<double>& g, double a4, const Range& r) {
+  assert(inside(r, 1, 1, cfg.nz, lap) && inside(r, 0, 0, cfg.nz, g));
   const long wet = laplacian_sweep(
-      cfg, grid, scratch, mask, g, r, false,
+      cfg, grid, lap, mask, g, r, false,
       [a4](double& o, double acc, double vol) { o -= a4 * acc / vol; });
-  return flops + 28.0 * static_cast<double>(wet);
+  return 28.0 * static_cast<double>(wet);
 }
 
 double ab2_update(const ModelConfig& cfg, const Array3D<double>& mask,

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "gcm/config.hpp"
 #include "gcm/grid.hpp"
 #include "gcm/state.hpp"
+#include "support/host_pool.hpp"
 
 namespace hyades::gcm::kernels {
 
@@ -28,6 +30,37 @@ struct Range {
 
 // Interior extended by `e` halo cells on every side (e <= dec.halo).
 Range extended(const Decomp& dec, int e);
+
+// r widened by `e` cells on every side.
+[[nodiscard]] inline Range widen(const Range& r, int e) {
+  return Range{r.i0 - e, r.i1 + e, r.j0 - e, r.j1 + e};
+}
+
+// Chunk c of the n contiguous i-chunks that partition r's columns.
+[[nodiscard]] inline Range i_chunk(const Range& r, int c, int n) {
+  const int w = r.i1 - r.i0;
+  return Range{r.i0 + w * c / n, r.i0 + w * (c + 1) / n, r.j0, r.j1};
+}
+
+// Runs kernel(chunk) on the i-chunks of r as one region of `pool`, one
+// chunk per pool thread, and returns the chunks' flops summed in chunk
+// order.  A window narrower than two columns per chunk runs as one call.
+// When the kernel writes only its window's columns and reads nothing
+// another chunk writes, the result is kernel(r)'s bit for bit, and so is
+// the flop count: each chunk's is an integer far below 2^53 (DESIGN.md
+// "Host kernels").
+template <typename Kernel>
+double split_i(support::HostPool& pool, const Range& r, const Kernel& kernel) {
+  const int n = pool.threads();
+  if (n < 2 || r.i1 - r.i0 < 2 * n) return kernel(r);
+  std::vector<double> flops(static_cast<std::size_t>(n));
+  pool.run(flops.size(), [&](std::size_t c) {
+    flops[c] = kernel(i_chunk(r, static_cast<int>(c), n));
+  });
+  double sum = 0;
+  for (const double f : flops) sum += f;
+  return sum;
+}
 
 // Overlap split of a PS window (ModelConfig::overlap_comm): the largest
 // sub-window of `r` that can be computed while a width-`halo` exchange
@@ -78,12 +111,22 @@ double masked_laplacian(const ModelConfig& cfg, const TileGrid& grid,
 // Biharmonic (del^4) horizontal mixing: g -= a4 * lap(lap(f)), built from
 // two conservative Laplacian passes (so tracer totals are preserved to
 // round-off).  `scratch` must be an extended-size work array; f must be
-// valid two cells beyond the window.
+// valid two cells beyond the window.  The passes are
+//   masked_laplacian(cfg, grid, f, mask, scratch, widen(r, 1))
+//   biharmonic_second_pass(cfg, grid, scratch, mask, g, a4, r)
+// which a caller may also run one after the other itself.
 double biharmonic_tendency(const ModelConfig& cfg, const TileGrid& grid,
                            const Array3D<double>& f,
                            const Array3D<double>& mask,
                            Array3D<double>& scratch, Array3D<double>& g,
                            double a4, const Range& r);
+
+// g -= a4 * lap(lap) over r, where `lap` holds the first pass, the masked
+// Laplacian of f over widen(r, 1).
+double biharmonic_second_pass(const ModelConfig& cfg, const TileGrid& grid,
+                              const Array3D<double>& lap,
+                              const Array3D<double>& mask,
+                              Array3D<double>& g, double a4, const Range& r);
 
 // Adams-Bashforth-2 update: f += dt * ((1.5+eps) g - (0.5+eps) g_nm1),
 // masked by `mask` (> 0 means active); plain forward Euler on the first

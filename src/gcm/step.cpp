@@ -77,6 +77,30 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
   const double kv_exp = cfg_.implicit_vertical_mixing ? 0.0 : cfg_.diff_v;
   const double av_exp = cfg_.implicit_vertical_mixing ? 0.0 : cfg_.visc_v;
 
+  // Every column kernel below runs as kernel(args..., chunk) on the
+  // i-chunks of its window, split across the rank's host pool
+  // (kernels::split_i).  A region runs one kernel and reads only what
+  // earlier regions finished writing, so the bits and the flops are the
+  // serial step's.
+  support::HostPool& pool = ctx.host_pool();
+  const auto split = [&pool](const kernels::Range& r, const auto& kernel,
+                             auto&... args) {
+    return kernels::split_i(pool, r, [&](const kernels::Range& c) {
+      return kernel(args..., c);
+    });
+  };
+  // The biharmonic's first pass writes scratch_ over the widened window,
+  // in chunks of their own; the second pass reads it after the join.
+  const auto biharmonic = [&](const Array3D<double>& fld,
+                              const Array3D<double>& mask,
+                              Array3D<double>& g, const double& a4,
+                              const kernels::Range& r) {
+    const double fl = split(kernels::widen(r, 1), kernels::masked_laplacian,
+                            cfg_, grid_, fld, mask, scratch_);
+    return fl + split(r, kernels::biharmonic_second_pass, cfg_, grid_,
+                      scratch_, mask, g, a4);
+  };
+
   // The PS tendency kernels over a set of hydrostatic windows `hs` and
   // tendency windows `ts` ({r2}, {r1} reproduces the seed sequence; the
   // overlap path passes interior sub-windows, then the rim slabs).  Each
@@ -86,51 +110,47 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
                                     const std::vector<kernels::Range>& ts) {
     double fl = 0;
     for (const auto& rh : hs) {
-      fl += kernels::hydrostatic(cfg_, grid_, state_.theta, state_.salt,
-                                 state_.phi, rh);
+      fl += split(rh, kernels::hydrostatic, cfg_, grid_, state_.theta,
+                  state_.salt, state_.phi);
     }
     for (const auto& rt : ts) {
-      fl += kernels::momentum_tendencies(cfg_, grid_, state_.u, state_.v,
-                                         state_.w, state_.phi, state_.gu,
-                                         state_.gv, av_exp, rt);
+      fl += split(rt, kernels::momentum_tendencies, cfg_, grid_, state_.u,
+                  state_.v, state_.w, state_.phi, state_.gu, state_.gv,
+                  av_exp);
     }
     for (const auto& rt : ts) {
-      fl += kernels::tracer_tendency(cfg_, grid_, state_.u, state_.v,
-                                     state_.w, state_.theta, state_.gt,
-                                     cfg_.diff_h, kv_exp, rt);
+      fl += split(rt, kernels::tracer_tendency, cfg_, grid_, state_.u,
+                  state_.v, state_.w, state_.theta, state_.gt, cfg_.diff_h,
+                  kv_exp);
     }
     for (const auto& rt : ts) {
-      fl += kernels::tracer_tendency(cfg_, grid_, state_.u, state_.v,
-                                     state_.w, state_.salt, state_.gs,
-                                     cfg_.diff_h, kv_exp, rt);
+      fl += split(rt, kernels::tracer_tendency, cfg_, grid_, state_.u,
+                  state_.v, state_.w, state_.salt, state_.gs, cfg_.diff_h,
+                  kv_exp);
     }
     // Biharmonic horizontal mixing (scale-selective dissipation).
     if (cfg_.visc_4 > 0) {
       for (const auto& rt : ts) {
-        fl += kernels::biharmonic_tendency(cfg_, grid_, state_.u, grid_.hFacW,
-                                           scratch_, state_.gu, cfg_.visc_4,
-                                           rt);
+        fl += biharmonic(state_.u, grid_.hFacW, state_.gu, cfg_.visc_4, rt);
       }
       for (const auto& rt : ts) {
-        fl += kernels::biharmonic_tendency(cfg_, grid_, state_.v, grid_.hFacS,
-                                           scratch_, state_.gv, cfg_.visc_4,
-                                           rt);
+        fl += biharmonic(state_.v, grid_.hFacS, state_.gv, cfg_.visc_4, rt);
       }
     }
     if (cfg_.diff_4 > 0) {
       for (const auto& rt : ts) {
-        fl += kernels::biharmonic_tendency(cfg_, grid_, state_.theta,
-                                           grid_.hFacC, scratch_, state_.gt,
-                                           cfg_.diff_4, rt);
+        fl += biharmonic(state_.theta, grid_.hFacC, state_.gt, cfg_.diff_4,
+                         rt);
       }
       for (const auto& rt : ts) {
-        fl += kernels::biharmonic_tendency(cfg_, grid_, state_.salt,
-                                           grid_.hFacC, scratch_, state_.gs,
-                                           cfg_.diff_4, rt);
+        fl += biharmonic(state_.salt, grid_.hFacC, state_.gs, cfg_.diff_4,
+                         rt);
       }
     }
-    for (const auto& rt : ts) {
-      fl += apply_physics(cfg_, grid_, dec_, state_, f, rt);
+    if (cfg_.enable_forcing) {
+      for (const auto& rt : ts) {
+        fl += split(rt, apply_physics, cfg_, grid_, dec_, state_, f);
+      }
     }
     if (cfg_.nonhydrostatic) {
       for (const auto& rt : ts) {
@@ -205,29 +225,34 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
   }
 
   const bool first = (state_.step == 0);
-  deferred += kernels::ab2_update(cfg_, grid_.hFacW, state_.u, state_.gu,
-                                  state_.gu_nm1, first, r1);
-  deferred += kernels::ab2_update(cfg_, grid_.hFacS, state_.v, state_.gv,
-                                  state_.gv_nm1, first, r1);
-  deferred += kernels::ab2_update(cfg_, grid_.hFacC, state_.theta, state_.gt,
-                                  state_.gt_nm1, first, r1);
-  deferred += kernels::ab2_update(cfg_, grid_.hFacC, state_.salt, state_.gs,
-                                  state_.gs_nm1, first, r1);
+  deferred += split(r1, kernels::ab2_update, cfg_, grid_.hFacW, state_.u,
+                    state_.gu, state_.gu_nm1, first);
+  deferred += split(r1, kernels::ab2_update, cfg_, grid_.hFacS, state_.v,
+                    state_.gv, state_.gv_nm1, first);
+  deferred += split(r1, kernels::ab2_update, cfg_, grid_.hFacC, state_.theta,
+                    state_.gt, state_.gt_nm1, first);
+  deferred += split(r1, kernels::ab2_update, cfg_, grid_.hFacC, state_.salt,
+                    state_.gs, state_.gs_nm1, first);
   if (cfg_.nonhydrostatic) {
-    deferred += kernels::ab2_update(cfg_, wmask_, state_.w, state_.gw,
-                                    state_.gw_nm1, first, r1);
+    deferred += split(r1, kernels::ab2_update, cfg_, wmask_, state_.w,
+                      state_.gw, state_.gw_nm1, first);
   }
   if (cfg_.implicit_vertical_mixing) {
-    deferred += kernels::implicit_vertical_diffusion(
-        cfg_, grid_, state_.theta, grid_.hFacC, cfg_.diff_v, r1);
-    deferred += kernels::implicit_vertical_diffusion(
-        cfg_, grid_, state_.salt, grid_.hFacC, cfg_.diff_v, r1);
-    deferred += kernels::implicit_vertical_diffusion(
-        cfg_, grid_, state_.u, grid_.hFacW, cfg_.visc_v, r1);
-    deferred += kernels::implicit_vertical_diffusion(
-        cfg_, grid_, state_.v, grid_.hFacS, cfg_.visc_v, r1);
+    const auto column_solve = [&](Array3D<double>& fld,
+                                  const Array3D<double>& mask,
+                                  const double& kv) {
+      return kv > 0 ? split(r1, kernels::implicit_vertical_diffusion, cfg_,
+                            grid_, fld, mask, kv)
+                    : 0.0;
+    };
+    deferred += column_solve(state_.theta, grid_.hFacC, cfg_.diff_v);
+    deferred += column_solve(state_.salt, grid_.hFacC, cfg_.diff_v);
+    deferred += column_solve(state_.u, grid_.hFacW, cfg_.visc_v);
+    deferred += column_solve(state_.v, grid_.hFacS, cfg_.visc_v);
   }
-  deferred += convective_adjustment(cfg_, grid_, state_.theta, r1);
+  if (cfg_.enable_convection && cfg_.isomorph == Isomorph::kAtmosphere) {
+    deferred += split(r1, convective_adjustment, cfg_, grid_, state_.theta);
+  }
 
   std::swap(state_.gu, state_.gu_nm1);
   std::swap(state_.gv, state_.gv_nm1);
@@ -262,7 +287,7 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
   double ds_flops = 0;
 
   // rhs of eq. (3); the solver works with L = -A, so b = -rhs.
-  ds_flops += kernels::ps_rhs(cfg_, grid_, state_.u, state_.v, rhs_, ri);
+  ds_flops += split(ri, kernels::ps_rhs, cfg_, grid_, state_.u, state_.v, rhs_);
   for (int i = ri.i0; i < ri.i1; ++i) {
     for (int j = ri.j0; j < ri.j1; ++j) {
       auto& x = rhs_(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
@@ -282,14 +307,14 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
   // tiles compute identically).
   exchange2d(comm_, dec_, state_.ps, 1);
   const kernels::Range rc{h, h + dec_.snx + 1, h, h + dec_.sny + 1};
-  ds_flops += kernels::correct_velocity(cfg_, grid_, state_.ps, state_.u,
-                                        state_.v, rc);
+  ds_flops += split(rc, kernels::correct_velocity, cfg_, grid_, state_.ps,
+                    state_.u, state_.v);
   kernels::apply_velocity_masks(grid_, state_.u, state_.v, r1);
 
   if (!cfg_.nonhydrostatic) {
     // Hydrostatic limit: w is diagnostic (eq. (2) vertically integrated).
-    ds_flops += kernels::diagnose_w(cfg_, grid_, state_.u, state_.v,
-                                    state_.w, ri);
+    ds_flops += split(ri, kernels::diagnose_w, cfg_, grid_, state_.u,
+                      state_.v, state_.w);
   } else {
     // Non-hydrostatic pressure: a 3-D elliptic solve removes the
     // remaining 3-D divergence from (u, v, w*).

@@ -1,0 +1,113 @@
+#include "support/host_pool.hpp"
+
+#include <algorithm>
+#include <system_error>
+#include <utility>
+
+namespace hyades::support {
+
+unsigned host_cores() {
+  static const unsigned cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  return cores;
+}
+
+HostPool::HostPool(int helpers) {
+  helpers_.reserve(static_cast<std::size_t>(std::max(helpers, 0)));
+  for (int h = 0; h < helpers; ++h) {
+    try {
+      helpers_.emplace_back(
+          [this, h] { helper_loop(static_cast<std::size_t>(h) + 1); });
+    } catch (const std::system_error&) {
+      break;  // no more host threads: the started ones take the work
+    }
+  }
+}
+
+HostPool::~HostPool() {
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+  }
+  wake_.notify_all();
+  for (std::thread& t : helpers_) t.join();
+}
+
+void HostPool::run_region(std::size_t n, TaskFn fn, const void* task) {
+  const Region r{fn, task, n};
+  {
+    MutexLock lock(mu_);
+    region_ = r;
+    error_ = nullptr;
+    error_index_ = n;
+    if (n > capacity_) {
+      claimed_ = std::make_unique<std::atomic<bool>[]>(n);
+      capacity_ = n;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      claimed_[i].store(false, std::memory_order_relaxed);
+    }
+    ++generation_;
+  }
+  if (n > 1 && !helpers_.empty()) wake_.notify_all();
+  claim(r, 0);
+  std::exception_ptr error;
+  {
+    MutexLock lock(mu_);
+    // Every index is claimed, and a helper leaves only after finishing
+    // its claims; a helper not yet inside sees the region closed.
+    done_.wait(mu_, [this] {
+      mu_.assert_held();
+      return busy_ == 0;
+    });
+    region_ = Region{};
+    error = std::move(error_);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void HostPool::helper_loop(std::size_t self) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    Region r;
+    {
+      MutexLock lock(mu_);
+      wake_.wait(mu_, [&] {
+        mu_.assert_held();
+        return stop_ || generation_ != seen;
+      });
+      if (stop_) return;
+      seen = generation_;
+      if (region_.fn == nullptr) continue;  // closed before this woke
+      r = region_;
+      ++busy_;
+    }
+    claim(r, self);
+    bool last = false;
+    {
+      MutexLock lock(mu_);
+      last = --busy_ == 0;
+    }
+    if (last) done_.notify_one();
+  }
+}
+
+void HostPool::claim(const Region& r, std::size_t self) {
+  for (std::size_t k = 0; k < r.n; ++k) {
+    const std::size_t i = (self + k) % r.n;
+    if (claimed_[i].exchange(true, std::memory_order_relaxed)) continue;
+    try {
+      r.fn(r.task, i);
+      // lint:allow(catch-all): task trampoline -- the lowest index's
+      // exception is rethrown on the calling thread by run_region.
+    } catch (...) {
+      MutexLock lock(mu_);
+      if (i < error_index_) {
+        error_index_ = i;
+        error_ = std::current_exception();
+      }
+    }
+  }
+}
+
+}  // namespace hyades::support

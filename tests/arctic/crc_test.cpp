@@ -5,8 +5,23 @@
 #include <cstring>
 #include <vector>
 
+#include "support/rng.hpp"
+
 namespace hyades::arctic {
 namespace {
+
+// The CRC-32 definition, one bit at a time: the reference the table
+// method must equal.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
 
 std::vector<std::uint8_t> bytes_of(const char* s) {
   std::vector<std::uint8_t> v(std::strlen(s));
@@ -20,6 +35,21 @@ TEST(Crc32, KnownVector) {
 }
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
+
+TEST(Crc32, MatchesBitwiseDefinitionAtEveryLengthAndOffset) {
+  // Lengths 0..300 cover the eight-byte blocks and every tail; offsets
+  // 0..7 put the blocks at every alignment.
+  SplitMix64 rng(0xc3c32u);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), crc32_bitwise(data))
+          << "length " << len << ", offset " << offset;
+    }
+  }
+}
 
 TEST(Crc32, IncrementalMatchesOneShot) {
   const auto all = bytes_of("the quick brown fox");

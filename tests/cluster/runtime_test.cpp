@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <string>
 #include <system_error>
@@ -307,6 +308,52 @@ TEST(Runtime, MaxClock) {
     ctx.compute(ctx.rank() == 1 ? 2000.0 : 1000.0, 50.0);
   });
   EXPECT_NEAR(rt.max_clock(), 40.0, 1e-9);
+}
+
+// Each rank's host pool gets the cores the process's live rank threads
+// leave idle: host cores / live rank threads - 1 helpers.
+TEST(Runtime, HostHelpersFillTheIdleCores) {
+  const net::ArcticModel net;
+  const int cores = static_cast<int>(support::host_cores());
+  for (const auto& [smps, ppp] : {std::pair{1, 1}, std::pair{2, 1},
+                                  std::pair{2, 2}, std::pair{8, 2}}) {
+    Runtime rt(machine(net, smps, ppp));
+    const int n = smps * ppp;
+    std::vector<int> threads(static_cast<std::size_t>(n), -1);
+    rt.run([&](RankContext& ctx) {
+      threads[static_cast<std::size_t>(ctx.rank())] =
+          ctx.host_pool().threads();
+    });
+    const int want = std::max(0, cores / n - 1);
+    std::printf("[ host pool ] %d core(s), %d rank(s): %d helper(s) a rank\n",
+                cores, n, want);
+    EXPECT_EQ(rt.helpers_per_rank(), want);
+    for (int r = 0; r < n; ++r) {
+      EXPECT_EQ(threads[static_cast<std::size_t>(r)], want + 1) << "rank " << r;
+    }
+  }
+}
+
+// Runs side by side (a farm drain's members) count each other's ranks.
+TEST(Runtime, RunsSideBySideShareTheIdleCores) {
+  const net::ArcticModel net;
+  const int cores = static_cast<int>(support::host_cores());
+  Runtime first(machine(net, 1, 1));
+  Runtime second(machine(net, 1, 1));
+  std::latch started(1);
+  std::latch sized(1);
+  std::thread t([&] {
+    first.run([&](RankContext&) {
+      started.count_down();
+      sized.wait();
+    });
+  });
+  started.wait();
+  second.run([](RankContext&) {});
+  sized.count_down();
+  t.join();
+  EXPECT_EQ(first.helpers_per_rank(), std::max(0, cores - 1));
+  EXPECT_EQ(second.helpers_per_rank(), std::max(0, cores / 2 - 1));
 }
 
 }  // namespace

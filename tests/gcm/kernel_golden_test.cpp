@@ -22,8 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gcm/cg.hpp"
@@ -434,6 +436,203 @@ TEST(KernelGolden, OceanPreset) { check(ocean_preset(2, 2), kOcean); }
 
 TEST(KernelGolden, AtmospherePreset) {
   check(atmosphere_preset(2, 2), kAtmosphere);
+}
+
+// ---- the i-chunk split (kernels::split_i), one thread ----------------
+
+// f(chunk) summed over the n i-chunks of r, in chunk order; n = 1 is the
+// unsplit call.
+template <typename F>
+double over_chunks(const Range& r, int n, const F& f) {
+  double fl = 0;
+  for (int c = 0; c < n; ++c) fl += f(kernels::i_chunk(r, c, n));
+  return fl;
+}
+
+template <typename Array>
+bool same_bits(const Array& a, const Array& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+bool same_bits(const State& a, const State& b) {
+  return same_bits(a.gu, b.gu) && same_bits(a.gv, b.gv) &&
+         same_bits(a.gt, b.gt) && same_bits(a.gs, b.gs);
+}
+
+// run(n, outs...) runs a kernel over its window in n chunks on copies of
+// `init`; 2, 3 and 4 chunks must give the unsplit outputs and flops.
+template <typename Run, typename... Outs>
+void expect_cuts_exact(const std::string& name, const Run& run,
+                       const Outs&... init) {
+  std::tuple<Outs...> whole(init...);
+  const double want =
+      std::apply([&](Outs&... o) { return run(1, o...); }, whole);
+  for (const int n : {2, 3, 4}) {
+    std::tuple<Outs...> cut(init...);
+    const double got =
+        std::apply([&](Outs&... o) { return run(n, o...); }, cut);
+    EXPECT_EQ(got, want) << name << " in " << n << " chunks: flops";
+    const bool same = std::apply(
+        [&](const Outs&... a) {
+          return std::apply(
+              [&](const Outs&... b) { return (same_bits(a, b) && ...); },
+              whole);
+        },
+        cut);
+    EXPECT_TRUE(same) << name << " in " << n << " chunks: output bits";
+  }
+}
+
+// Every kernel the step splits, over the step's windows, on every rank
+// of the golden's 2x2 tiling after two steps.
+void check_cuts(ModelConfig cfg) {
+  cfg.nx = 32;
+  cfg.ny = 16;
+  cfg.topography = ModelConfig::Topography::kContinents;
+  cfg.validate();
+  run_ranks(4, [&](cluster::RankContext&, comm::Comm& comm) {
+    Model m(cfg, comm);
+    m.initialize();
+    m.step();
+    m.step();
+    const Decomp& dec = m.decomp();
+    const TileGrid& g = m.grid();
+    State& st = m.state();
+    const int h = dec.halo;
+    for (Array3D<double>* f : {&st.u, &st.v, &st.w, &st.theta, &st.salt}) {
+      exchange3d(comm, dec, *f, h);
+    }
+    const State& s = st;
+    const Range r2 = kernels::extended(dec, 2);
+    const Range r1 = kernels::extended(dec, 1);
+    const Range ri = kernels::extended(dec, 0);
+    const Range rc{h, h + dec.snx + 1, h, h + dec.sny + 1};
+
+    expect_cuts_exact(
+        "hydrostatic",
+        [&](int n, Array3D<double>& phi) {
+          return over_chunks(r2, n, [&](const Range& c) {
+            return kernels::hydrostatic(cfg, g, s.theta, s.salt, phi, c);
+          });
+        },
+        s.phi);
+    for (const double av : {0.0, cfg.visc_v}) {
+      expect_cuts_exact(
+          "momentum_tendencies",
+          [&](int n, Array3D<double>& gu, Array3D<double>& gv) {
+            return over_chunks(r1, n, [&](const Range& c) {
+              return kernels::momentum_tendencies(cfg, g, s.u, s.v, s.w,
+                                                  s.phi, gu, gv, av, c);
+            });
+          },
+          s.gu, s.gv);
+    }
+    for (const double kv : {0.0, cfg.diff_v}) {
+      expect_cuts_exact(
+          "tracer_tendency",
+          [&](int n, Array3D<double>& gt) {
+            return over_chunks(r1, n, [&](const Range& c) {
+              return kernels::tracer_tendency(cfg, g, s.u, s.v, s.w, s.theta,
+                                              gt, cfg.diff_h, kv, c);
+            });
+          },
+          s.gt);
+    }
+    // The biharmonic's two passes: the first over the widened window in
+    // chunks of its own, then the second.
+    const auto biharmonic = [&](const char* name, const Array3D<double>& f,
+                                const Array3D<double>& mask,
+                                const Array3D<double>& g0, double a4) {
+      expect_cuts_exact(
+          name,
+          [&](int n, Array3D<double>& scratch, Array3D<double>& gf) {
+            const double fl =
+                over_chunks(kernels::widen(r1, 1), n, [&](const Range& c) {
+                  return kernels::masked_laplacian(cfg, g, f, mask, scratch,
+                                                   c);
+                });
+            return fl + over_chunks(r1, n, [&](const Range& c) {
+                     return kernels::biharmonic_second_pass(cfg, g, scratch,
+                                                            mask, gf, a4, c);
+                   });
+          },
+          zeros3(f), g0);
+    };
+    biharmonic("biharmonic.u", s.u, g.hFacW, s.gu, cfg.visc_4);
+    biharmonic("biharmonic.v", s.v, g.hFacS, s.gv, cfg.visc_4);
+    biharmonic("biharmonic.theta", s.theta, g.hFacC, s.gt, cfg.diff_4);
+    expect_cuts_exact(
+        "apply_physics",
+        [&](int n, State& p) {
+          const SurfaceForcing none;
+          return over_chunks(r1, n, [&](const Range& c) {
+            return apply_physics(cfg, g, dec, p, none, c);
+          });
+        },
+        s);
+    for (const bool first : {false, true}) {
+      expect_cuts_exact(
+          "ab2_update",
+          [&](int n, Array3D<double>& u) {
+            return over_chunks(r1, n, [&](const Range& c) {
+              return kernels::ab2_update(cfg, g.hFacW, u, s.gu, s.gu_nm1,
+                                         first, c);
+            });
+          },
+          s.u);
+    }
+    expect_cuts_exact(
+        "implicit_vertical_diffusion",
+        [&](int n, Array3D<double>& theta, Array3D<double>& v) {
+          return over_chunks(r1, n, [&](const Range& c) {
+            return kernels::implicit_vertical_diffusion(
+                       cfg, g, theta, g.hFacC, cfg.diff_v, c) +
+                   kernels::implicit_vertical_diffusion(cfg, g, v, g.hFacS,
+                                                        cfg.visc_v, c);
+          });
+        },
+        s.theta, s.v);
+    expect_cuts_exact(
+        "convective_adjustment",
+        [&](int n, Array3D<double>& theta) {
+          return over_chunks(r1, n, [&](const Range& c) {
+            return convective_adjustment(cfg, g, theta, c);
+          });
+        },
+        s.theta);
+    expect_cuts_exact(
+        "ps_rhs",
+        [&](int n, Array2D<double>& rhs) {
+          return over_chunks(ri, n, [&](const Range& c) {
+            return kernels::ps_rhs(cfg, g, s.u, s.v, rhs, c);
+          });
+        },
+        Array2D<double>(s.ps.nx(), s.ps.ny(), 0.0));
+    expect_cuts_exact(
+        "correct_velocity",
+        [&](int n, Array3D<double>& u, Array3D<double>& v) {
+          return over_chunks(rc, n, [&](const Range& c) {
+            return kernels::correct_velocity(cfg, g, s.ps, u, v, c);
+          });
+        },
+        s.u, s.v);
+    expect_cuts_exact(
+        "diagnose_w",
+        [&](int n, Array3D<double>& w) {
+          return over_chunks(ri, n, [&](const Range& c) {
+            return kernels::diagnose_w(cfg, g, s.u, s.v, w, c);
+          });
+        },
+        s.w);
+  });
+}
+
+TEST(KernelSplit, OceanPresetChunksReproduceTheUnsplitCall) {
+  check_cuts(ocean_preset(2, 2));
+}
+
+TEST(KernelSplit, AtmospherePresetChunksReproduceTheUnsplitCall) {
+  check_cuts(atmosphere_preset(2, 2));
 }
 
 }  // namespace
