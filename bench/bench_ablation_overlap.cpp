@@ -12,6 +12,7 @@
 //          T_exch_effective = max(t_cpu_floor, t_exch - t_interior),
 //      predict the simulated overlapped PS from measured primitives --
 //      the paper's Section 5.3 methodology?
+#include <deque>
 #include <iostream>
 #include <mutex>
 #include <vector>
@@ -108,8 +109,7 @@ double pipelined_exchange_cost(const net::Interconnect& net, int nx, int ny,
                                  static_cast<std::size_t>(dec.ext_y()),
                                  static_cast<std::size_t>(kNz), 1.0));
     for (int rep = 0; rep < kReps; ++rep) {
-      std::vector<gcm::HaloExchange3> hx;
-      hx.reserve(kFields);
+      std::deque<gcm::HaloExchange3> hx;
       for (auto& fld : f) hx.emplace_back(comm, dec, fld, cfg.halo);
       for (auto& x : hx) x.start();
       if (filler_us > 0) {

@@ -28,7 +28,7 @@ namespace hyades::cluster {
 enum class SpanCat : std::uint8_t {
   kPhase,     // ps, ps_interior, ps_rim, ds -- stepper phases
   kExchange,  // exchange, exchange_start, exchange_wait
-  kGsum,      // gsum, gmax, gsum_start, gsum_wait, gmax_wait
+  kGsum,      // gsum, gmax
   kBarrier,   // barrier
   kSolver,    // ds_cg_iter -- per-iteration CG spans
   kFault,     // retransmit -- fault-recovery intervals

@@ -16,15 +16,16 @@ namespace hyades::comm {
 namespace {
 constexpr int kTagBarrierBase = 700;   // + round
 constexpr int kTagBarrierLocal = 960;  // slave -> master, master -> slave
-constexpr int kTagGsumBase = 1000;     // + salt + round
+constexpr int kTagGsumBase = 1000;     // + round
 constexpr int kTagGsumLocal = 1900;    // slave -> master, master -> slave
 constexpr int kTagXchgBase = 2000;     // + (seq % window) * kDirections + dir
 
-// In-flight tag disambiguation: each started exchange / global sum draws
-// the next slot of a rotating window (Comm::kXchgWindow /
-// Comm::kGsumWindow slots), so concurrent handles never share a
-// (source, tag) stream and exchanges may finish out of order.
-constexpr int kGsumSaltStride = 64;  // leaves room for any butterfly depth
+// Every global sum (and max) uses the one tag set above, as every
+// barrier does: the bus delivers each (source, tag) stream in order, so
+// a fast rank's messages for the next sum queue behind the current
+// one's.  Exchanges draw a slot of a rotating window instead
+// (Comm::kXchgWindow slots), so in-flight handles never share a
+// (source, tag) stream and may finish out of order.
 
 std::atomic<std::uint64_t> g_abandoned_handles{0};
 }  // namespace
@@ -40,11 +41,11 @@ void reset_abandoned_handles() {
 // ---- handle lifetime -----------------------------------------------------
 //
 // A still-active handle reaching its destructor means the caller never
-// called the matching finish: its messages stay queued on the rotating
-// (source, tag) slot, where a later wrapped handle would consume them as
-// its own data.  Destructors cannot throw, so they shout and count; the
-// slot stays marked busy in the Comm, which makes the next wrap onto it
-// fail fast in *_start instead of corrupting state.
+// called exchange_finish: its messages stay queued on the rotating
+// (source, tag) slot, where a later wrapped exchange would consume them
+// as its own data.  Destructors cannot throw, so they shout and count;
+// the slot stays marked busy in the Comm, which makes the next wrap onto
+// it fail fast instead of corrupting state.
 //
 // During exception unwinding (an epoch aborting on a NodeDown verdict
 // tears down whole call stacks holding live handles) abandonment is the
@@ -62,14 +63,10 @@ ExchangeHandle::~ExchangeHandle() {
 }
 
 ExchangeHandle::ExchangeHandle(ExchangeHandle&& o) noexcept
-    : mode_(o.mode_),
-      nb_(o.nb_),
-      buf_(std::exchange(o.buf_, nullptr)),
+    : buf_(std::exchange(o.buf_, nullptr)),
       seq_(o.seq_),
       phase_(o.phase_),
-      t_begin(o.t_begin),
-      t_start_end(o.t_start_end),
-      t_phase0(o.t_phase0) {}
+      t_start_end(o.t_start_end) {}
 
 ExchangeHandle& ExchangeHandle::operator=(ExchangeHandle&& o) noexcept {
   if (this != &o) {
@@ -78,51 +75,9 @@ ExchangeHandle& ExchangeHandle::operator=(ExchangeHandle&& o) noexcept {
       log_error() << "ExchangeHandle abandoned by move-assignment (seq "
                   << seq_ << ")";
     }
-    mode_ = o.mode_;
-    nb_ = o.nb_;
     buf_ = std::exchange(o.buf_, nullptr);
     seq_ = o.seq_;
     phase_ = o.phase_;
-    t_begin = o.t_begin;
-    t_start_end = o.t_start_end;
-    t_phase0 = o.t_phase0;
-  }
-  return *this;
-}
-
-GsumHandle::~GsumHandle() {
-  if (active_) {
-    g_abandoned_handles.fetch_add(1, std::memory_order_relaxed);
-    if (std::uncaught_exceptions() == 0) {
-      log_error() << "GsumHandle abandoned while active (salt " << salt_
-                  << "): global_sum_finish was never called; its tag slot is "
-                     "poisoned and messages may be left undrained";
-    }
-  }
-}
-
-GsumHandle::GsumHandle(GsumHandle&& o) noexcept
-    : v_(std::move(o.v_)),
-      op_(o.op_),
-      salt_(o.salt_),
-      active_(std::exchange(o.active_, false)),
-      blocking_(o.blocking_),
-      t_begin(o.t_begin),
-      t_start_end(o.t_start_end) {}
-
-GsumHandle& GsumHandle::operator=(GsumHandle&& o) noexcept {
-  if (this != &o) {
-    if (active_) {
-      g_abandoned_handles.fetch_add(1, std::memory_order_relaxed);
-      log_error() << "GsumHandle abandoned by move-assignment (salt " << salt_
-                  << ")";
-    }
-    v_ = std::move(o.v_);
-    op_ = o.op_;
-    salt_ = o.salt_;
-    active_ = std::exchange(o.active_, false);
-    blocking_ = o.blocking_;
-    t_begin = o.t_begin;
     t_start_end = o.t_start_end;
   }
   return *this;
@@ -166,149 +121,46 @@ bool Comm::remote(int group_rank) const {
 //
 // Structure (Section 4.2): SMP-local combine through shared memory, a
 // recursive-doubling butterfly over the group's SMP masters, then local
-// distribution.  `start` runs the local combine and posts the first
-// butterfly round; `finish` completes the rest.  Called back to back the
-// two halves execute exactly the classic synchronous algorithm, which
-// keeps blocking timing bit-identical to the paper calibration.
+// distribution -- the classic synchronous algorithm, run in order, which
+// keeps timing bit-identical to the paper calibration.
 
 void Comm::combine_into(std::vector<double>& a, const std::vector<double>& b,
-                        GsumHandle::Op op) {
+                        ReduceOp op) {
   if (a.size() != b.size()) {
     throw std::logic_error("global reduce: size mismatch");
   }
-  if (op == GsumHandle::Op::kSum) {
+  if (op == ReduceOp::kSum) {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
   } else {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::max(a[i], b[i]);
   }
 }
 
-GsumHandle Comm::reduce_start(std::vector<double> v, GsumHandle::Op op,
-                              bool blocking) {
-  // Fail fast on tag-window wrap: if the rotating salt slot is still
-  // held by an unfinished (or abandoned) reduction, a new handle on it
-  // would read the old handle's butterfly messages as its own.
-  const int slot = static_cast<int>(gsum_started_ % kGsumWindow);
-  if (gsum_slot_busy_[static_cast<std::size_t>(slot)]) {
-    throw std::runtime_error(
-        "Comm: global-sum tag window wrapped onto an unfinished handle "
-        "(more than " +
-        std::to_string(kGsumWindow) +
-        " reductions in flight, or an earlier handle was abandoned)");
-  }
-  gsum_slot_busy_[static_cast<std::size_t>(slot)] = true;
-
-  GsumHandle h;
-  h.v_ = std::move(v);
-  h.op_ = op;
-  h.active_ = true;
-  h.blocking_ = blocking;
-  h.salt_ = slot * kGsumSaltStride;
-  ++gsum_started_;
-  h.t_begin = ctx_.clock().now();
-  reduce_post(h.v_, h.op_, {kTagGsumBase + h.salt_, kTagGsumLocal});
-  h.t_start_end = ctx_.clock().now();
-  if (!blocking) {
-    ctx_.charge_comm(h.t_begin);
-    if (ctx_.tracer()) {
-      cluster::SpanCounters ctr;
-      ctr.bytes = static_cast<std::int64_t>(h.v_.size() * sizeof(double));
-      ctx_.tracer()->record("gsum_start", cluster::SpanCat::kGsum, h.t_begin,
-                            h.t_start_end, ctr);
-    }
-  }
-  return h;
-}
-
-void Comm::reduce_post(std::vector<double>& v, GsumHandle::Op op,
-                       ReduceTags tags) {
+void Comm::reduce(std::vector<double>& v, ReduceOp op, ReduceTags tags) {
   const int ppp = ctx_.procs_per_smp();
-  const int gsmp = (ctx_.rank() - rank_base_) / ppp;
+  const int gsmp = group_rank() / ppp;
+  const int gsmps = group_smps();
   const int master_abs = rank_base_ + gsmp * ppp;
+  // Adopt an arrival's stamp.  The forward jump onto a later stamp is
+  // wait caused by the sender's lateness.
+  const auto arrive = [&](const cluster::Message& m) {
+    ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
+    ctx_.clock().advance_to(m.stamp_us);
+  };
 
   // SMP-local combine through shared memory (modeled via the message bus
   // for transport; clocks synchronize through the SMP barrier).
   ctx_.smp_sync();
-  if (ppp > 1) {
-    if (!ctx_.is_master()) {
-      rel_.send(master_abs, tags.local, v, ctx_.clock().now());
-    } else {
-      for (int lr = 1; lr < ppp; ++lr) {
-        cluster::Message m = rel_.recv(master_abs + lr, tags.local);
-        combine_into(v, m.data, op);
-      }
-    }
-  }
-
-  // Post the first message of the reduction; with computation between
-  // start and finish, it is in flight while we work and its latency is
-  // hidden (the overlap rule in reduce_finish).  Power-of-two groups
-  // post butterfly round 0 exactly as before; in a non-power-of-two
-  // group the SMPs beyond the butterfly core post their *fold* send
-  // instead, and core SMPs post nothing (they must absorb the folds
-  // before their first butterfly send).
-  if (ctx_.is_master() && group_smps() > 1) {
-    const int gsmps = group_smps();
-    const int core = butterfly_core(gsmps);
-    int rounds = 0;
-    for (int n = core; n > 1; n >>= 1) ++rounds;
-    if (gsmp >= core) {
-      const int partner_abs = rank_base_ + (gsmp - core) * ppp;
-      rel_.send(partner_abs, tags.round + rounds, v, ctx_.clock().now());
-    } else if (gsmps == core) {
-      const int partner_gsmp = gsmp ^ 1;
-      const int partner_abs = rank_base_ + partner_gsmp * ppp;
-      rel_.send(partner_abs, tags.round, v, ctx_.clock().now());
-    }
-  }
-}
-
-void Comm::reduce_finish(GsumHandle& h) {
-  if (!h.active_) {
-    throw std::logic_error("global_sum_finish: handle not active");
-  }
-  const Microseconds t_entry = ctx_.clock().now();
-  const Microseconds ready =
-      reduce_complete(h.v_, h.op_, {kTagGsumBase + h.salt_, kTagGsumLocal},
-                      h.t_start_end);
-
-  ++gsum_seq_;
-  gsum_slot_busy_[static_cast<std::size_t>(h.salt_ / kGsumSaltStride)] =
-      false;
-  cluster::SpanCounters ctr;
-  ctr.bytes = static_cast<std::int64_t>(h.v_.size() * sizeof(double));
-  const char* op_name = h.op_ == GsumHandle::Op::kSum ? "gsum" : "gmax";
-  if (h.blocking_) {
-    ctx_.charge_comm(h.t_begin);
-    if (ctx_.tracer()) {
-      ctx_.tracer()->record(op_name, cluster::SpanCat::kGsum, h.t_begin,
-                            ctx_.clock().now(), ctr);
-    }
+  if (!ctx_.is_master()) {
+    rel_.send(master_abs, tags.local, v, ctx_.clock().now());
+    cluster::Message m = rel_.recv(master_abs, tags.local);
+    v = std::move(m.data);
+    arrive(m);
   } else {
-    // Communication already in flight while the caller computed is not
-    // double-charged: credit it to the overlap bucket.
-    const Microseconds hidden =
-        std::max(0.0, std::min(t_entry, ready) - h.t_start_end);
-    ctx_.charge_overlap(hidden);
-    ctx_.charge_comm(t_entry);
-    if (ctx_.tracer()) {
-      ctr.overlap_us = hidden;
-      ctx_.tracer()->record(std::string(op_name) + "_wait",
-                            cluster::SpanCat::kGsum, t_entry,
-                            ctx_.clock().now(), ctr);
+    for (int lr = 1; lr < ppp; ++lr) {
+      cluster::Message m = rel_.recv(master_abs + lr, tags.local);
+      combine_into(v, m.data, op);
     }
-  }
-  h.active_ = false;
-}
-
-Microseconds Comm::reduce_complete(std::vector<double>& v, GsumHandle::Op op,
-                                   ReduceTags tags, Microseconds ready) {
-  const int ppp = ctx_.procs_per_smp();
-  const int gsmp = (ctx_.rank() - rank_base_) / ppp;
-  const int gsmps = group_smps();
-  const int master_abs = rank_base_ + gsmp * ppp;
-
-  if (ctx_.is_master()) {
     // Recursive-doubling butterfly across the group's SMPs (Section 4.2,
     // Figure 8): log2(core) rounds, partner differs in bit `round`.  A
     // non-power-of-two group first folds the SMPs beyond the largest
@@ -320,46 +172,32 @@ Microseconds Comm::reduce_complete(std::vector<double>& v, GsumHandle::Op op,
     int rounds = 0;
     for (int n = core; n > 1; n >>= 1) ++rounds;
     if (gsmp >= core) {
-      // Folded SMP: the fold send was posted by reduce_post; wait for
-      // the fully reduced result from the core partner.
-      cluster::Message m =
-          rel_.recv(rank_base_ + (gsmp - core) * ppp, tags.round + rounds + 1);
+      // Folded SMP: hand the contribution to the core partner and wait
+      // for the fully reduced result.
+      const int partner_abs = rank_base_ + (gsmp - core) * ppp;
+      rel_.send(partner_abs, tags.round + rounds, v, ctx_.clock().now());
+      cluster::Message m = rel_.recv(partner_abs, tags.round + rounds + 1);
       v = std::move(m.data);
-      ctx_.charge_imbalance(
-          std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-      ctx_.clock().advance_to(m.stamp_us);
+      arrive(m);
       ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
     } else {
       if (gsmp + core < gsmps) {
-        // Absorb the folded partner's contribution (in flight since its
-        // reduce_post) before the first butterfly send.
+        // Absorb the folded partner's contribution before the first
+        // butterfly send.
         cluster::Message m =
             rel_.recv(rank_base_ + (gsmp + core) * ppp, tags.round + rounds);
         combine_into(v, m.data, op);
-        ready = std::max(ready, m.stamp_us);
-        ctx_.charge_imbalance(
-            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-        ctx_.clock().advance_to(m.stamp_us);
+        arrive(m);
         ctx_.clock().advance(ctx_.net().gsum_round_time(rounds));
       }
       for (int round = 0; round < rounds; ++round) {
-        const int partner_gsmp = gsmp ^ (1 << round);
-        const int partner_abs = rank_base_ + partner_gsmp * ppp;
-        if (round > 0 || gsmps != core) {
-          // In a power-of-two group round 0 was posted by reduce_post;
-          // otherwise fold absorption had to happen first, so every
-          // round's send is issued here.
-          rel_.send(partner_abs, tags.round + round, v, ctx_.clock().now());
-        }
+        const int partner_abs = rank_base_ + (gsmp ^ (1 << round)) * ppp;
+        rel_.send(partner_abs, tags.round + round, v, ctx_.clock().now());
         cluster::Message m = rel_.recv(partner_abs, tags.round + round);
         combine_into(v, m.data, op);
-        if (round == 0 && gsmps == core) ready = std::max(ready, m.stamp_us);
         // Round timing: both partners proceed from the later of their
-        // clocks plus the modeled symmetric round cost.  The forward jump
-        // onto a later partner stamp is wait caused by partner lateness.
-        ctx_.charge_imbalance(
-            std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-        ctx_.clock().advance_to(m.stamp_us);
+        // clocks plus the modeled symmetric round cost.
+        arrive(m);
         ctx_.clock().advance(ctx_.net().gsum_round_time(round));
       }
       if (gsmp + core < gsmps) {
@@ -372,17 +210,24 @@ Microseconds Comm::reduce_complete(std::vector<double>& v, GsumHandle::Op op,
     for (int lr = 1; lr < ppp; ++lr) {
       rel_.send(master_abs + lr, tags.local, v, ctx_.clock().now());
     }
-  } else {
-    cluster::Message m = rel_.recv(master_abs, tags.local);
-    v = std::move(m.data);
-    ready = std::max(ready, m.stamp_us);
-    ctx_.charge_imbalance(std::max(0.0, m.clean_stamp() - ctx_.clock().now()));
-    ctx_.clock().advance_to(m.stamp_us);
   }
   // Final sync pulls every local clock to the master's and applies the
   // shared-memory distribution cost.
   ctx_.smp_sync();
-  return ready;
+}
+
+void Comm::collective(std::vector<double>& v, ReduceOp op, ReduceTags tags,
+                      std::uint64_t& done, const char* span,
+                      cluster::SpanCat cat) {
+  const Microseconds t0 = ctx_.clock().now();
+  reduce(v, op, tags);
+  ++done;
+  ctx_.charge_comm(t0);
+  if (ctx_.tracer()) {
+    cluster::SpanCounters ctr;
+    ctr.bytes = static_cast<std::int64_t>(v.size() * sizeof(double));
+    ctx_.tracer()->record(span, cat, t0, ctx_.clock().now(), ctr);
+  }
 }
 
 double Comm::global_sum(double x) {
@@ -392,53 +237,25 @@ double Comm::global_sum(double x) {
 }
 
 void Comm::global_sum(std::vector<double>& xs) {
-  GsumHandle h = reduce_start(std::move(xs), GsumHandle::Op::kSum,
-                              /*blocking=*/true);
-  reduce_finish(h);
-  xs = std::move(h.v_);
+  collective(xs, ReduceOp::kSum, {kTagGsumBase, kTagGsumLocal}, gsum_seq_,
+             "gsum", cluster::SpanCat::kGsum);
 }
 
 double Comm::global_max(double x) {
-  GsumHandle h = reduce_start(std::vector<double>{x}, GsumHandle::Op::kMax,
-                              /*blocking=*/true);
-  reduce_finish(h);
-  return h.v_[0];
-}
-
-GsumHandle Comm::global_sum_start(std::vector<double> xs) {
-  return reduce_start(std::move(xs), GsumHandle::Op::kSum, /*blocking=*/false);
-}
-
-GsumHandle Comm::global_sum_start(double x) {
-  return global_sum_start(std::vector<double>{x});
-}
-
-GsumHandle Comm::global_max_start(double x) {
-  return reduce_start(std::vector<double>{x}, GsumHandle::Op::kMax,
-                      /*blocking=*/false);
-}
-
-std::vector<double> Comm::global_sum_finish(GsumHandle& h) {
-  reduce_finish(h);
-  return std::move(h.v_);
+  std::vector<double> v{x};
+  collective(v, ReduceOp::kMax, {kTagGsumBase, kTagGsumLocal}, gsum_seq_,
+             "gmax", cluster::SpanCat::kGsum);
+  return v[0];
 }
 
 void Comm::barrier() {
   // A payload-free pass over the global-sum network: same SMP-local
   // combine / butterfly / distribution structure and the same per-round
-  // costs, but its own tag space and counter, so barriers do not consume
-  // global-sum sequence slots or distort gsums_done() statistics.
-  const Microseconds t0 = ctx_.clock().now();
-  const ReduceTags tags{kTagBarrierBase, kTagBarrierLocal};
+  // costs, but its own tag space and counter, so barriers do not distort
+  // gsums_done() statistics.
   std::vector<double> empty;
-  reduce_post(empty, GsumHandle::Op::kSum, tags);
-  (void)reduce_complete(empty, GsumHandle::Op::kSum, tags, t0);
-  ++barrier_seq_;
-  ctx_.charge_comm(t0);
-  if (ctx_.tracer()) {
-    ctx_.tracer()->record("barrier", cluster::SpanCat::kBarrier, t0,
-                          ctx_.clock().now());
-  }
+  collective(empty, ReduceOp::kSum, {kTagBarrierBase, kTagBarrierLocal},
+             barrier_seq_, "barrier", cluster::SpanCat::kBarrier);
 }
 
 // ---- halo exchange -------------------------------------------------------
@@ -462,6 +279,28 @@ void Comm::validate_neighbors(
           "Comm::exchange: negative neighbor (use -1 for none)");
     }
   }
+}
+
+// Draw the next tag-window slot, before any send or clock effect.  Fail
+// fast on a wrap onto a slot still held by an unfinished or abandoned
+// handle: its (source, tag) streams may hold undrained strips that this
+// exchange would consume as its own halo data.
+std::uint64_t Comm::claim_xchg_slot() {
+  const auto slot = static_cast<std::size_t>(xchg_started_ % kXchgWindow);
+  if (xchg_slot_busy_[slot]) {
+    throw std::runtime_error(
+        "Comm: exchange tag window wrapped onto an unfinished handle "
+        "(more than " +
+        std::to_string(kXchgWindow) +
+        " exchanges in flight, or an earlier handle was abandoned)");
+  }
+  xchg_slot_busy_[slot] = true;
+  return xchg_started_++;
+}
+
+void Comm::complete_xchg(std::uint64_t seq) {
+  ++xchg_seq_;
+  xchg_slot_busy_[static_cast<std::size_t>(seq % kXchgWindow)] = false;
 }
 
 // Phase bookkeeping: who sends/receives what in direction d, and the
@@ -500,10 +339,9 @@ ExchangeHandle::Phase Comm::plan_phase(
 // copy) and returns its completion time; the inbound half receives the
 // strip from the opposite neighbor, whose transfer serializes behind the
 // send (one transfer saturates the PCI bus, Section 4.1), and advances
-// the clock.  The blocking exchange runs phase 0's halves in start and
-// finish, so that start+finish back to back is the synchronous algorithm.
-Microseconds Comm::seed_phase_send(const ExchangeHandle::Phase& p, int d,
-                                   std::uint64_t seq, const Buffers& buf) {
+// the clock.
+Microseconds Comm::phase_send(const ExchangeHandle::Phase& p, int d,
+                              std::uint64_t seq, const Buffers& buf) {
   Microseconds t = ctx_.clock().now();
   if (p.smp_out > 0) t += ctx_.net().exchange_transfer_time(p.smp_out);
   if (p.nb_out >= 0 && !p.out_remote) {
@@ -516,8 +354,8 @@ Microseconds Comm::seed_phase_send(const ExchangeHandle::Phase& p, int d,
   return t;
 }
 
-void Comm::seed_phase_recv(const ExchangeHandle::Phase& p, int d,
-                           std::uint64_t seq, Microseconds t, Buffers& buf) {
+void Comm::phase_recv(const ExchangeHandle::Phase& p, int d,
+                      std::uint64_t seq, Microseconds t, Buffers& buf) {
   if (p.nb_in >= 0) {
     cluster::Message m = rel_.recv(abs_rank(p.nb_in), xchg_tag(seq, d));
     auto& dst = buf.in[static_cast<std::size_t>(opposite(d))];
@@ -536,44 +374,40 @@ void Comm::seed_phase_recv(const ExchangeHandle::Phase& p, int d,
   ctx_.clock().advance_to(t);
 }
 
-ExchangeHandle Comm::exchange_start_mode(
-    const std::array<int, kDirections>& neighbors, Buffers& buf,
-    ExchangeHandle::Mode mode) {
+void Comm::exchange(const std::array<int, kDirections>& neighbors,
+                    Buffers& buf) {
   validate_neighbors(neighbors);
-  // Fail fast on tag-window wrap (before any send or clock effect): a
-  // wrapped slot still held by an unfinished or abandoned handle means
-  // its (source, tag) streams may hold undrained strips that this new
-  // handle would consume as its own halo data.
-  const auto slot = static_cast<std::size_t>(xchg_started_ % kXchgWindow);
-  if (xchg_slot_busy_[slot]) {
-    throw std::runtime_error(
-        "Comm: exchange tag window wrapped onto an unfinished handle "
-        "(more than " +
-        std::to_string(kXchgWindow) +
-        " exchanges in flight, or an earlier handle was abandoned)");
+  const std::uint64_t seq = claim_xchg_slot();
+  const Microseconds t0 = ctx_.clock().now();
+  std::int64_t bytes = 0;
+  for (int d = 0; d < kDirections; ++d) {
+    const ExchangeHandle::Phase p = plan_phase(d, neighbors, buf);
+    phase_recv(p, d, seq, phase_send(p, d, seq, buf), buf);
+    if (p.nb_out >= 0) bytes += p.out_b;
+    if (p.nb_in >= 0) bytes += p.in_b;
   }
-  xchg_slot_busy_[slot] = true;
+  complete_xchg(seq);
+  ctx_.charge_comm(t0);
+  if (ctx_.tracer()) {
+    cluster::SpanCounters ctr;
+    ctr.bytes = bytes;
+    ctx_.tracer()->record("exchange", cluster::SpanCat::kExchange, t0,
+                          ctx_.clock().now(), ctr);
+  }
+}
 
+ExchangeHandle Comm::exchange_start(
+    const std::array<int, kDirections>& neighbors, Buffers& buf) {
+  validate_neighbors(neighbors);
   ExchangeHandle h;
-  h.mode_ = mode;
-  h.nb_ = neighbors;
+  h.seq_ = claim_xchg_slot();
   h.buf_ = &buf;
-  h.seq_ = xchg_started_++;
-  h.t_begin = ctx_.clock().now();
+  const Microseconds t_begin = ctx_.clock().now();
 
-  if (mode == ExchangeHandle::Mode::kInterleaved) {
-    // Blocking path: only phase 0's outbound half runs here; finish
-    // resumes with phase 0's inbound half and then phases 1-3.
-    h.phase_[0] = plan_phase(0, neighbors, buf);
-    h.t_phase0 = seed_phase_send(h.phase_[0], 0, h.seq_, buf);
-    h.t_start_end = ctx_.clock().now();
-    return h;
-  }
-
-  // Pipelined (overlap) path: post every phase's send now.  The CPU pays
-  // the injection overhead per bulk transfer and the shared-memory copy
-  // cost for intra-SMP strips; the bulk bytes occupy the SMP's NIU
-  // timeline, which successive transfers serialize on.
+  // Post every phase's send now.  The CPU pays the injection overhead
+  // per bulk transfer and the shared-memory copy cost for intra-SMP
+  // strips; the bulk bytes occupy the SMP's NIU timeline, which
+  // successive transfers serialize on.
   const net::Interconnect& net = ctx_.net();
   std::int64_t out_bytes = 0;
   for (int d = 0; d < kDirections; ++d) {
@@ -592,24 +426,19 @@ ExchangeHandle Comm::exchange_start_mode(
         stamp = ctx_.clock().now();
       }
       rel_.send(abs_rank(p.nb_out), xchg_tag(h.seq_, d),
-                    buf.out[static_cast<std::size_t>(d)], stamp);
+                buf.out[static_cast<std::size_t>(d)], stamp);
       out_bytes += p.out_b;
     }
   }
   h.t_start_end = ctx_.clock().now();
-  ctx_.charge_comm(h.t_begin);
+  ctx_.charge_comm(t_begin);
   if (ctx_.tracer()) {
     cluster::SpanCounters ctr;
     ctr.bytes = out_bytes;
     ctx_.tracer()->record("exchange_start", cluster::SpanCat::kExchange,
-                          h.t_begin, h.t_start_end, ctr);
+                          t_begin, h.t_start_end, ctr);
   }
   return h;
-}
-
-ExchangeHandle Comm::exchange_start(
-    const std::array<int, kDirections>& neighbors, Buffers& buf) {
-  return exchange_start_mode(neighbors, buf, ExchangeHandle::Mode::kPipelined);
 }
 
 void Comm::exchange_finish(ExchangeHandle& h) {
@@ -618,32 +447,7 @@ void Comm::exchange_finish(ExchangeHandle& h) {
   }
   Buffers& buf = *h.buf_;
 
-  if (h.mode_ == ExchangeHandle::Mode::kInterleaved) {
-    std::int64_t bytes = 0;
-    for (int d = 0; d < kDirections; ++d) {
-      // Phase 0's outbound half ran in exchange_start.
-      const ExchangeHandle::Phase p =
-          d == 0 ? h.phase_[0] : plan_phase(d, h.nb_, buf);
-      const Microseconds t =
-          d == 0 ? h.t_phase0 : seed_phase_send(p, d, h.seq_, buf);
-      seed_phase_recv(p, d, h.seq_, t, buf);
-      if (p.nb_out >= 0) bytes += p.out_b;
-      if (p.nb_in >= 0) bytes += p.in_b;
-    }
-    ++xchg_seq_;
-    xchg_slot_busy_[static_cast<std::size_t>(h.seq_ % kXchgWindow)] = false;
-    ctx_.charge_comm(h.t_begin);
-    if (ctx_.tracer()) {
-      cluster::SpanCounters ctr;
-      ctr.bytes = bytes;
-      ctx_.tracer()->record("exchange", cluster::SpanCat::kExchange,
-                            h.t_begin, ctx_.clock().now(), ctr);
-    }
-    h.buf_ = nullptr;
-    return;
-  }
-
-  // Pipelined path: drain the inbound strips under the overlap rule
+  // Drain the inbound strips under the overlap rule
   // t_finish = max(t_local, t_arrival).  Inbound bulk transfers serialize
   // on the NIU timeline (and may have completed during the caller's
   // computation); intra-SMP strips cost a CPU copy on unpack.
@@ -678,8 +482,7 @@ void Comm::exchange_finish(ExchangeHandle& h) {
   const Microseconds hidden =
       std::max(0.0, std::min(t_entry, ready) - h.t_start_end);
   ctx_.charge_overlap(hidden);
-  ++xchg_seq_;
-  xchg_slot_busy_[static_cast<std::size_t>(h.seq_ % kXchgWindow)] = false;
+  complete_xchg(h.seq_);
   ctx_.charge_comm(t_entry);
   if (ctx_.tracer()) {
     cluster::SpanCounters ctr;
@@ -689,13 +492,6 @@ void Comm::exchange_finish(ExchangeHandle& h) {
                           t_entry, ctx_.clock().now(), ctr);
   }
   h.buf_ = nullptr;
-}
-
-void Comm::exchange(const std::array<int, kDirections>& neighbors,
-                    Buffers& buf) {
-  ExchangeHandle h =
-      exchange_start_mode(neighbors, buf, ExchangeHandle::Mode::kInterleaved);
-  exchange_finish(h);
 }
 
 }  // namespace hyades::comm

@@ -22,28 +22,25 @@
 //     commutative combine), which the CG solver's convergence test
 //     requires.
 //
-//   split-phase operation
-//     Both primitives also come in start/finish form so callers can
-//     overlap communication with computation.  exchange_start posts the
-//     four phases' sends up front (the CPU pays only the injection
-//     overhead per bulk transfer; the bytes ride the SMP's NIU, whose
-//     occupancy is tracked on a separate timeline); exchange_finish
-//     drains the receives under the overlap rule
+//   split-phase exchange
+//     The exchange also comes in start/finish form so the stepper can
+//     overlap halo traffic with computation (ModelConfig::overlap_comm).
+//     exchange_start posts the four phases' sends up front (the CPU pays
+//     only the injection overhead per bulk transfer; the bytes ride the
+//     SMP's NIU, whose occupancy is tracked on a separate timeline);
+//     exchange_finish drains the receives under the overlap rule
 //         t_finish = max(t_local, t_arrival)
 //     so communication time already covered by computation is credited to
 //     the Accounting's overlap_us bucket instead of being charged twice.
-//     global_sum_start performs the SMP-local combine and posts the first
-//     butterfly round; global_sum_finish completes the remaining rounds,
-//     hiding the first round's latency behind whatever computation ran in
-//     between.  The blocking calls are implemented as start+finish of an
-//     interleaved mode whose concatenation is exactly the classic
-//     synchronous algorithm, so blocking timing is bit-identical to the
-//     paper-calibrated library.
+//     The blocking exchange runs the four phases in order, each one's
+//     send then receive: the classic synchronous algorithm, so blocking
+//     timing is bit-identical to the paper-calibrated library.  Global
+//     sums are blocking only.
 //
-//     Collective discipline: all ranks of the group must start and finish
-//     the same collectives in the same order (exchange finishes may be
-//     reordered among in-flight exchanges -- each handle carries its own
-//     tag sequence -- but global-sum finishes must follow start order).
+//     Collective discipline: all ranks of the group must run the same
+//     collectives in the same order (exchange finishes may be reordered
+//     among in-flight exchanges -- each handle carries its own tag
+//     sequence).
 //
 // A Comm may span a contiguous sub-range of ranks so that coupled runs
 // can give each isomorph half the machine (Section 5.1).
@@ -54,6 +51,7 @@
 #include <vector>
 
 #include "cluster/runtime.hpp"
+#include "cluster/trace.hpp"
 #include "comm/reliable.hpp"
 
 namespace hyades::comm {
@@ -73,11 +71,11 @@ struct Buffers {
   std::array<std::vector<double>, kDirections> in;
 };
 
-// Number of split-phase handles destroyed while still active (never
+// Number of exchange handles destroyed while still active (never
 // finished).  An abandoned handle leaves messages queued on its
-// (source, tag) streams, which a later handle on the same rotating tag
-// slot would consume as its own data -- the destructors log an error and
-// bump this counter, and Comm refuses to reuse the slot (fail fast
+// (source, tag) streams, which a later exchange on the same rotating tag
+// slot would consume as its own data -- the destructor logs an error and
+// bumps this counter, and Comm refuses to reuse the slot (fail fast
 // instead of corrupting state).  Process-wide; reset in tests.
 [[nodiscard]] std::uint64_t abandoned_handles();
 void reset_abandoned_handles();
@@ -100,7 +98,6 @@ class ExchangeHandle {
 
  private:
   friend class Comm;
-  enum class Mode { kInterleaved, kPipelined };
 
   struct Phase {
     int nb_out = -1, nb_in = -1;
@@ -109,40 +106,10 @@ class ExchangeHandle {
     std::int64_t smp_out = 0, smp_in = 0;  // SMP-aggregated bytes
   };
 
-  Mode mode_ = Mode::kPipelined;
-  std::array<int, kDirections> nb_{{-1, -1, -1, -1}};
   Buffers* buf_ = nullptr;
   std::uint64_t seq_ = 0;  // tag-sequencing id (kTagXchgBase offset)
   std::array<Phase, kDirections> phase_;
-  Microseconds t_begin = 0;      // clock at exchange_start entry
   Microseconds t_start_end = 0;  // clock at exchange_start exit
-  Microseconds t_phase0 = 0;     // interleaved: phase-0 send-complete time
-};
-
-// In-flight global reduction (sum or max).  Like ExchangeHandle,
-// abandoning an active handle is detected by the destructor.
-class GsumHandle {
- public:
-  GsumHandle() = default;
-  ~GsumHandle();
-  GsumHandle(const GsumHandle&) = delete;
-  GsumHandle& operator=(const GsumHandle&) = delete;
-  GsumHandle(GsumHandle&& o) noexcept;
-  GsumHandle& operator=(GsumHandle&& o) noexcept;
-
-  [[nodiscard]] bool valid() const { return active_; }
-
- private:
-  friend class Comm;
-  enum class Op { kSum, kMax };
-
-  std::vector<double> v_;
-  Op op_ = Op::kSum;
-  int salt_ = 0;  // per-handle tag salt
-  bool active_ = false;
-  bool blocking_ = false;  // part of a blocking call (trace/record shape)
-  Microseconds t_begin = 0;
-  Microseconds t_start_end = 0;
 };
 
 class Comm {
@@ -167,18 +134,9 @@ class Comm {
   double global_max(double x);
   // Pure synchronization: a payload-free pass over the same butterfly
   // network, with the same per-round costs as a global sum but its own
-  // tag space and counter -- barriers neither consume global-sum tag
-  // sequence numbers nor pollute gsums_done() statistics.
+  // tag space and counter -- barriers do not pollute gsums_done()
+  // statistics.
   void barrier();
-
-  // ---- split-phase global sum -----------------------------------------
-  // Start the SMP-local combine and the first butterfly round; finish
-  // completes the reduction and returns the result vector (identical on
-  // every rank).  Finishes must be called in start order on all ranks.
-  GsumHandle global_sum_start(std::vector<double> xs);
-  GsumHandle global_sum_start(double x);
-  GsumHandle global_max_start(double x);
-  std::vector<double> global_sum_finish(GsumHandle& h);
 
   // ---- halo exchange ---------------------------------------------------
   using Buffers = hyades::comm::Buffers;
@@ -211,26 +169,23 @@ class Comm {
   }
   [[nodiscard]] bool remote(int group_rank) const;
 
-  // Shared helpers of the blocking and split-phase paths.
+  // Shared helpers of the blocking and split-phase exchanges.
   void validate_neighbors(const std::array<int, kDirections>& neighbors) const;
+  std::uint64_t claim_xchg_slot();
+  void complete_xchg(std::uint64_t seq);
   ExchangeHandle::Phase plan_phase(int d,
                                    const std::array<int, kDirections>& nb,
                                    const Buffers& buf);
-  Microseconds seed_phase_send(const ExchangeHandle::Phase& p, int d,
-                               std::uint64_t seq, const Buffers& buf);
-  void seed_phase_recv(const ExchangeHandle::Phase& p, int d,
-                       std::uint64_t seq, Microseconds t, Buffers& buf);
-  ExchangeHandle exchange_start_mode(
-      const std::array<int, kDirections>& neighbors, Buffers& buf,
-      ExchangeHandle::Mode mode);
+  Microseconds phase_send(const ExchangeHandle::Phase& p, int d,
+                          std::uint64_t seq, const Buffers& buf);
+  void phase_recv(const ExchangeHandle::Phase& p, int d, std::uint64_t seq,
+                  Microseconds t, Buffers& buf);
   [[nodiscard]] int xchg_tag(std::uint64_t seq, int d) const;
 
   // Largest power of two <= n: the butterfly "core" over which the
   // recursive-doubling rounds run; SMPs beyond it fold in/out.
   static int butterfly_core(int n);
-  GsumHandle reduce_start(std::vector<double> v, GsumHandle::Op op,
-                          bool blocking);
-  void reduce_finish(GsumHandle& h);
+  enum class ReduceOp { kSum, kMax };
   // The reduction network shared by the global sums and the barrier,
   // which differ only in their tag spaces: `round` + butterfly round
   // (the fold and fold-back use the two tags past the last round), and
@@ -239,25 +194,24 @@ class Comm {
     int round;
     int local;
   };
-  // SMP-local combine into the master's `v`, then post the first
-  // butterfly (or fold) message.
-  void reduce_post(std::vector<double>& v, GsumHandle::Op op,
-                   ReduceTags tags);
-  // The remaining rounds and the local distribution; every rank ends
-  // with the reduced `v`.  Returns `ready` raised to the latest arrival
-  // the overlap rule may credit.
-  Microseconds reduce_complete(std::vector<double>& v, GsumHandle::Op op,
-                               ReduceTags tags, Microseconds ready);
+  // The synchronous schedule: SMP-local combine into the master's `v`,
+  // the butterfly over the SMP masters, then local distribution; every
+  // rank ends with the reduced `v`.
+  void reduce(std::vector<double>& v, ReduceOp op, ReduceTags tags);
+  // One blocking collective (global sum, max or barrier): the reduction
+  // plus its counter, comm charge and trace span.
+  void collective(std::vector<double>& v, ReduceOp op, ReduceTags tags,
+                  std::uint64_t& done, const char* span,
+                  cluster::SpanCat cat);
   static void combine_into(std::vector<double>& a,
-                           const std::vector<double>& b, GsumHandle::Op op);
+                           const std::vector<double>& b, ReduceOp op);
 
-  // Rotating tag-window sizes: a started exchange / global sum draws the
-  // next slot; the slot is released when the handle finishes.  Starting a
-  // collective whose slot is still held by an unfinished (or abandoned)
-  // handle throws -- a wrapped slot would silently interleave two
-  // handles' messages on one (source, tag) stream.
+  // Rotating exchange tag window: an exchange draws the next slot and
+  // releases it when it completes.  Starting an exchange whose slot is
+  // still held by an unfinished (or abandoned) handle throws -- a wrapped
+  // slot would silently interleave two exchanges' messages on one
+  // (source, tag) stream.
   static constexpr int kXchgWindow = 64;
-  static constexpr int kGsumWindow = 4;
 
   cluster::RankContext& ctx_;
   // All bulk transport goes through the end-to-end reliability layer;
@@ -268,10 +222,8 @@ class Comm {
   std::uint64_t xchg_seq_ = 0;      // completed exchanges
   std::uint64_t xchg_started_ = 0;  // started exchanges (tag sequencing)
   std::uint64_t gsum_seq_ = 0;
-  std::uint64_t gsum_started_ = 0;
   std::uint64_t barrier_seq_ = 0;
   std::array<bool, kXchgWindow> xchg_slot_busy_{};
-  std::array<bool, kGsumWindow> gsum_slot_busy_{};
   // SMP NIU occupancy frontier for pipelined transfers: bulk bytes ride
   // the NIU while the CPU computes; successive transfers serialize on it
   // (one transfer saturates the PCI bus, Section 4.1).

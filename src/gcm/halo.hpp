@@ -38,15 +38,15 @@ void exchange2d(comm::Comm& comm, const Decomp& dec, Array2D<double>& f,
 // The field must not be written between start() and finish().  Several
 // HaloExchange3 may be in flight at once (per-handle tag sequencing in
 // the comm layer); within a run the three calls are collective across
-// the group in a consistent order.
+// the group in a consistent order.  Immovable: the in-flight handle
+// points at this object's own buffers, so hold exchanges where they
+// never relocate (a std::array built in place, a std::deque).
 class HaloExchange3 {
  public:
   HaloExchange3(comm::Comm& comm, const Decomp& dec, Array3D<double>& f,
                 int width);
   HaloExchange3(const HaloExchange3&) = delete;
   HaloExchange3& operator=(const HaloExchange3&) = delete;
-  HaloExchange3(HaloExchange3&&) = default;
-  HaloExchange3& operator=(HaloExchange3&&) = default;
 
   void start();
   void progress();

@@ -183,12 +183,11 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
     // the state after the step is bitwise identical to the blocking
     // path -- only virtual timing (and the biharmonic scratch
     // recomputation flops along the interior/rim seam) differ.
-    std::vector<HaloExchange3> hx;
-    hx.reserve(5);  // no reallocation: in-flight handles must not move
-    for (Array3D<double>* fld : {&state_.u, &state_.v, &state_.w,
-                                 &state_.theta, &state_.salt}) {
-      hx.emplace_back(comm_, dec_, *fld, h);
-    }
+    std::array<HaloExchange3, 5> hx{{{comm_, dec_, state_.u, h},
+                                     {comm_, dec_, state_.v, h},
+                                     {comm_, dec_, state_.w, h},
+                                     {comm_, dec_, state_.theta, h},
+                                     {comm_, dec_, state_.salt, h}}};
     for (auto& x : hx) x.start();
     Microseconds exch_us = ctx.clock().now() - t_ps;
 

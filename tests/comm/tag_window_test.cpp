@@ -1,10 +1,10 @@
 // Tag-window lifetime bugs (fixed in this layer): the rotating exchange
-// and global-sum tag windows used to wrap silently, so the 65th
-// in-flight exchange (or 5th in-flight global sum) would consume an
-// older handle's messages as its own.  Starting onto an undrained slot
-// now throws, and destroying a never-finished handle is detected and
-// counted.  Single-rank machine throughout: collectives complete
-// locally, so handles can be parked without deadlocking siblings.
+// tag window used to wrap silently, so the 65th in-flight exchange would
+// consume an older handle's messages as its own.  Starting onto an
+// undrained slot now throws, and destroying a never-finished handle is
+// detected and counted.  Single-rank machine throughout: collectives
+// complete locally, so handles can be parked without deadlocking
+// siblings.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -55,40 +55,23 @@ TEST(TagWindow, ExchangeWrapOntoUnfinishedHandleThrows) {
   });
 }
 
-TEST(TagWindow, GsumWrapOntoUnfinishedHandleThrows) {
-  run_single_rank([](Comm& comm) {
-    std::vector<GsumHandle> inflight;
-    for (int i = 0; i < 4; ++i) {
-      inflight.push_back(comm.global_sum_start(1.0));
-    }
-    EXPECT_THROW((void)comm.global_sum_start(1.0), std::runtime_error);
-    for (GsumHandle& h : inflight) {
-      EXPECT_DOUBLE_EQ(comm.global_sum_finish(h)[0], 1.0);
-    }
-    GsumHandle h = comm.global_sum_start(2.0);
-    EXPECT_DOUBLE_EQ(comm.global_sum_finish(h)[0], 2.0);
-  });
-}
-
 TEST(TagWindow, AbandonedHandlesAreDetectedAndCounted) {
   reset_abandoned_handles();
   run_single_rank([](Comm& comm) {
     Buffers buf;
     {
       ExchangeHandle x = comm.exchange_start(kNoNeighbors, buf);
-      GsumHandle g = comm.global_sum_start(1.0);
       EXPECT_TRUE(x.valid());
-      EXPECT_TRUE(g.valid());
-      // Both go out of scope still active: two abandonments.
+      // Goes out of scope still active: one abandonment.
     }
-    EXPECT_EQ(abandoned_handles(), 2u);
-    // The abandoned slots stay poisoned: wrapping onto them fails fast
-    // instead of silently adopting the abandoned handles' messages.
-    for (int i = 0; i < 3; ++i) {
-      GsumHandle h = comm.global_sum_start(1.0);
-      (void)comm.global_sum_finish(h);
-    }
-    EXPECT_THROW((void)comm.global_sum_start(1.0), std::runtime_error);
+    EXPECT_EQ(abandoned_handles(), 1u);
+    // The abandoned slot stays poisoned: wrapping onto it fails fast, in
+    // both exchange forms, instead of silently adopting the abandoned
+    // handle's messages.
+    for (int i = 0; i < 63; ++i) comm.exchange(kNoNeighbors, buf);
+    EXPECT_THROW(comm.exchange(kNoNeighbors, buf), std::runtime_error);
+    EXPECT_THROW((void)comm.exchange_start(kNoNeighbors, buf),
+                 std::runtime_error);
   });
   reset_abandoned_handles();
   EXPECT_EQ(abandoned_handles(), 0u);
@@ -103,11 +86,6 @@ TEST(TagWindow, MovedFromHandlesDoNotCountAsAbandoned) {
     EXPECT_FALSE(a.valid());  // ownership transferred, not duplicated
     EXPECT_TRUE(b.valid());
     comm.exchange_finish(b);
-
-    GsumHandle g = comm.global_sum_start(3.0);
-    GsumHandle g2 = std::move(g);
-    EXPECT_FALSE(g.valid());
-    EXPECT_DOUBLE_EQ(comm.global_sum_finish(g2)[0], 3.0);
   });
   EXPECT_EQ(abandoned_handles(), 0u);
 }

@@ -435,18 +435,6 @@ TEST(NonPow2Gsum, BitwiseIdenticalEverywhere) {
   }
 }
 
-TEST(NonPow2Gsum, SplitPhaseOverlapsFoldSend) {
-  const net::ArcticModel net;
-  cluster::Runtime rt(machine(net, 3, 2));
-  rt.run([&](cluster::RankContext& ctx) {
-    comm::Comm comm(ctx);
-    comm::GsumHandle h = comm.global_sum_start(ctx.rank() + 1.0);
-    ctx.clock().advance(50.0);  // modeled computation between start/finish
-    const std::vector<double> v = comm.global_sum_finish(h);
-    EXPECT_DOUBLE_EQ(v[0], 21.0);
-  });
-}
-
 TEST(NonPow2Gsum, TimingDeterministic) {
   const net::ArcticModel net;
   auto run_once = [&] {
