@@ -133,7 +133,7 @@ SchedulePoint run_schedule(const cluster::FaultPlan* plan) {
   };
   const gcm::ResilientStats st = gcm::run_resilient(rt, gyre_cfg(), kSteps, rcfg);
   gcm::tile_ckpt::remove_slots(rcfg.ckpt_prefix, mc.nranks());
-  out.restarts = st.restarts;
+  out.restarts = static_cast<int>(st.ladder.size());
   for (const cluster::Accounting& a : rt.accounting()) {
     out.degraded_sends += a.degraded_sends;
     out.reroute_us += a.reroute_us;
@@ -141,7 +141,7 @@ SchedulePoint run_schedule(const cluster::FaultPlan* plan) {
   // rt.accounting() snapshots only the final epoch; the total restart
   // charge across all aborted epochs is plan-pure.
   out.restart_us = plan != nullptr
-                       ? st.restarts * plan->restart_cost_us * kSmps
+                       ? out.restarts * plan->restart_cost_us * kSmps
                        : 0.0;
   out.makespan_us = rt.max_clock();
   return out;

@@ -223,15 +223,12 @@ int run_bench() {
                   << " survived but broke bit-identity with the "
                      "failure-free run\n";
       }
-      for (std::size_t i = 0; i < got.stats.ladder.size(); ++i) {
-        const gcm::RecoveryEvent& ev = got.stats.ladder[i];
+      for (const gcm::RecoveryEvent& ev : got.stats.ladder) {
         ++total_events;
         total_downgrades += ev.downgrades();
         const std::string rung = gcm::to_string(ev.landed());
         ++rung_count[rung];
-        if (i < got.stats.recovery_us.size()) {
-          rung_rec_us[rung] += got.stats.recovery_us[i];
-        }
+        rung_rec_us[rung] += ev.recovery_us;
       }
     } catch (const gcm::RecoveryExhausted& e) {
       ++failed_typed;

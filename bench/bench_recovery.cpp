@@ -168,10 +168,8 @@ int run_bench() {
     const RunOut migrate =
         run_mode(&plan, gcm::RecoveryMode::kMigrate,
                  bench::private_tmp("hyades_brm"));
-    if (static_cast<int>(restart.stats.recovery_us.size()) !=
-            s.expect_events ||
-        static_cast<int>(migrate.stats.recovery_us.size()) !=
-            s.expect_events) {
+    if (static_cast<int>(restart.stats.ladder.size()) != s.expect_events ||
+        static_cast<int>(migrate.stats.ladder.size()) != s.expect_events) {
       std::cerr << "BENCH_recovery: schedule '" << s.name
                 << "' did not produce exactly " << s.expect_events
                 << " recovery event(s)\n";
@@ -181,8 +179,12 @@ int run_bench() {
     // total virtual time the campaign spent not making progress.
     double rec_restart = 0.0;
     double rec_migrate = 0.0;
-    for (const double us : restart.stats.recovery_us) rec_restart += us;
-    for (const double us : migrate.stats.recovery_us) rec_migrate += us;
+    for (const gcm::RecoveryEvent& ev : restart.stats.ladder) {
+      rec_restart += ev.recovery_us;
+    }
+    for (const gcm::RecoveryEvent& ev : migrate.stats.ladder) {
+      rec_migrate += ev.recovery_us;
+    }
     if (!states_bit_identical(clean, restart) ||
         !states_bit_identical(clean, migrate)) {
       std::cerr << "BENCH_recovery: schedule '" << s.name
@@ -196,9 +198,9 @@ int run_bench() {
       ok = false;
     }
 
-    const long resume = restart.stats.restart_steps.empty()
+    const long resume = restart.stats.ladder.empty()
                             ? -1
-                            : restart.stats.restart_steps[0];
+                            : restart.stats.ladder[0].attempts.back().step;
     t.add_row({s.name, Table::fmt_int(resume), Table::fmt(rec_restart, 0),
                Table::fmt(rec_migrate, 0),
                Table::fmt(rec_restart / rec_migrate, 2) + "x",

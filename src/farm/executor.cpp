@@ -78,7 +78,7 @@ ExecutionOutcome execute_job(const JobSpec& spec,
       const gcm::ResilientStats st =
           gcm::run_resilient(rt, spec.config, spec.steps, rcfg);
       out.ok = true;
-      out.result.steps_committed = st.steps;
+      out.result.steps_committed = spec.steps;
       out.result.migrations = st.migrations;
       out.result.rebalances = st.rebalances;
       for (const gcm::RecoveryEvent& ev : st.ladder) {

@@ -15,6 +15,7 @@ constexpr int kTagFlux = 4001;
 Coupler::Coupler(cluster::RankContext& ctx, int ocean_base, int atmos_base,
                  int group_n)
     : ctx_(ctx),
+      rel_(ctx),
       ocean_base_(ocean_base),
       atmos_base_(atmos_base),
       group_n_(group_n) {
@@ -71,17 +72,14 @@ void Coupler::exchange_boundary(Model& model, SurfaceForcing& forcing) {
   if (is_ocean()) {
     const int peer = ctx_.rank() - ocean_base_ + atmos_base_;
     // Send SST (surface theta over the interior).
-    // lint:allow(raw-send): coupler exchange predates the reliability
-    // layer and is pinned by coupled-run goldens; new model traffic must
-    // use comm/reliable (see DESIGN.md "Static analysis").
-    ctx_.send_raw(peer, kTagSst,
-                  pack_interior([&](std::size_t i, std::size_t j) {
-                    return s.theta(i, j, 0);
-                  }),
-                  ctx_.clock().now() + xfer);
+    rel_.send(peer, kTagSst,
+              pack_interior([&](std::size_t i, std::size_t j) {
+                return s.theta(i, j, 0);
+              }),
+              ctx_.clock().now() + xfer);
 
     // Receive (taux, tauy, qnet) concatenated.
-    const cluster::Message m = ctx_.recv_raw(peer, kTagFlux);
+    const cluster::Message m = rel_.recv(peer, kTagFlux);
     ctx_.clock().advance_to(m.stamp_us);
     if (m.data.size() != 3 * n) {
       throw std::logic_error("Coupler: flux message size mismatch");
@@ -97,7 +95,7 @@ void Coupler::exchange_boundary(Model& model, SurfaceForcing& forcing) {
 
   // ---- atmosphere side --------------------------------------------------
   const int peer = ctx_.rank() - atmos_base_ + ocean_base_;
-  const cluster::Message m = ctx_.recv_raw(peer, kTagSst);
+  const cluster::Message m = rel_.recv(peer, kTagSst);
   ctx_.clock().advance_to(m.stamp_us);
   if (m.data.size() != n) {
     throw std::logic_error("Coupler: SST message size mismatch");
@@ -138,10 +136,7 @@ void Coupler::exchange_boundary(Model& model, SurfaceForcing& forcing) {
   append(taux);
   append(tauy);
   append(qnet);
-  // lint:allow(raw-send): paired with the SST leg above -- same golden
-  // pinning; convert both sides together or not at all.
-  ctx_.send_raw(peer, kTagFlux, std::move(flux),
-                ctx_.clock().now() + 3.0 * xfer);
+  rel_.send(peer, kTagFlux, std::move(flux), ctx_.clock().now() + 3.0 * xfer);
 }
 
 }  // namespace hyades::gcm

@@ -9,9 +9,13 @@
 //   ocean -> atmosphere : SST (surface theta)
 //   atmosphere -> ocean : wind stress (bulk formula on its lowest-level
 //                         winds) and net surface heat flux.
+//
+// Both legs ride comm/reliable like all model traffic, so a fault plan
+// costs them retransmits, never corrupt boundary fields.
 #pragma once
 
 #include "cluster/runtime.hpp"
+#include "comm/reliable.hpp"
 #include "gcm/model.hpp"
 #include "gcm/physics.hpp"
 
@@ -37,6 +41,7 @@ class Coupler {
 
  private:
   cluster::RankContext& ctx_;
+  comm::Reliable rel_;  // one per rank, so per-peer serials advance
   int ocean_base_, atmos_base_, group_n_;
 };
 

@@ -31,7 +31,11 @@ double cell_noise(std::uint64_t seed, int gi, int gj, int k) {
 }  // namespace
 
 Model::Model(const ModelConfig& cfg, comm::Comm& comm)
-    : cfg_(cfg), comm_(comm), dec_(cfg, comm.group_rank()), grid_(cfg, dec_) {
+    : cfg_(cfg),
+      comm_(comm),
+      rel_(comm.ctx()),
+      dec_(cfg, comm.group_rank()),
+      grid_(cfg, dec_) {
   cfg_.validate();
   if (comm.group_size() != cfg.tiles()) {
     throw std::invalid_argument("Model: comm group size != px*py");
@@ -216,10 +220,7 @@ Array2D<double> Model::gather2d(const Array2D<double>& local) {
     }
     const Microseconds stamp =
         ctx.clock().now() + ctx.net().transfer_time(bytes);
-    // lint:allow(raw-send): diagnostic gather outside the fault window
-    // (fault plans target the step loop, not field collection); routing
-    // it through reliable would shift goldens for zero model-state risk.
-    ctx.send_raw(root_abs, kTagGather, std::move(payload), stamp);
+    rel_.send(root_abs, kTagGather, std::move(payload), stamp);
     ctx.clock().advance(ctx.net().transfer_overhead());
     return {};
   }
@@ -235,7 +236,7 @@ Array2D<double> Model::gather2d(const Array2D<double>& local) {
     }
   }
   for (int gr = 1; gr < comm_.group_size(); ++gr) {
-    const cluster::Message m = ctx.recv_raw(root_abs + gr, kTagGather);
+    const cluster::Message m = rel_.recv(root_abs + gr, kTagGather);
     ctx.clock().advance_to(m.stamp_us);
     const Decomp dtheir(cfg_, gr);
     std::size_t n = 0;

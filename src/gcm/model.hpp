@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "comm/comm.hpp"
+#include "comm/reliable.hpp"
 #include "gcm/config.hpp"
 #include "gcm/decomp.hpp"
 #include "gcm/grid.hpp"
@@ -84,6 +85,7 @@ class Model {
 
   ModelConfig cfg_;
   comm::Comm& comm_;
+  comm::Reliable rel_;  // the field gathers' transport
   Decomp dec_;
   TileGrid grid_;
   State state_;

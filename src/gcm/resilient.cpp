@@ -4,6 +4,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/membership.hpp"
 #include "comm/comm.hpp"
@@ -36,33 +38,31 @@ int durable_slot(long s, int ckpt_every) {
 
 // In-memory ring slot of the cut at step `s` for a ring of `depth`
 // committed snapshots: consecutive cuts rotate through the depth.
-int ring_slot(long s, int ckpt_every, int depth) {
-  return static_cast<int>((s / ckpt_every) % depth);
+std::size_t ring_slot(long s, int ckpt_every, int depth) {
+  return static_cast<std::size_t>((s / ckpt_every) % depth);
 }
 
-// One committed in-memory snapshot of a rank's tile, written at every
-// checkpoint cut in migrate mode.  `ring_depth` of these per rank form
-// the ring that lets survivors rewind without touching disk: because
-// each cut's save sits between collective barriers, no two live ranks
-// can be more than one cut apart, so a two-deep ring always covers the
-// newest recovery step every peer can reach -- deeper rings keep older
-// cuts live for the older-cut ladder rung.
-struct Snap {
-  long step = -1;
-  State state;
-};
+// A rank's ring: its `ring_depth` newest committed cut snapshots, in
+// the same HYADES03 encoding as the durable slots (kMigrate only).  The
+// ring lets survivors rewind without touching disk: because each cut's
+// save sits between collective barriers, no two live ranks can be more
+// than one cut apart, so a two-deep ring always covers the newest
+// recovery step every peer can reach -- deeper rings keep older cuts
+// live for the older-cut ladder rung.
+using Ring = std::vector<tile_ckpt::Snapshot>;
 
-long newest_ring_step(const std::vector<Snap>& rr) {
+long newest_ring_step(const Ring& rr) {
   long newest = -1;
-  for (const Snap& s : rr) newest = std::max(newest, s.step);
+  for (const tile_ckpt::Snapshot& s : rr) newest = std::max(newest, s.step);
   return newest;
 }
 
-bool ring_has(const std::vector<Snap>& rr, long step) {
-  for (const Snap& s : rr) {
-    if (s.step == step) return true;
+// The ring's snapshot of the cut at `step`, or nullptr.
+const tile_ckpt::Snapshot* ring_cut(const Ring& rr, long step) {
+  for (const tile_ckpt::Snapshot& s : rr) {
+    if (s.step == step) return &s;
   }
-  return false;
+  return nullptr;
 }
 
 }  // namespace
@@ -84,8 +84,8 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         "skew between live ranks)");
   }
   const int nranks = rt.config().nranks();
-  if (rcfg.tracers != nullptr &&
-      rcfg.tracers->size() < static_cast<std::size_t>(nranks)) {
+  const auto nr = static_cast<std::size_t>(nranks);
+  if (rcfg.tracers != nullptr && rcfg.tracers->size() < nr) {
     throw std::invalid_argument("run_resilient: tracer list shorter than ranks");
   }
 
@@ -103,10 +103,9 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
   // Everything below is written by the driver between epochs or by a
   // rank thread in its own slot during an epoch; thread create/join
   // orders every cross-thread access.
-  std::vector<std::vector<Snap>> ring;  // per-rank committed snapshots
+  std::vector<Ring> ring;  // per-rank committed snapshots (kMigrate)
   if (migrate) {
-    ring.assign(static_cast<std::size_t>(nranks),
-                std::vector<Snap>(static_cast<std::size_t>(rcfg.ring_depth)));
+    ring.assign(nr, Ring(static_cast<std::size_t>(rcfg.ring_depth)));
   }
   std::vector<int> host_map;  // evolving placement baseline; empty=identity
   std::set<int> dead_smps;    // boards lost and not yet replaced by a join
@@ -116,26 +115,25 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
     return host_map.empty() ? r / ppp : host_map[static_cast<std::size_t>(r)];
   };
 
-  // Resumed-epoch instructions for the rank bodies.
-  long resume_step = -1;  // -1 = fresh start
+  // Resumed-epoch instructions for the rank bodies, staged by the
+  // planners: the cut every rank resumes from (-1 = fresh start), each
+  // rank's snapshot of it (a survivor's own ring cut, or the durable tile
+  // the driver read for an adopter or a restarted rank), which ranks
+  // moved onto a new board, and the epoch's start clock.  The recovery
+  // itself is st.ladder.back().
+  long resume_step = -1;
+  std::vector<tile_ckpt::Snapshot> resume(nr);
+  std::vector<char> adopted(nr, 0);
   Microseconds clock_base = 0;
-  std::string load_prefix;  // epoch-restart slot to reload
-  std::vector<char> adopt_load(static_cast<std::size_t>(nranks), 0);
-  std::vector<std::string> adopt_path(static_cast<std::size_t>(nranks));
-  // Ladder outcome of the recovery being resumed: the rung it landed on
-  // (names the kNodeDown span) and the rungs fallen getting there
-  // (charged to every resuming rank's accounting).
-  RecoveryRung pending_rung = RecoveryRung::kMigrate;
-  int pending_downgrades = 0;
 
   // Recovery-time probe: each rank records the virtual clock after its
   // first completed step of an epoch; the driver turns the max into the
-  // per-event recovery_us (detection -> everyone stepping again).  A rank
-  // that dies also notes whether it completed a global sum after its
-  // probe: that sum needed every rank, so every probe was in by then.
-  Microseconds pending_detect = -1.0;
-  std::vector<Microseconds> probe(static_cast<std::size_t>(nranks), 0.0);
-  std::vector<char> summed_past_probe(static_cast<std::size_t>(nranks), 0);
+  // resumed recovery's recovery_us (detection -> everyone stepping
+  // again).  A rank that dies also notes whether it completed a global
+  // sum after its probe: that sum needed every rank, so every probe was
+  // in by then.
+  std::vector<Microseconds> probe(nr, 0.0);
+  std::vector<char> summed_past_probe(nr, 0);
 
   // Per-epoch completion flags: a rank marks its slot after its last
   // step.  When a kill takes down every board at once there is no
@@ -143,7 +141,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
   // silently and run() returns cleanly with nothing computed.  The
   // driver detects that (no rank completed) and synthesizes the
   // coalesced verdict the survivors would have published.
-  std::vector<char> completed(static_cast<std::size_t>(nranks), 0);
+  std::vector<char> completed(nr, 0);
 
   ResilientStats st;
 
@@ -153,73 +151,35 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
       st.rebalances += static_cast<int>(a.rebalances);
     }
   };
-  // Ends the pending recovery at `done`.
+  // Ends the recovery this epoch resumed from (none in epoch 0) at
+  // `done`.
   const auto record_recovery = [&](Microseconds done) {
-    if (pending_detect < 0) return;
-    st.recovery_us.push_back(done - pending_detect);
-    pending_detect = -1.0;
+    if (st.ladder.empty()) return;
+    RecoveryEvent& ev = st.ladder.back();
+    ev.recovery_us = done - ev.verdict.detected_us;
   };
   const auto last_probe = [&] {
     return *std::max_element(probe.begin(), probe.end());
   };
-
-  // ---- the degradation ladder's rungs ---------------------------------
-
-  // Epoch restart: pick the newest consistent AND deep-verified durable
-  // slot for a whole-world reload.  Consistency (same step on every
-  // rank) comes from the header scan; a corrupt payload passes the
-  // header, so every rank file of a candidate slot is CRC-verified
-  // before committing -- a slot with rotted bits degrades to the other
-  // slot, recorded as a failed attempt.  Returns false (with the
-  // attempts recorded) when neither slot is usable.
-  const auto plan_epoch_restart = [&](RecoveryEvent* ev) -> bool {
-    const tile_ckpt::SlotScan scans[2] = {
-        tile_ckpt::scan_slot(rcfg.ckpt_prefix, 0, nranks),
-        tile_ckpt::scan_slot(rcfg.ckpt_prefix, 1, nranks)};
-    std::vector<int> order;
-    for (int slot : {0, 1}) {
-      if (scans[slot].consistent) order.push_back(slot);
-    }
-    std::sort(order.begin(), order.end(),
-              [&](int x, int y) { return scans[x].step > scans[y].step; });
-    for (int slot : order) {
-      const std::string sp = tile_ckpt::slot_prefix(rcfg.ckpt_prefix, slot);
-      int bad_rank = -1;
-      for (int r = 0; r < nranks; ++r) {
-        if (!tile_ckpt::verify(tile_ckpt::rank_path(sp, r), mcfg)) {
-          bad_rank = r;
-          break;
-        }
-      }
-      if (bad_rank >= 0) {
-        ev->attempts.push_back(
-            {RecoveryRung::kEpochRestart, scans[slot].step, false,
-             "slot " + std::to_string(slot) + " at step " +
-                 std::to_string(scans[slot].step) + ": rank " +
-                 std::to_string(bad_rank) +
-                 " durable checkpoint failed deep verification"});
-        continue;
-      }
-      load_prefix = sp;
-      resume_step = scans[slot].step;
-      ev->attempts.push_back(
-          {RecoveryRung::kEpochRestart, resume_step, true, ""});
+  // Read one durable tile a recovery will resume from.  The read checks
+  // the header and the payload CRC, so a tile with rotted bits fails
+  // here and degrades the rung instead of crashing a rank mid-resume.
+  const auto read_tile = [&](const std::string& path,
+                             tile_ckpt::Snapshot* out) {
+    try {
+      *out = tile_ckpt::read(path, mcfg);
       return true;
+    } catch (const std::runtime_error&) {
+      return false;
     }
-    if (order.empty()) {
-      ev->attempts.push_back(
-          {RecoveryRung::kEpochRestart, -1, false,
-           "no consistent checkpoint slot to restart from"});
-    }
-    return false;
   };
 
   for (int epoch = 0;; ++epoch) {
     rt.set_epoch(epoch);
     rt.bus().reset_down();
     rt.set_host_map(host_map);
-    completed.assign(static_cast<std::size_t>(nranks), 0);
-    summed_past_probe.assign(static_cast<std::size_t>(nranks), 0);
+    completed.assign(nr, 0);
+    summed_past_probe.assign(nr, 0);
 
     try {
       rt.run([&](cluster::RankContext& ctx) {
@@ -238,70 +198,57 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         };
         try {
           Model model(mcfg, comm);
+          // Commit the cut at step `s`: encode the tile once, publish it
+          // to its durable slot and keep it in the ring.
+          const auto commit_cut = [&](long s) {
+            tile_ckpt::Snapshot snap = tile_ckpt::encode(model.state());
+            tile_ckpt::write(
+                tile_ckpt::rank_path(
+                    tile_ckpt::slot_prefix(rcfg.ckpt_prefix,
+                                           durable_slot(s, rcfg.ckpt_every)),
+                    rank),
+                model.config(), snap);
+            if (migrate) {
+              ring[ri][ring_slot(s, rcfg.ckpt_every, rcfg.ring_depth)] =
+                  std::move(snap);
+            }
+          };
           if (resume_step < 0) {
             model.initialize(rcfg.init_seed);
             // Durable step-0 checkpoint BEFORE the first communication:
             // even a kill firing in the first step restarts from a
             // complete, mutually consistent slot.
-            model.save_checkpoint(tile_ckpt::slot_prefix(rcfg.ckpt_prefix, 0));
-            if (migrate) {
-              // ring_slot(0) == 0 at any depth.
-              ring[ri][0].step = 0;
-              ring[ri][0].state = model.state();
-            }
-          } else if (!migrate || !load_prefix.empty()) {
-            // Epoch restart: the recovery mode's only rung, or the
-            // migrate ladder's last resort (the driver cleared the
-            // rings and reset the placement; the boards are back).
-            model.load_checkpoint(load_prefix);
-            const Microseconds began = ctx.clock().now();
-            ctx.clock().advance_to(clock_base);
-            ctx.charge_restart(plan != nullptr ? plan->restart_cost_us : 0.0);
-            if (pending_downgrades > 0) {
-              ctx.note_downgrades(pending_downgrades);
-            }
-            if (ctx.tracer() != nullptr) {
-              ctx.tracer()->record("restart", cluster::SpanCat::kNodeDown,
-                                   began, ctx.clock().now());
-            }
-            if (migrate) {
-              const auto slot = static_cast<std::size_t>(ring_slot(
-                  resume_step, rcfg.ckpt_every, rcfg.ring_depth));
-              ring[ri][slot].step = resume_step;
-              ring[ri][slot].state = model.state();
-            }
+            commit_cut(0);
           } else {
-            // Live-migration resume: adopters of dead tiles re-read the
-            // newest durable per-tile checkpoint and pay the migration
-            // cost; survivors rewind from the in-memory ring for free.
-            const auto slot = static_cast<std::size_t>(
-                ring_slot(resume_step, rcfg.ckpt_every, rcfg.ring_depth));
-            if (adopt_load[ri] != 0) {
-              tile_ckpt::load(adopt_path[ri], mcfg, &model.state());
-              const Microseconds began = ctx.clock().now();
-              const Microseconds cost =
-                  plan != nullptr ? plan->migrate_cost_us : 0.0;
-              ctx.clock().advance_to(clock_base + cost);
-              ctx.charge_migrate(cost);
-              if (ctx.tracer() != nullptr) {
-                // The span carries the landed rung's name, so the trace
-                // (and the report built from it) shows whether this
-                // recovery took the newest cut or fell a rung.
-                ctx.tracer()->record(to_string(pending_rung),
-                                     cluster::SpanCat::kNodeDown, began,
-                                     ctx.clock().now());
-              }
-            } else {
-              model.state() = ring[ri][slot].state;
-              ctx.clock().advance_to(clock_base);
+            // Resume from the staged snapshot, then pay the landed rung's
+            // cost: a restart charges every rank and names its span
+            // "restart"; a migration charges only the adopters, under the
+            // rung's name; a survivor rewinds for free.
+            const RecoveryEvent& ev = st.ladder.back();
+            tile_ckpt::decode(resume[ri], &model.state());
+            const bool restart = ev.landed() == RecoveryRung::kEpochRestart;
+            const bool moved = adopted[ri] != 0;
+            const Microseconds began = ctx.clock().now();
+            const Microseconds cost =
+                moved && plan != nullptr ? plan->migrate_cost_us : 0.0;
+            ctx.clock().advance_to(clock_base + cost);
+            if (restart) {
+              ctx.charge_restart(plan != nullptr ? plan->restart_cost_us
+                                                 : 0.0);
             }
-            if (pending_downgrades > 0) {
-              ctx.note_downgrades(pending_downgrades);
+            if (moved) ctx.charge_migrate(cost);
+            ctx.note_downgrades(ev.downgrades());
+            if ((restart || moved) && ctx.tracer() != nullptr) {
+              ctx.tracer()->record(restart ? "restart" : to_string(ev.landed()),
+                                   cluster::SpanCat::kNodeDown, began,
+                                   ctx.clock().now());
             }
-            // Re-seed the ring at the recovery cut (fills the adopters'
-            // cleared ring; a bit-exact overwrite on survivors).
-            ring[ri][slot].step = resume_step;
-            ring[ri][slot].state = model.state();
+            // Re-seed the ring at the recovery cut (fills a cleared ring;
+            // a bit-exact overwrite on survivors).
+            if (migrate) {
+              ring[ri][ring_slot(resume_step, rcfg.ckpt_every,
+                                 rcfg.ring_depth)] = std::move(resume[ri]);
+            }
           }
           while (model.state().step < steps) {
             (void)model.step();
@@ -315,37 +262,29 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
               // The barrier makes the rotation a collective cut at step
               // s; double buffering covers an abort mid-rotation.
               model.comm().barrier();
-              const int dslot = durable_slot(s, rcfg.ckpt_every);
-              model.save_checkpoint(
-                  tile_ckpt::slot_prefix(rcfg.ckpt_prefix, dslot));
-              if (migrate) {
-                const auto cslot = static_cast<std::size_t>(
-                    ring_slot(s, rcfg.ckpt_every, rcfg.ring_depth));
-                ring[ri][cslot].step = s;
-                ring[ri][cslot].state = model.state();
-                // Hot joins: every rank applies the same pure function
-                // of (plan, step) to its local placement map, so the
-                // maps stay consistent without any shared state.  A
-                // migrated tile whose home board is back returns home;
-                // re-applying is a no-op, so replayed epochs converge.
-                if (plan != nullptr && plan->has_node_joins()) {
-                  for (const cluster::NodeJoin& j : plan->node_joins) {
-                    if (j.smp < 0 || j.smp >= smp_count || j.at_step > s) {
-                      continue;
-                    }
-                    const int lo = j.smp * ppp;
-                    for (int q = lo; q < lo + ppp && q < nranks; ++q) {
-                      if (ctx.host_smp_of(q) == j.smp) continue;
-                      ctx.rehome_rank(q, j.smp);
-                      if (q == rank) {
-                        const Microseconds began = ctx.clock().now();
-                        ctx.clock().advance(plan->rebalance_cost_us);
-                        ctx.charge_rebalance(plan->rebalance_cost_us);
-                        if (ctx.tracer() != nullptr) {
-                          ctx.tracer()->record("rebalance",
-                                               cluster::SpanCat::kNodeDown,
-                                               began, ctx.clock().now());
-                        }
+              commit_cut(s);
+              // Hot joins: every rank applies the same pure function of
+              // (plan, step) to its local placement map, so the maps
+              // stay consistent without any shared state.  A migrated
+              // tile whose home board is back returns home; re-applying
+              // is a no-op, so replayed epochs converge.
+              if (migrate && plan != nullptr && plan->has_node_joins()) {
+                for (const cluster::NodeJoin& j : plan->node_joins) {
+                  if (j.smp < 0 || j.smp >= smp_count || j.at_step > s) {
+                    continue;
+                  }
+                  const int lo = j.smp * ppp;
+                  for (int q = lo; q < lo + ppp && q < nranks; ++q) {
+                    if (ctx.host_smp_of(q) == j.smp) continue;
+                    ctx.rehome_rank(q, j.smp);
+                    if (q == rank) {
+                      const Microseconds began = ctx.clock().now();
+                      ctx.clock().advance(plan->rebalance_cost_us);
+                      ctx.charge_rebalance(plan->rebalance_cost_us);
+                      if (ctx.tracer() != nullptr) {
+                        ctx.tracer()->record("rebalance",
+                                             cluster::SpanCat::kNodeDown,
+                                             began, ctx.clock().now());
                       }
                     }
                   }
@@ -394,7 +333,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         throw cluster::NodeDownError(
             cluster::coalesce_expired_kills(*plan, epoch));
       }
-      st.steps = steps;
       absorb_counts();
       record_recovery(last_probe());
       return st;
@@ -413,9 +351,9 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           std::any_of(summed_past_probe.begin(), summed_past_probe.end(),
                       [](char c) { return c != 0; });
       record_recovery(settled ? std::min(last_probe(), gave_up) : gave_up);
-      st.verdicts.push_back(e.verdict);
-      if (++st.restarts > rcfg.max_restarts) {
-        throw RestartExhausted(st.restarts, e.verdict, gave_up);
+      // Epochs 0..epoch have all aborted.
+      if (epoch >= rcfg.max_restarts) {
+        throw RestartExhausted(epoch + 1, e.verdict, gave_up);
       }
       // Chaos/test hook: damage durable state *before* planning, so the
       // planner sees exactly what a recovery after silent bit rot sees.
@@ -423,24 +361,18 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
 
       RecoveryEvent ev;
       ev.verdict = e.verdict;
+      adopted.assign(nr, 0);
+      bool planned = false;
 
-      if (!migrate) {
-        // ---- epoch restart: everyone reloads the newest full slot ----
-        if (!plan_epoch_restart(&ev)) {
-          throw RecoveryExhausted(e.verdict, ev.attempts, gave_up);
-        }
-        st.restart_steps.push_back(resume_step);
-        clock_base = e.verdict.detected_us +
-                     (plan != nullptr ? plan->restart_cost_us : 0.0);
-      } else {
+      if (migrate) {
         // ---- live migration: survivors rewind in memory, adopters ----
-        // ---- re-load only the dead tiles' durable checkpoints.    ----
+        // ---- resume the dead tiles' durable checkpoints.          ----
         // The verdict carries a dead *set*: every board hosting a
         // kill-named rank is down, together with every tile it hosts
         // (including tiles adopted during an earlier recovery).
         std::set<int> dead_boards;
         for (int vr : e.verdict.dead_ranks()) dead_boards.insert(host_of(vr));
-        std::vector<char> is_dead(static_cast<std::size_t>(nranks), 0);
+        std::vector<char> is_dead(nr, 0);
         std::vector<int> dead;
         for (int r = 0; r < nranks; ++r) {
           if (dead_boards.count(host_of(r)) != 0) {
@@ -451,11 +383,10 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
 
         // One rung of migration planning: find the newest cut at or
         // below `ceiling` that every survivor's ring and every dead
-        // rank's (CRC-verified) durable checkpoint can meet at.  Any
-        // precondition miss fails the rung with its reason -- the
-        // ladder decides what to do next, nothing aborts the campaign.
-        std::vector<std::string> planned_paths(
-            static_cast<std::size_t>(nranks));
+        // rank's durable checkpoint can meet at, and stage every rank's
+        // snapshot of it.  Any precondition miss fails the rung with its
+        // reason -- the ladder decides what to do next, nothing aborts
+        // the campaign.
         const auto try_migrate = [&](long ceiling, RungAttempt* att) -> bool {
           att->ok = false;
           att->step = -1;
@@ -499,10 +430,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
             s_recover = std::min(s_recover, hit.step);
           }
           att->step = s_recover;
-          // Resolve every dead rank's recovery source at exactly
-          // s_recover, and deep-verify it: peek_step only reads the
-          // header, so a payload with rotted bits would otherwise crash
-          // the adopter mid-load instead of degrading the rung.
           for (int r : dead) {
             const tile_ckpt::TileHit hit =
                 tile_ckpt::newest_rank_ckpt(rcfg.ckpt_prefix, r, s_recover);
@@ -512,24 +439,25 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
                             std::to_string(s_recover);
               return false;
             }
-            if (!tile_ckpt::verify(hit.path, mcfg)) {
+            if (!read_tile(hit.path, &resume[static_cast<std::size_t>(r)])) {
               att->reason = "dead rank " + std::to_string(r) +
                             " durable checkpoint at step " +
                             std::to_string(s_recover) +
                             " failed deep verification (corrupt)";
               return false;
             }
-            planned_paths[static_cast<std::size_t>(r)] = hit.path;
           }
           for (int r = 0; r < nranks; ++r) {
             const auto riv = static_cast<std::size_t>(r);
             if (is_dead[riv] != 0) continue;
-            if (!ring_has(ring[riv], s_recover)) {
+            const tile_ckpt::Snapshot* cut = ring_cut(ring[riv], s_recover);
+            if (cut == nullptr) {
               att->reason = "survivor rank " + std::to_string(r) +
                             " ring misses recovery cut " +
                             std::to_string(s_recover);
               return false;
             }
+            resume[riv] = *cut;
           }
           att->ok = true;
           return true;
@@ -538,7 +466,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         // Rung 1: migrate at the newest common cut.
         RungAttempt a1;
         a1.rung = RecoveryRung::kMigrate;
-        bool planned = try_migrate(static_cast<long>(steps), &a1);
+        planned = try_migrate(static_cast<long>(steps), &a1);
         ev.attempts.push_back(a1);
         // Rung 2: migrate from one durable cut further back (the newest
         // may be corrupt, or a dead rank may miss it entirely).
@@ -553,19 +481,14 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
 
         if (planned) {
           const long s_recover = ev.attempts.back().step;
-          adopt_load.assign(static_cast<std::size_t>(nranks), 0);
-          for (int r : dead) {
-            adopt_load[static_cast<std::size_t>(r)] = 1;
-            adopt_path[static_cast<std::size_t>(r)] =
-                planned_paths[static_cast<std::size_t>(r)];
-          }
+          for (int r : dead) adopted[static_cast<std::size_t>(r)] = 1;
 
           // Evolve the placement baseline.  First mirror the joins the
           // aborted epoch had already applied at cuts up to the recovery
           // step, so the baseline matches every rank's map at that cut;
           // then retire the dead boards and re-home their tiles.
           if (host_map.empty()) {
-            host_map.resize(static_cast<std::size_t>(nranks));
+            host_map.resize(nr);
             for (int r = 0; r < nranks; ++r) {
               host_map[static_cast<std::size_t>(r)] = r / ppp;
             }
@@ -596,11 +519,11 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           for (int r : dead) {
             int target = -1;
             const Decomp dec(mcfg, r);
-            for (int nr : dec.neighbors) {
-              if (nr < 0 || is_dead[static_cast<std::size_t>(nr)] != 0) {
+            for (int nb : dec.neighbors) {
+              if (nb < 0 || is_dead[static_cast<std::size_t>(nb)] != 0) {
                 continue;
               }
-              const int cand = host_map[static_cast<std::size_t>(nr)];
+              const int cand = host_map[static_cast<std::size_t>(nb)];
               if (dead_smps.count(cand) == 0) {
                 target = cand;
                 break;
@@ -615,40 +538,77 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
             // The adopter board's in-memory ring never held this tile:
             // invalidate the dead rank's snapshots so a later failure
             // cannot rewind onto state that died with the board.
-            for (Snap& snap : ring[static_cast<std::size_t>(r)]) {
-              snap.step = -1;
+            for (tile_ckpt::Snapshot& snap :
+                 ring[static_cast<std::size_t>(r)]) {
+              snap = {};
             }
           }
-
-          load_prefix.clear();
           resume_step = s_recover;
-          st.restart_steps.push_back(s_recover);
           clock_base = e.verdict.detected_us;
-        } else {
-          if (!plan_epoch_restart(&ev)) {
-            throw RecoveryExhausted(e.verdict, ev.attempts, gave_up);
-          }
-          // Rung 3: restart the world from the newest verified slot.
-          // The operator replaced the boards: placement returns to
-          // identity, no board is dead in the restarted epoch, and the
-          // rings restart from the reload cut (the driver clears them;
-          // each rank re-seeds its own at resume).
-          host_map.clear();
-          dead_smps.clear();
-          adopt_load.assign(static_cast<std::size_t>(nranks), 0);
-          for (std::vector<Snap>& rr : ring) {
-            for (Snap& snap : rr) snap.step = -1;
-          }
-          st.restart_steps.push_back(resume_step);
-          clock_base = e.verdict.detected_us +
-                       (plan != nullptr ? plan->restart_cost_us : 0.0);
         }
       }
-      pending_rung = ev.landed();
-      pending_downgrades = ev.downgrades();
-      st.ladder.push_back(ev);
-      pending_detect = e.verdict.detected_us;
-      probe.assign(static_cast<std::size_t>(nranks), e.verdict.detected_us);
+
+      if (!planned) {
+        // ---- epoch restart: the recovery mode's only rung, and the ----
+        // ---- migrate ladder's last.                                ----
+        // Everyone reloads the newest consistent slot whose every rank
+        // file reads back intact.  Consistency (same step on every rank)
+        // comes from the header scan; a corrupt payload passes the
+        // header, so a slot with rotted bits degrades to the other slot,
+        // recorded as a failed attempt.
+        const tile_ckpt::SlotScan scans[2] = {
+            tile_ckpt::scan_slot(rcfg.ckpt_prefix, 0, nranks),
+            tile_ckpt::scan_slot(rcfg.ckpt_prefix, 1, nranks)};
+        std::vector<int> order;
+        for (int slot : {0, 1}) {
+          if (scans[slot].consistent) order.push_back(slot);
+        }
+        std::sort(order.begin(), order.end(),
+                  [&](int x, int y) { return scans[x].step > scans[y].step; });
+        for (int slot : order) {
+          const std::string sp = tile_ckpt::slot_prefix(rcfg.ckpt_prefix, slot);
+          int bad_rank = -1;
+          for (int r = 0; r < nranks && bad_rank < 0; ++r) {
+            if (!read_tile(tile_ckpt::rank_path(sp, r),
+                           &resume[static_cast<std::size_t>(r)])) {
+              bad_rank = r;
+            }
+          }
+          if (bad_rank >= 0) {
+            ev.attempts.push_back(
+                {RecoveryRung::kEpochRestart, scans[slot].step, false,
+                 "slot " + std::to_string(slot) + " at step " +
+                     std::to_string(scans[slot].step) + ": rank " +
+                     std::to_string(bad_rank) +
+                     " durable checkpoint failed deep verification"});
+            continue;
+          }
+          resume_step = scans[slot].step;
+          ev.attempts.push_back(
+              {RecoveryRung::kEpochRestart, resume_step, true, ""});
+          planned = true;
+          break;
+        }
+        if (order.empty()) {
+          ev.attempts.push_back(
+              {RecoveryRung::kEpochRestart, -1, false,
+               "no consistent checkpoint slot to restart from"});
+        }
+        if (!planned) throw RecoveryExhausted(e.verdict, ev.attempts, gave_up);
+        // The operator replaced the boards: placement returns to
+        // identity, no board is dead in the restarted epoch, and the
+        // rings restart from the reload cut (cleared here; each rank
+        // re-seeds its own at resume).
+        host_map.clear();
+        dead_smps.clear();
+        for (Ring& rr : ring) {
+          for (tile_ckpt::Snapshot& snap : rr) snap = {};
+        }
+        clock_base = e.verdict.detected_us +
+                     (plan != nullptr ? plan->restart_cost_us : 0.0);
+      }
+      st.ladder.push_back(std::move(ev));
+      probe.assign(nr, e.verdict.detected_us);
     }
   }
 }

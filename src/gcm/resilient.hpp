@@ -2,20 +2,25 @@
 // node failures.
 //
 // run_resilient executes a gyre-style model run in *epochs*.  Within an
-// epoch every rank steps its tile normally, saving a durable checkpoint
-// every `ckpt_every` steps into one of two alternating on-disk slots
-// (double buffering: while one slot is being rewritten the other always
-// holds a complete, mutually consistent set of rank files).  When a
-// scheduled node kill fires, the dying node's ranks go silent at their
-// next communication point; a surviving partner's receive escalates
-// through the membership service, the plan-pure NodeDown verdict poisons
-// the message bus, and every survivor unwinds its epoch.  The driver
-// then scans both checkpoint slots, picks the newest step present and
-// identical on *every* rank, bumps the epoch (which shifts every
-// transport tag by kEpochTagStride, so stale pre-failure messages can
-// never be mistaken for restarted traffic), and relaunches all ranks
-// from that step.  After `max_restarts` aborted epochs it gives up with
-// a typed RestartExhausted error -- it never hangs.
+// epoch every rank steps its tile normally, committing a cut every
+// `ckpt_every` steps into one of two alternating on-disk slots (double
+// buffering: while one slot is being rewritten the other always holds a
+// complete, mutually consistent set of rank files).  When a scheduled
+// node kill fires, the dying node's ranks go silent at their next
+// communication point; a surviving partner's receive escalates through
+// the membership service, the plan-pure NodeDown verdict poisons the
+// message bus, and every survivor unwinds its epoch.  The driver then
+// plans the recovery, bumps the epoch (which shifts every transport tag
+// by kEpochTagStride, so stale pre-failure messages can never be
+// mistaken for restarted traffic), and relaunches all ranks from the
+// recovery cut.  After `max_restarts` aborted epochs it gives up with a
+// typed RestartExhausted error -- it never hangs.
+//
+// One state format, one resume path: a cut is a tile_ckpt::Snapshot
+// (the HYADES03 payload), encoded once per rank and cut.  Planning runs
+// on the driver thread, which reads every durable tile a recovery
+// resumes from and stages one snapshot per rank; each rank then decodes
+// its snapshot and pays the landed rung's cost.
 //
 // Determinism: stepping is bit-deterministic and checkpoints are bit
 // exact, so any survivable kill schedule finishes with final state
@@ -25,9 +30,9 @@
 //
 // Elastic membership (RecoveryMode::kMigrate) replaces the
 // restart-the-world epoch with *live tile migration*: every rank keeps a
-// two-deep in-memory ring of committed cut snapshots alongside the
+// ring of its newest committed cut snapshots in memory next to the
 // durable per-tile files, so after a NodeDown verdict the survivors
-// rewind from memory while only the dead node's tiles are re-read from
+// rewind from memory while only the dead node's tiles are resumed from
 // their newest durable checkpoints by adopter ranks re-homed onto
 // surviving boards (neighbor-preferring placement, round-robin
 // fallback).  The epoch tag still bumps -- stale traffic ages out
@@ -91,11 +96,11 @@ struct ResilientConfig {
 };
 
 // The degradation ladder's rungs, in the order recovery attempts them
-// under kMigrate.  Epoch restart is both a mode and the ladder's
-// next-to-last rung: when migration cannot be planned (no survivors, a
-// corrupt adopted tile with no older cut, a ring miss), the driver
-// falls back to restarting the world from the newest consistent slot
-// before giving up with a typed RecoveryExhausted.
+// under kMigrate.  Epoch restart is the kEpochRestart mode's only rung
+// and the ladder's last: when migration cannot be planned (no
+// survivors, a corrupt adopted tile with no older cut, a ring miss), the
+// driver restarts the world from the newest consistent slot, and when
+// that fails too it gives up with a typed RecoveryExhausted.
 enum class RecoveryRung {
   kMigrate = 0,          // newest common cut, survivors rewind in memory
   kMigrateOlderCut = 1,  // same plan, one durable cut further back
@@ -112,12 +117,22 @@ struct RungAttempt {
   std::string reason;  // failure cause; empty when ok
 };
 
-// One recovery event: the verdict that triggered it and the full ladder
-// history (every attempt, in order; the last one succeeded unless the
-// run ended in RecoveryExhausted).
+// One recovery event, the one record of a recovery: the verdict that
+// triggered it, the full ladder history (every attempt, in order; the
+// last one succeeded unless the run ended in RecoveryExhausted), and how
+// long it took.
 struct RecoveryEvent {
   cluster::NodeDownVerdict verdict;
   std::vector<RungAttempt> attempts;
+  // Virtual time from the verdict's detection to the last rank
+  // completing its first post-recovery step -- the time the campaign was
+  // not making forward progress.  Comparable across recovery modes
+  // (bench_recovery plots exactly this).  A later verdict that aborts the
+  // epoch before a dying rank has completed a global sum past its first
+  // step ends the recovery at that verdict's plan-pure instant, the later
+  // of the epoch's start clock and its detection time (as
+  // RecoveryError::gave_up_us).
+  Microseconds recovery_us = 0;
   // The rung the recovery landed on (the last attempt's).
   [[nodiscard]] RecoveryRung landed() const {
     return attempts.empty() ? RecoveryRung::kMigrate : attempts.back().rung;
@@ -128,25 +143,12 @@ struct RecoveryEvent {
   }
 };
 
+// What a completed run reports.  The number of recoveries, their
+// verdicts, resume steps and recovery times are all in `ladder`.
 struct ResilientStats {
-  int steps = 0;     // steps of the completed run
-  int restarts = 0;  // epochs aborted by a NodeDown verdict
-  std::vector<cluster::NodeDownVerdict> verdicts;  // one per restart
-  std::vector<long> restart_steps;  // checkpoint step each epoch resumed from
   int migrations = 0;   // dead tiles adopted live (kMigrate only)
   int rebalances = 0;   // tiles handed back to hot-joined boards
-  // Per recovery event: virtual time from the verdict's detection to the
-  // last rank completing its first post-recovery step -- the time the
-  // campaign was not making forward progress.  Comparable across
-  // recovery modes (bench_recovery plots exactly this).  A later
-  // verdict that aborts the epoch before a dying rank has completed a
-  // global sum past its first step ends the recovery at that verdict's
-  // plan-pure instant, the later of the epoch's start clock and its
-  // detection time (as RecoveryError::gave_up_us).
-  std::vector<Microseconds> recovery_us;
-  // Per recovery event, aligned with `verdicts`: the degradation-ladder
-  // history (which rungs were tried, which one the recovery landed on).
-  std::vector<RecoveryEvent> ladder;
+  std::vector<RecoveryEvent> ladder;  // one per recovery, in order
 };
 
 // Base of the typed recovery-error hierarchy: every way run_resilient

@@ -61,14 +61,17 @@ std::array<ConfigWord, 7> config_words(const ModelConfig& cfg) {
 // The payload field order is part of the format: the prognostic fields,
 // the Adams-Bashforth n-1 tendencies, the non-hydrostatic pressure, and
 // the surface pressure.
-std::array<const Array3D<double>*, 11> payload_fields(const State& s) {
-  return {&s.u,      &s.v,      &s.w,      &s.theta,  &s.salt, &s.gu_nm1,
-          &s.gv_nm1, &s.gt_nm1, &s.gs_nm1, &s.gw_nm1, &s.phi_nh};
+template <typename S>  // State or const State
+auto payload_fields(S& s) {
+  return std::array{&s.u,      &s.v,      &s.w,      &s.theta,
+                    &s.salt,   &s.gu_nm1, &s.gv_nm1, &s.gt_nm1,
+                    &s.gs_nm1, &s.gw_nm1, &s.phi_nh};
 }
 
-std::array<Array3D<double>*, 11> payload_fields(State& s) {
-  return {&s.u,      &s.v,      &s.w,      &s.theta,  &s.salt, &s.gu_nm1,
-          &s.gv_nm1, &s.gt_nm1, &s.gs_nm1, &s.gw_nm1, &s.phi_nh};
+std::size_t payload_bytes(const State& s) {
+  std::size_t n = s.ps.size();
+  for (const Array3D<double>* f : payload_fields(s)) n += f->size();
+  return n * sizeof(double);
 }
 
 // Remove the temporary and rethrow-style throw: every save failure path
@@ -76,6 +79,73 @@ std::array<Array3D<double>*, 11> payload_fields(State& s) {
 [[noreturn]] void fail_save(const std::string& tmp, const std::string& msg) {
   std::remove(tmp.c_str());
   throw std::runtime_error(msg);
+}
+
+struct Header {
+  long step = 0;
+  std::uint64_t bytes = 0;  // payload bytes
+  std::uint32_t crc = 0;
+};
+
+// The one HYADES03 header parser.  A full read (`cfg` given) also checks
+// the config words, and the payload byte count against the bytes the
+// file holds: no CRC covers the header, so a damaged count is refused
+// here, before anything is allocated.  peek_step passes no `cfg`; it
+// needs only the step.  Errors are std::runtime_errors prefixed `who`.
+Header read_header(std::istream& is, const std::string& path,
+                   const ModelConfig* cfg, const std::string& who) {
+  const std::uint64_t magic = read_u64(is);
+  if (!is || magic != kCheckpointMagic) {
+    throw std::runtime_error(who + ": bad magic in " + path + " (got " +
+                             hex_u64(magic) + ", want HYADES03 " +
+                             hex_u64(kCheckpointMagic) + ")");
+  }
+  std::array<std::uint64_t, 10> words{};  // config words, step, bytes, CRC
+  for (std::uint64_t& w : words) w = read_u64(is);
+  if (!is) throw std::runtime_error(who + ": truncated header in " + path);
+  const Header h{static_cast<long>(words[7]), words[8],
+                 static_cast<std::uint32_t>(words[9])};
+  if (cfg == nullptr) return h;
+  const std::array<ConfigWord, 7> want = config_words(*cfg);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (words[i] != want[i].value) {
+      throw std::runtime_error(
+          who + ": configuration mismatch in " + path + ": " + want[i].name +
+          " is " + std::to_string(words[i]) + " in the file, model has " +
+          std::to_string(want[i].value));
+    }
+  }
+  const std::streampos payload_at = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto held = static_cast<std::uint64_t>(is.tellg() - payload_at);
+  is.seekg(payload_at);
+  if (!is || h.bytes != held) {
+    throw std::runtime_error(
+        who + ": payload size mismatch in " + path + ": header says " +
+        std::to_string(h.bytes) + " bytes, the file holds " +
+        std::to_string(held));
+  }
+  return h;
+}
+
+Snapshot read_as(const std::string& path, const ModelConfig& cfg,
+                 const std::string& who) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error(who + ": cannot open " + path);
+  const Header h = read_header(is, path, &cfg, who);
+  Snapshot snap;
+  snap.step = h.step;
+  snap.payload.resize(h.bytes);
+  is.read(reinterpret_cast<char*>(snap.payload.data()),
+          static_cast<std::streamsize>(snap.payload.size()));
+  if (!is) throw std::runtime_error(who + ": cannot read " + path);
+  const std::uint32_t crc = arctic::crc32(snap.payload);
+  if (crc != h.crc) {
+    throw std::runtime_error(who + ": CRC mismatch in " + path +
+                             " (stored " + hex_u64(h.crc) + ", computed " +
+                             hex_u64(crc) + "): the checkpoint is corrupt");
+  }
+  return snap;
 }
 
 }  // namespace
@@ -88,20 +158,43 @@ std::string rank_path(const std::string& prefix, int group_rank) {
   return prefix + ".rank" + std::to_string(group_rank);
 }
 
-void save(const std::string& path, const ModelConfig& cfg, const State& s) {
-  // Serialize the state payload in memory first, so the header can carry
-  // its byte count and CRC-32.
-  std::vector<std::uint8_t> payload;
-  const auto append = [&payload](const double* p, std::size_t n) {
+Snapshot encode(const State& s) {
+  Snapshot snap;
+  snap.step = s.step;
+  snap.payload.reserve(payload_bytes(s));
+  const auto append = [&snap](const double* p, std::size_t n) {
     const auto* b = reinterpret_cast<const std::uint8_t*>(p);
-    payload.insert(payload.end(), b, b + n * sizeof(double));
+    snap.payload.insert(snap.payload.end(), b, b + n * sizeof(double));
   };
   for (const Array3D<double>* f : payload_fields(s)) {
     append(f->data(), f->size());
   }
   append(s.ps.data(), s.ps.size());
-  const std::uint32_t crc = arctic::crc32(payload);
+  return snap;
+}
 
+void decode(const Snapshot& snap, State* s) {
+  const std::size_t want = payload_bytes(*s);
+  if (snap.payload.size() != want) {
+    throw std::runtime_error(
+        "decode: payload size mismatch: the snapshot holds " +
+        std::to_string(snap.payload.size()) +
+        " bytes, the model state needs " + std::to_string(want));
+  }
+  s->step = snap.step;
+  std::size_t off = 0;
+  const auto extract = [&snap, &off](double* p, std::size_t n) {
+    std::memcpy(p, snap.payload.data() + off, n * sizeof(double));
+    off += n * sizeof(double);
+  };
+  for (Array3D<double>* f : payload_fields(*s)) {
+    extract(f->data(), f->size());
+  }
+  extract(s->ps.data(), s->ps.size());
+}
+
+void write(const std::string& path, const ModelConfig& cfg,
+           const Snapshot& snap) {
   // Atomic publish: write the whole file under a temporary name, verify
   // it, then rename onto the real path.  A crash mid-write leaves the
   // previous complete checkpoint in place, never a half-written file.
@@ -111,46 +204,27 @@ void save(const std::string& path, const ModelConfig& cfg, const State& s) {
     if (!os) fail_save(tmp, "save_checkpoint: cannot open " + tmp);
     write_u64(os, kCheckpointMagic);
     for (const ConfigWord& w : config_words(cfg)) write_u64(os, w.value);
-    write_u64(os, static_cast<std::uint64_t>(s.step));
-    write_u64(os, static_cast<std::uint64_t>(payload.size()));
-    write_u64(os, static_cast<std::uint64_t>(crc));
-    os.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
+    write_u64(os, static_cast<std::uint64_t>(snap.step));
+    write_u64(os, static_cast<std::uint64_t>(snap.payload.size()));
+    write_u64(os, static_cast<std::uint64_t>(arctic::crc32(snap.payload)));
+    os.write(reinterpret_cast<const char*>(snap.payload.data()),
+             static_cast<std::streamsize>(snap.payload.size()));
     os.close();
     if (!os) fail_save(tmp, "save_checkpoint: write failed: " + tmp);
   }
   if (corrupt_hook()) corrupt_hook()(tmp);
-  // Post-write verify: re-read the temporary and check header + CRC
-  // before publishing.  A full disk, a torn write, or (in tests) the
-  // corrupt hook all surface here -- and the temporary is removed.
-  {
-    std::ifstream is(tmp, std::ios::binary);
-    if (!is) fail_save(tmp, "save_checkpoint: cannot re-read " + tmp);
-    const std::uint64_t magic = read_u64(is);
-    if (!is || magic != kCheckpointMagic) {
-      fail_save(tmp, "save_checkpoint: verify failed (bad magic) in " + tmp);
-    }
-    for (int i = 0; i < 7; ++i) (void)read_u64(is);  // config words
-    (void)read_u64(is);                              // step
-    const std::uint64_t bytes = read_u64(is);
-    const std::uint64_t crc_stored = read_u64(is);
-    if (!is || bytes != payload.size()) {
-      fail_save(tmp,
-                "save_checkpoint: verify failed (truncated header) in " + tmp);
-    }
-    std::vector<std::uint8_t> back(payload.size());
-    is.read(reinterpret_cast<char*>(back.data()),
-            static_cast<std::streamsize>(back.size()));
-    if (!is || static_cast<std::uint64_t>(is.gcount()) != payload.size()) {
-      fail_save(tmp,
-                "save_checkpoint: verify failed (truncated payload) in " + tmp);
-    }
-    const std::uint32_t crc_back = arctic::crc32(back);
-    if (crc_back != crc || crc_back != static_cast<std::uint32_t>(crc_stored)) {
-      fail_save(tmp, "save_checkpoint: verify failed (CRC mismatch, wrote " +
-                         hex_u64(crc) + ", read back " + hex_u64(crc_back) +
-                         ") in " + tmp);
-    }
+  // Post-write verify: read the temporary back through the loader's own
+  // checks before publishing.  A full disk, a torn write, or (in tests)
+  // the corrupt hook all surface here -- and the temporary is removed.
+  Snapshot back;
+  try {
+    back = read_as(tmp, cfg, "save_checkpoint: verify failed");
+  } catch (const std::runtime_error& e) {
+    fail_save(tmp, e.what());
+  }
+  if (back.step != snap.step || back.payload != snap.payload) {
+    fail_save(tmp, "save_checkpoint: verify failed (read back differs) in " +
+                       tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     fail_save(tmp,
@@ -158,115 +232,31 @@ void save(const std::string& path, const ModelConfig& cfg, const State& s) {
   }
 }
 
-void load(const std::string& path, const ModelConfig& cfg, State* s) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  const std::uint64_t magic = read_u64(is);
-  if (!is || magic != kCheckpointMagic) {
-    throw std::runtime_error("load_checkpoint: bad magic in " + path +
-                             " (got " + hex_u64(magic) + ", want HYADES03 " +
-                             hex_u64(kCheckpointMagic) + ")");
-  }
-  for (const ConfigWord& w : config_words(cfg)) {
-    const std::uint64_t got = read_u64(is);
-    if (!is) {
-      throw std::runtime_error("load_checkpoint: truncated header in " + path);
-    }
-    if (got != w.value) {
-      throw std::runtime_error(
-          "load_checkpoint: configuration mismatch in " + path + ": " +
-          w.name + " is " + std::to_string(got) + " in the file, model has " +
-          std::to_string(w.value));
-    }
-  }
-  const std::uint64_t step = read_u64(is);
-  const std::uint64_t payload_bytes = read_u64(is);
-  const std::uint64_t crc_stored = read_u64(is);
-  if (!is) {
-    throw std::runtime_error("load_checkpoint: truncated header in " + path);
-  }
-
-  std::size_t expect_bytes = 0;
-  for (const Array3D<double>* f : payload_fields(*s)) {
-    expect_bytes += f->size() * sizeof(double);
-  }
-  expect_bytes += s->ps.size() * sizeof(double);
-  if (payload_bytes != expect_bytes) {
-    throw std::runtime_error(
-        "load_checkpoint: payload size mismatch in " + path + ": header says " +
-        std::to_string(payload_bytes) + " bytes, model state needs " +
-        std::to_string(expect_bytes));
-  }
-
-  std::vector<std::uint8_t> payload(payload_bytes);
-  is.read(reinterpret_cast<char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  if (!is || static_cast<std::uint64_t>(is.gcount()) != payload_bytes) {
-    throw std::runtime_error(
-        "load_checkpoint: truncated " + path + " (payload has " +
-        std::to_string(is.gcount() > 0 ? is.gcount() : 0) + " of " +
-        std::to_string(payload_bytes) + " bytes)");
-  }
-  const std::uint32_t crc = arctic::crc32(payload);
-  if (crc != static_cast<std::uint32_t>(crc_stored)) {
-    throw std::runtime_error(
-        "load_checkpoint: CRC mismatch in " + path + " (stored " +
-        hex_u64(crc_stored) + ", computed " + hex_u64(crc) +
-        "): the checkpoint is corrupt");
-  }
-
-  // Header and payload verified; only now touch the model state.
-  s->step = static_cast<long>(step);
-  std::size_t off = 0;
-  const auto extract = [&payload, &off](double* p, std::size_t n) {
-    std::memcpy(p, payload.data() + off, n * sizeof(double));
-    off += n * sizeof(double);
-  };
-  for (Array3D<double>* f : payload_fields(*s)) {
-    extract(f->data(), f->size());
-  }
-  extract(s->ps.data(), s->ps.size());
+Snapshot read(const std::string& path, const ModelConfig& cfg) {
+  return read_as(path, cfg, "load_checkpoint");
 }
 
-bool verify(const std::string& path, const ModelConfig& cfg) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  const std::uint64_t magic = read_u64(is);
-  if (!is || magic != kCheckpointMagic) return false;
-  for (const ConfigWord& w : config_words(cfg)) {
-    const std::uint64_t got = read_u64(is);
-    if (!is || got != w.value) return false;
-  }
-  (void)read_u64(is);  // step
-  const std::uint64_t payload_bytes = read_u64(is);
-  const std::uint64_t crc_stored = read_u64(is);
-  if (!is) return false;
-  std::vector<std::uint8_t> payload(payload_bytes);
-  is.read(reinterpret_cast<char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  if (!is || static_cast<std::uint64_t>(is.gcount()) != payload_bytes) {
-    return false;
-  }
-  return arctic::crc32(payload) == static_cast<std::uint32_t>(crc_stored);
+void save(const std::string& path, const ModelConfig& cfg, const State& s) {
+  write(path, cfg, encode(s));
+}
+
+void load(const std::string& path, const ModelConfig& cfg, State* s) {
+  decode(read(path, cfg), s);
 }
 
 long peek_step(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("peek_step: cannot open " + path);
+  if (!is) throw std::runtime_error("peek_step: cannot open " + path);
+  return read_header(is, path, nullptr, "peek_step").step;
+}
+
+bool verify(const std::string& path, const ModelConfig& cfg) {
+  try {
+    (void)read(path, cfg);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
   }
-  const std::uint64_t magic = read_u64(is);
-  if (!is || magic != kCheckpointMagic) {
-    throw std::runtime_error("peek_step: bad magic in " + path +
-                             " (got " + hex_u64(magic) + ", want HYADES03 " +
-                             hex_u64(kCheckpointMagic) + ")");
-  }
-  for (int i = 0; i < 7; ++i) (void)read_u64(is);  // config words
-  const std::uint64_t step = read_u64(is);
-  if (!is) {
-    throw std::runtime_error("peek_step: truncated header in " + path);
-  }
-  return static_cast<long>(step);
 }
 
 SlotScan scan_slot(const std::string& prefix, int slot, int nranks) {

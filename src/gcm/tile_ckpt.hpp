@@ -1,12 +1,23 @@
-// The checkpoint module: the single owner of durable tile-checkpoint
-// file naming and the HYADES03 wire format.
+// The checkpoint module: the single owner of a tile's restartable-state
+// encoding, of durable tile-checkpoint file naming and of the HYADES03
+// wire format.
 //
-// Every rank's tile state is an independently loadable unit: one file
-// per (prefix, slot, rank), self-describing ("HYADES03": magic, config
-// words, step, payload byte count, CRC-32) and published atomically
-// (written to "<path>.tmp", CRC-verified by re-reading the temporary,
-// then renamed).  Every failure path removes the temporary, so a failed
-// save never strands a ".tmp" next to the live slot files.
+// A Snapshot is one tile's restartable state in memory: the step and the
+// HYADES03 payload (the prognostic fields, the Adams-Bashforth n-1
+// tendencies, the non-hydrostatic pressure and the surface pressure, in
+// that order).  Every other State field is recomputed by the next step
+// before it is read, so a decoded snapshot continues bit-identically.
+// The resilient driver's in-memory ring and its durable slots hold the
+// same bytes: each cut is encoded once, written to its slot and kept in
+// the ring.
+//
+// A file is a snapshot behind a self-describing header ("HYADES03":
+// magic, config words, step, payload byte count, CRC-32), published
+// atomically (written to "<path>.tmp", verified by reading the temporary
+// back, then renamed).  Every failure path removes the temporary, so a
+// failed write never strands a ".tmp" next to the live slot files.  One
+// header reader serves every read: it checks the byte count against the
+// bytes the file holds before it allocates anything.
 //
 // Path discipline (enforced by hyades-lint's ckpt-path rule): nothing
 // outside this module composes checkpoint file names -- callers hold an
@@ -16,8 +27,10 @@
 // gcm/ and farm/.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "gcm/config.hpp"
 #include "gcm/state.hpp"
@@ -32,26 +45,42 @@ namespace hyades::gcm::tile_ckpt {
 [[nodiscard]] std::string rank_path(const std::string& prefix,
                                     int group_rank);
 
-// Write one tile's state to `path` atomically: serialize, CRC, write to
-// "<path>.tmp", re-read and verify the temporary, rename.  Throws
-// std::runtime_error on any failure -- after removing the temporary.
+// One tile's restartable state: the step and the HYADES03 payload bytes.
+struct Snapshot {
+  long step = -1;
+  std::vector<std::uint8_t> payload;
+};
+
+[[nodiscard]] Snapshot encode(const State& s);
+
+// Restore `s` from `snap`.  Throws std::runtime_error, leaving `s`
+// untouched, when the payload size does not match s's fields.
+void decode(const Snapshot& snap, State* s);
+
+// Publish `snap` to `path` atomically: write "<path>.tmp", read it back
+// and compare, rename.  Throws std::runtime_error on any failure --
+// after removing the temporary.
+void write(const std::string& path, const ModelConfig& cfg,
+           const Snapshot& snap);
+
+// Read the snapshot at `path`, verifying magic, config words, payload
+// byte count and CRC.  Throws std::runtime_error on any damage,
+// including a missing file.
+[[nodiscard]] Snapshot read(const std::string& path, const ModelConfig& cfg);
+
+// write(path, cfg, encode(s)).
 void save(const std::string& path, const ModelConfig& cfg, const State& s);
 
-// Load one tile's state from `path`, verifying magic, config words,
-// payload size and CRC before touching `s`.  Throws on any mismatch.
+// decode(read(path, cfg), s): `s` is touched only once everything
+// checked out.
 void load(const std::string& path, const ModelConfig& cfg, State* s);
 
-// Read the step counter out of a checkpoint header without loading the
-// payload.  Throws if the file is missing or not HYADES03.
+// Read the step counter out of a checkpoint header without reading the
+// payload.  Throws if the file is missing or its header is not HYADES03.
 [[nodiscard]] long peek_step(const std::string& path);
 
-// Deep verification without touching any State: magic, config words,
-// payload byte count, and the CRC-32 over the full payload all check
-// out.  peek_step only reads the header, so a bit-flipped payload
-// passes it -- the recovery ladder calls this before committing to a
-// rung, so a corrupt durable tile degrades the recovery instead of
-// crashing an adopter mid-load.  Returns false (never throws) on any
-// damage, including a missing file.
+// Whether read(path, cfg) succeeds; never throws.  peek_step only reads
+// the header, so a bit-flipped payload passes it but fails this.
 [[nodiscard]] bool verify(const std::string& path, const ModelConfig& cfg);
 
 // A slot is usable as a collective restart point only when every rank's
@@ -78,9 +107,9 @@ struct TileHit {
 void remove_slots(const std::string& prefix, int nranks);
 
 // Test-only fault injection: invoked with the temporary file's path
-// after the write and before the post-write verify, so tests can
-// corrupt or delete the temporary and assert the failure paths clean
-// up.  Pass nullptr to clear.  Not thread-safe; set it only around
+// after the write and before the read-back, so tests can corrupt or
+// delete the temporary and assert the failure paths clean up.  Pass
+// nullptr to clear.  Not thread-safe; set it only around
 // single-threaded test saves.
 void set_test_corrupt_hook(std::function<void(const std::string&)> hook);
 

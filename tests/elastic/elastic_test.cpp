@@ -269,7 +269,7 @@ TEST(Elastic, NoKillMigrateMatchesEpochRestartBitIdentically) {
   const ElasticRun b =
       run_elastic_gyre(10, nullptr, "hyades_el_clean_migrate", 4, 1,
                        gcm::RecoveryMode::kMigrate);
-  EXPECT_EQ(b.stats.restarts, 0);
+  EXPECT_TRUE(b.stats.ladder.empty());
   EXPECT_EQ(b.stats.migrations, 0);
   EXPECT_EQ(b.stats.rebalances, 0);
   EXPECT_EQ(b.migrations, 0);
@@ -297,18 +297,16 @@ TEST(Elastic, NodeKillMigratesTheDeadTileBitIdentically) {
   const ElasticRun b =
       run_elastic_gyre(10, &plan, "hyades_el_mig_kill", 4, 1,
                        gcm::RecoveryMode::kMigrate, &tracers);
-  EXPECT_EQ(b.stats.restarts, 1);  // one recovery event...
-  EXPECT_EQ(b.restarts, 0);        // ...but no restart-the-world charge
+  ASSERT_EQ(b.stats.ladder.size(), 1u);  // one recovery event...
+  EXPECT_EQ(b.restarts, 0);  // ...but no restart-the-world charge
   EXPECT_EQ(b.restart_us, 0.0);
   EXPECT_EQ(b.stats.migrations, 1);
   EXPECT_EQ(b.migrations, 1);
   EXPECT_GT(b.migrate_us, 0.0);
-  ASSERT_EQ(b.stats.verdicts.size(), 1u);
-  EXPECT_EQ(b.stats.verdicts[0].rank, 3);
-  ASSERT_EQ(b.stats.restart_steps.size(), 1u);
-  EXPECT_EQ(b.stats.restart_steps[0], 0);  // died before the first rotation
-  ASSERT_EQ(b.stats.recovery_us.size(), 1u);
-  EXPECT_GT(b.stats.recovery_us[0], 0.0);
+  EXPECT_EQ(b.stats.ladder[0].verdict.rank, 3);
+  // Died before the first rotation.
+  EXPECT_EQ(b.stats.ladder[0].attempts.back().step, 0);
+  EXPECT_GT(b.stats.ladder[0].recovery_us, 0.0);
   Microseconds recovery_span = 0;
   for (const cluster::Tracer& t : tracers) {
     recovery_span += t.total_cat(cluster::SpanCat::kNodeDown);
@@ -332,10 +330,10 @@ TEST(Elastic, MidRunKillMigratesFromTheLatestCut) {
       {/*rank=*/1, /*at_us=*/clean.busy_us * 0.7, /*epoch=*/0});
   const ElasticRun b = run_elastic_gyre(12, &plan, "hyades_el_mid_kill", 4,
                                         1, gcm::RecoveryMode::kMigrate);
-  EXPECT_EQ(b.stats.restarts, 1);
+  ASSERT_EQ(b.stats.ladder.size(), 1u);
   EXPECT_EQ(b.stats.migrations, 1);
-  ASSERT_EQ(b.stats.restart_steps.size(), 1u);
-  EXPECT_GE(b.stats.restart_steps[0], 3);  // past at least one rotation
+  // Past at least one rotation.
+  EXPECT_GE(b.stats.ladder[0].attempts.back().step, 3);
   ASSERT_EQ(b.state.size(), 4u);
   for (int rank = 0; rank < 4; ++rank) {
     expect_state_bits_equal(clean.state.at(rank), b.state.at(rank),
@@ -354,7 +352,7 @@ TEST(Elastic, SmpKillMigratesEveryHostedTile) {
                                         2, 2, gcm::RecoveryMode::kMigrate);
   const ElasticRun b = run_elastic_gyre(10, &plan, "hyades_el_smp_kill", 2,
                                         2, gcm::RecoveryMode::kMigrate);
-  EXPECT_EQ(b.stats.restarts, 1);
+  EXPECT_EQ(b.stats.ladder.size(), 1u);
   EXPECT_EQ(b.stats.migrations, 2);
   EXPECT_EQ(b.migrations, 2);
   ASSERT_EQ(b.state.size(), 4u);
@@ -378,9 +376,10 @@ TEST(Elastic, MigrationRecoversStrictlyFasterThanEpochRestart) {
   const ElasticRun migrate =
       run_elastic_gyre(10, &plan, "hyades_el_race_migrate", 4, 1,
                        gcm::RecoveryMode::kMigrate);
-  ASSERT_EQ(restart.stats.recovery_us.size(), 1u);
-  ASSERT_EQ(migrate.stats.recovery_us.size(), 1u);
-  EXPECT_LT(migrate.stats.recovery_us[0], restart.stats.recovery_us[0]);
+  ASSERT_EQ(restart.stats.ladder.size(), 1u);
+  ASSERT_EQ(migrate.stats.ladder.size(), 1u);
+  EXPECT_LT(migrate.stats.ladder[0].recovery_us,
+            restart.stats.ladder[0].recovery_us);
   // Same bits either way: recovery mode is a scheduling decision.
   ASSERT_EQ(migrate.state.size(), 4u);
   for (int rank = 0; rank < 4; ++rank) {
@@ -405,7 +404,7 @@ TEST(Elastic, HotJoinHandsMigratedTilesBackBitIdentically) {
                                         4, 1, gcm::RecoveryMode::kMigrate);
   const ElasticRun b = run_elastic_gyre(12, &plan, "hyades_el_join_kill", 4,
                                         1, gcm::RecoveryMode::kMigrate);
-  EXPECT_EQ(b.stats.restarts, 1);
+  EXPECT_EQ(b.stats.ladder.size(), 1u);
   EXPECT_EQ(b.stats.migrations, 1);
   EXPECT_EQ(b.stats.rebalances, 1);
   EXPECT_EQ(b.rebalances, 1);
@@ -428,7 +427,7 @@ TEST(Elastic, JoinWithoutAnyMigrationIsANoOp) {
                                         4, 1, gcm::RecoveryMode::kMigrate);
   const ElasticRun b = run_elastic_gyre(10, &plan, "hyades_el_noop_join", 4,
                                         1, gcm::RecoveryMode::kMigrate);
-  EXPECT_EQ(b.stats.restarts, 0);
+  EXPECT_TRUE(b.stats.ladder.empty());
   EXPECT_EQ(b.stats.rebalances, 0);
   EXPECT_EQ(b.rebalances, 0);
   ASSERT_EQ(b.state.size(), 4u);

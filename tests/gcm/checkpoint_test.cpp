@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
 #include "gcm/model.hpp"
 #include "gcm/tile_ckpt.hpp"
+#include "support/rng.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades::gcm {
@@ -242,6 +246,80 @@ TEST(Checkpoint, SaveIsAtomicNoTmpFileSurvives) {
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   cleanup(prefix, 1);
+}
+
+// A one-tile State whose every field, payload or not, holds seeded
+// noise, at step 42.
+State seeded_state(const ModelConfig& cfg) {
+  const Decomp dec(cfg, 0);
+  State s;
+  s.allocate(dec, cfg.nz);
+  SplitMix64 rng(20251019);
+  for (Array3D<double>* f :
+       {&s.u, &s.v, &s.w, &s.theta, &s.salt, &s.gu, &s.gv, &s.gt, &s.gs,
+        &s.gw, &s.gu_nm1, &s.gv_nm1, &s.gt_nm1, &s.gs_nm1, &s.gw_nm1, &s.phi,
+        &s.phi_nh}) {
+    for (double& x : *f) x = rng.next_double() - 0.5;
+  }
+  for (std::size_t i = 0; i < s.ps.size(); ++i) {
+    s.ps.data()[i] = rng.next_double() - 0.5;
+  }
+  s.step = 42;
+  return s;
+}
+
+TEST(TileCkpt, SavedFileIsLockedAndReadsBackAsTheEncoding) {
+  // The HYADES03 bytes are a format, not an implementation detail: the
+  // file save() writes for a fixed state is locked to the FNV-1a digest
+  // captured before the in-memory snapshot existed, and reading it back
+  // yields exactly encode() of the state.
+  const ModelConfig cfg = small_ocean(1, 1);
+  const State s = seeded_state(cfg);
+  const std::string path = tile_ckpt::rank_path(prefix_for("hyades_ckpt_h"), 0);
+  tile_ckpt::save(path, cfg, s);
+
+  std::ifstream is(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
+                                std::istreambuf_iterator<char>());
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    digest ^= static_cast<unsigned char>(c);
+    digest *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 86488u);
+  EXPECT_EQ(digest, 0xe92982ade0370b0cULL);
+
+  const tile_ckpt::Snapshot want = tile_ckpt::encode(s);
+  const tile_ckpt::Snapshot got = tile_ckpt::read(path, cfg);
+  EXPECT_EQ(got.step, 42);
+  EXPECT_EQ(got.step, want.step);
+  EXPECT_TRUE(got.payload == want.payload);
+  // An 11-word header, then the payload up to the file's last byte.
+  EXPECT_EQ(bytes.size(), 11 * sizeof(std::uint64_t) + want.payload.size());
+  std::remove(path.c_str());
+}
+
+TEST(TileCkpt, DecodeRefusesAWrongSizedPayloadWithoutTouchingTheState) {
+  const ModelConfig cfg = small_ocean(1, 1);
+  const State s = seeded_state(cfg);
+  tile_ckpt::Snapshot snap = tile_ckpt::encode(s);
+  snap.payload.pop_back();
+
+  State t;
+  t.allocate(Decomp(cfg, 0), cfg.nz);
+  t.step = 5;
+  EXPECT_THROW(tile_ckpt::decode(snap, &t), std::runtime_error);
+  EXPECT_EQ(t.step, 5);
+  for (const double x : t.u) ASSERT_EQ(x, 0.0);
+  for (const double x : t.theta) ASSERT_EQ(x, 0.0);
+
+  tile_ckpt::decode(tile_ckpt::encode(s), &t);
+  EXPECT_EQ(t.step, 42);
+  EXPECT_EQ(std::memcmp(t.u.data(), s.u.data(), s.u.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(t.ps.data(), s.ps.data(),
+                        s.ps.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -129,13 +129,12 @@ TEST(HardFailure, ResilientNoKillsMatchesPlainRun) {
 
   const ResilientRun r =
       run_resilient_gyre(10, nullptr, "hyades_hf_nokill", 4, 1);
-  EXPECT_EQ(r.stats.restarts, 0);
-  EXPECT_EQ(r.stats.steps, 10);
-  EXPECT_TRUE(r.stats.verdicts.empty());
+  EXPECT_TRUE(r.stats.ladder.empty());
   EXPECT_EQ(r.restarts, 0);
   EXPECT_EQ(r.restart_us, 0.0);
   ASSERT_EQ(r.state.size(), 4u);
   for (int rank = 0; rank < 4; ++rank) {
+    EXPECT_EQ(r.state.at(rank).step, 10);
     expect_state_bits_equal(plain.at(rank), r.state.at(rank),
                             "resilient-vs-plain");
   }
@@ -161,7 +160,7 @@ TEST(HardFailure, LinkKillsRerouteWithoutChangingState) {
   EXPECT_EQ(a.reroute_us, 0.0);
   EXPECT_GT(b.degraded_sends, 0);
   EXPECT_GT(b.reroute_us, 0.0);
-  EXPECT_EQ(b.stats.restarts, 0);  // degraded, not down
+  EXPECT_TRUE(b.stats.ladder.empty());  // degraded, not down
   ASSERT_EQ(b.state.size(), 4u);
   for (int rank = 0; rank < 4; ++rank) {
     expect_state_bits_equal(a.state.at(rank), b.state.at(rank),
@@ -183,14 +182,13 @@ TEST(HardFailure, NodeKillRestartsFromCheckpointBitIdentically) {
   std::vector<cluster::Tracer> tracers(4);
   const ResilientRun b = run_resilient_gyre(10, &plan, "hyades_hf_nodekill",
                                             4, 1, &tracers);
-  EXPECT_EQ(b.stats.restarts, 1);
-  ASSERT_EQ(b.stats.verdicts.size(), 1u);
-  EXPECT_EQ(b.stats.verdicts[0].rank, 3);
-  EXPECT_EQ(b.stats.verdicts[0].epoch, 0);
-  EXPECT_DOUBLE_EQ(b.stats.verdicts[0].detected_us,
-                   50.0 + plan.heartbeat_deadline_us);
-  ASSERT_EQ(b.stats.restart_steps.size(), 1u);
-  EXPECT_EQ(b.stats.restart_steps[0], 0);  // died before the first rotation
+  ASSERT_EQ(b.stats.ladder.size(), 1u);
+  const cluster::NodeDownVerdict& v = b.stats.ladder[0].verdict;
+  EXPECT_EQ(v.rank, 3);
+  EXPECT_EQ(v.epoch, 0);
+  EXPECT_DOUBLE_EQ(v.detected_us, 50.0 + plan.heartbeat_deadline_us);
+  // Died before the first rotation.
+  EXPECT_EQ(b.stats.ladder[0].attempts.back().step, 0);
   EXPECT_GT(b.restarts, 0);
   EXPECT_GT(b.restart_us, 0.0);
   Microseconds node_down_span = 0;
@@ -217,11 +215,10 @@ TEST(HardFailure, NodeKillTakesWholeSmpWithIt) {
       run_resilient_gyre(10, nullptr, "hyades_hf_smpclean", 2, 2);
   const ResilientRun b =
       run_resilient_gyre(10, &plan, "hyades_hf_smpkill", 2, 2);
-  EXPECT_EQ(b.stats.restarts, 1);
-  ASSERT_EQ(b.stats.verdicts.size(), 1u);
+  ASSERT_EQ(b.stats.ladder.size(), 1u);
   // The verdict names whichever dead-SMP rank a survivor talked to.
-  EXPECT_TRUE(b.stats.verdicts[0].rank == 2 || b.stats.verdicts[0].rank == 3)
-      << "verdict rank " << b.stats.verdicts[0].rank;
+  const int vr = b.stats.ladder[0].verdict.rank;
+  EXPECT_TRUE(vr == 2 || vr == 3) << "verdict rank " << vr;
   ASSERT_EQ(b.state.size(), 4u);
   for (int rank = 0; rank < 4; ++rank) {
     expect_state_bits_equal(a.state.at(rank), b.state.at(rank),
