@@ -1,11 +1,16 @@
 // Host-side microbenchmarks (google-benchmark): throughput of the
 // simulator substrate itself -- event scheduling, packet routing through
-// the fat tree, CG operator application, the line preconditioner and
-// the tracer kernel on an ocean tile, and a full GCM model step.
+// the fat tree, hand-offs between rank threads, CG operator application,
+// the line preconditioner and the tracer kernel on an ocean tile, and a
+// full GCM model step.
 // These guard the *reproduction's* performance, not the paper's numbers.
 #include <benchmark/benchmark.h>
 
+#include <stdexcept>
+
 #include "arctic/fabric.hpp"
+#include "cluster/runtime.hpp"
+#include "comm/comm.hpp"
 #include "gcm/cg.hpp"
 #include "gcm/halo.hpp"
 #include "gcm/kernels.hpp"
@@ -54,6 +59,62 @@ void BM_FabricAllPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricAllPairs)->Arg(16)->Arg(64);
 
+cluster::MachineConfig machine(const net::Interconnect& net, int smps,
+                               int ppp) {
+  cluster::MachineConfig mc;
+  mc.smp_count = smps;
+  mc.procs_per_smp = ppp;
+  mc.interconnect = &net;
+  return mc;
+}
+
+// Host cost of a rank hand-off: two rank threads on one SMP bounce a
+// one-word message 1000 times.  Every receive waits for the partner, so
+// this is the bus's wait and wake path (MessageBus::recv), not its copy.
+void BM_RankPingPong(benchmark::State& state) {
+  constexpr int kRoundTrips = 1000;
+  const net::ArcticModel net;
+  cluster::Runtime rt(machine(net, 1, 2));
+  for (auto _ : state) {
+    rt.run([](cluster::RankContext& ctx) {
+      const int peer = 1 - ctx.rank();
+      for (int i = 0; i < kRoundTrips; ++i) {
+        if (ctx.rank() == 0) {
+          ctx.send_raw(peer, 1, {static_cast<double>(i)}, 0.0);
+          if (ctx.recv_raw(peer, 2).data.at(0) != i) {
+            throw std::runtime_error("ping-pong: wrong reply");
+          }
+        } else {
+          ctx.send_raw(peer, 2, ctx.recv_raw(peer, 1).data, 0.0);
+        }
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kRoundTrips);
+}
+BENCHMARK(BM_RankPingPong)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Host cost of the flagship's reduction: 100 blocking global sums over
+// 16 two-way SMPs, 32 rank threads (butterfly messages between SMPs,
+// SMP barrier crossings within them).
+void BM_GlobalSum32(benchmark::State& state) {
+  constexpr int kSums = 100;
+  const net::ArcticModel net;
+  cluster::Runtime rt(machine(net, 16, 2));
+  for (auto _ : state) {
+    rt.run([](cluster::RankContext& ctx) {
+      comm::Comm comm(ctx);
+      double total = 0;
+      for (int i = 0; i < kSums; ++i) total += comm.global_sum(1.0);
+      if (total != kSums * comm.group_size()) {
+        throw std::runtime_error("global sum: wrong total");
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kSums);
+}
+BENCHMARK(BM_GlobalSum32)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_EllipticApply(benchmark::State& state) {
   gcm::ModelConfig cfg = gcm::ocean_preset(1, 1);
   cfg.topography = gcm::ModelConfig::Topography::kFlat;
@@ -80,11 +141,7 @@ struct OceanTile {
 
   OceanTile() {
     const net::ArcticModel net;
-    cluster::MachineConfig mc;
-    mc.smp_count = 1;
-    mc.procs_per_smp = 1;
-    mc.interconnect = &net;
-    cluster::Runtime rt(mc);
+    cluster::Runtime rt(machine(net, 1, 1));
     rt.run([&](cluster::RankContext& ctx) {
       comm::Comm comm(ctx);
       gcm::Model m(cfg, comm);
@@ -138,14 +195,10 @@ void BM_ModelStepSingleTile(benchmark::State& state) {
   // Host cost of one full 128x64x10 atmosphere step on one tile (no
   // threading): the dominant real-time cost of the reproduction.
   const net::ArcticModel net;
-  cluster::MachineConfig mc;
-  mc.smp_count = 1;
-  mc.procs_per_smp = 1;
-  mc.interconnect = &net;
   gcm::ModelConfig cfg = gcm::atmosphere_preset(1, 1);
   for (auto _ : state) {
     state.PauseTiming();
-    cluster::Runtime rt(mc);
+    cluster::Runtime rt(machine(net, 1, 1));
     state.ResumeTiming();
     rt.run([&](cluster::RankContext& ctx) {
       comm::Comm comm(ctx);

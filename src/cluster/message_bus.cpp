@@ -29,10 +29,12 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
   const std::atomic<bool>& gone = exited_.at(static_cast<std::size_t>(from));
   support::MutexLock lock(box.mu);
   auto& q = box.queues[{from, tag}];
-  if (!box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms), [&] {
-        box.mu.assert_held();
-        return !q.empty() || down() || gone.load(std::memory_order_acquire);
-      })) {
+  const auto ready = [&] {
+    box.mu.assert_held();
+    return !q.empty() || down() || gone.load(std::memory_order_acquire);
+  };
+  if (!support::yield_until(box.mu, ready) &&
+      !box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms), ready)) {
     throw std::runtime_error("MessageBus::recv: timeout (rank " +
                              std::to_string(me) + " waiting on " +
                              std::to_string(from) + " tag " +

@@ -21,10 +21,11 @@ void AbortableBarrier::arrive_and_wait() {
     if (aborted_) throw BarrierAborted();
     const std::uint64_t gen = generation_;
     if (++waiting_ < count_) {
-      cv_.wait(mu_, [&] {
+      const auto released = [&] {
         mu_.assert_held();
         return generation_ != gen || aborted_;
-      });
+      };
+      if (!support::yield_until(mu_, released)) cv_.wait(mu_, released);
       if (generation_ == gen && aborted_) throw BarrierAborted();
       return;
     }

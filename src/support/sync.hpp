@@ -9,10 +9,13 @@
 //
 // Zero-overhead by construction: every method is an inline forward to
 // the std primitive, and the attributes vanish on non-Clang compilers.
+// yield_until() is the yield phase the cluster's rank waits run before
+// they sleep on a CondVar.
 #pragma once
 
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 
 #include "support/thread_annotations.hpp"
 
@@ -99,5 +102,32 @@ class CondVar {
 
   std::condition_variable cv_;
 };
+
+// How many times a rank wait hands its core away before it sleeps.  Every
+// bound from 1 to 200 beats sleeping at once when rank threads outnumber
+// cores.  Where they do not, the partner runs on another core and a
+// yield with nothing else to run returns at once: 5 yields end before
+// the reply comes and the wait sleeps anyway, while 50 catch most
+// replies (EXPERIMENTS.md "Host time -- rank waits yield before they
+// sleep").
+inline constexpr int kWaitYields = 50;
+
+// The yield phase of a rank wait: while `pred` is false, release `mu`,
+// yield the core, re-take `mu` and check again, up to kWaitYields times.
+// With more rank threads than cores, the partner a rank waits for is
+// usually runnable on the same core: the yield lets it run, and the wait
+// ends without a futex sleep and wake.  Returns the last `pred()`; on
+// false the caller sleeps on its CondVar as before.  It yields rather
+// than spins: a spin keeps the core from that partner.
+template <typename Predicate>
+bool yield_until(Mutex& mu, Predicate pred) REQUIRES(mu) {
+  for (int i = 0; i < kWaitYields; ++i) {
+    if (pred()) return true;
+    mu.unlock();
+    std::this_thread::yield();
+    mu.lock();
+  }
+  return pred();
+}
 
 }  // namespace hyades::support
