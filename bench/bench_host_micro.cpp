@@ -1,8 +1,8 @@
 // Host-side microbenchmarks (google-benchmark): throughput of the
 // simulator substrate itself -- event scheduling, packet routing through
 // the fat tree, hand-offs between rank threads, CG operator application,
-// the line preconditioner and the tracer kernel on an ocean tile, and a
-// full GCM model step.
+// the line preconditioner, a whole CG solve and the tracer kernel on an
+// ocean tile, and a full GCM model step.
 // These guard the *reproduction's* performance, not the paper's numbers.
 #include <benchmark/benchmark.h>
 
@@ -172,6 +172,42 @@ void BM_Precondition(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.dec.snx * t.dec.sny);
 }
 BENCHMARK(BM_Precondition);
+
+// One DS solve on the ocean tile, as the time-stepper makes it: b is the
+// tile's -div(H u) (compatible: it sums to zero over the closed basin),
+// solved from p = 0 to the preset's tolerance on one rank.  Reported
+// per CG iteration (`s_per_iter`), which is what a kernel change moves;
+// the iteration count is fixed by the bits, so a change to it is a bug.
+void BM_CgSolveTile(benchmark::State& state) {
+  const OceanTile& t = ocean_tile();
+  const gcm::EllipticOperator op(t.cfg, t.dec, t.grid);
+  Array2D<double> b(t.state.ps.nx(), t.state.ps.ny(), 0.0);
+  (void)gcm::kernels::ps_rhs(t.cfg, t.grid, t.state.u, t.state.v, b,
+                             gcm::kernels::extended(t.dec, 0));
+  for (double& x : b) x = -x;
+  const net::ArcticModel net;
+  cluster::Runtime rt(machine(net, 1, 1));
+  int iters = 0;
+  rt.run([&](cluster::RankContext& ctx) {
+    comm::Comm comm(ctx);
+    Array2D<double> p = b;
+    for (auto _ : state) {
+      state.PauseTiming();
+      p.fill(0.0);
+      state.ResumeTiming();
+      const gcm::CgResult res =
+          gcm::cg_solve(comm, t.dec, op, b, p, t.cfg.cg_tol, t.cfg.cg_max_iter);
+      iters = res.iterations;
+      benchmark::DoNotOptimize(p.data());
+    }
+  });
+  state.counters["cg_iters"] = iters;
+  state.counters["s_per_iter"] = benchmark::Counter(
+      static_cast<double>(iters),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CgSolveTile)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_TracerTendency(benchmark::State& state) {
   // DST-3 tracer tendency over the step's window, as Timestepper::step

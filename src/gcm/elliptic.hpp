@@ -36,8 +36,11 @@ class EllipticOperator {
                    const TileGrid& grid);
 
   // out = L p over the tile interior; p must have a valid 1-cell halo.
-  // Returns the flops performed.
-  double apply(const Array2D<double>& p, Array2D<double>& out) const;
+  // Returns the flops performed.  With `p_dot_out`, also stores <p, out>
+  // over the interior, summed in (i, j) order as each out cell is written
+  // (a land cell adds p * 0.0), bit for bit a separate dot's sum.
+  double apply(const Array2D<double>& p, Array2D<double>& out,
+               double* p_dot_out = nullptr) const;
 
   // z = M^-1 r over the interior (z = 0 on land), where M is the
   // symmetrized line relaxation above, or diag(L) under cg_jacobi.
@@ -67,9 +70,13 @@ class EllipticOperator {
   // y-direction sets.
   Array2D<double> cp_, inv_;
   Array2D<double> cpy_, invy_;
-  // precondition's scratch: Thomas values, per-line carries and wet flags.
+  // One precondition's flops, fixed by the wet mask.
+  long line_flops_ = 0;
+  // The meridional lines a precondition pass advances together, so that
+  // their cells stay in L1 from one j to the next.
+  static constexpr int kLineBlock = 16;
+  // precondition's scratch: Thomas values and per-line carries.
   mutable std::vector<double> ybuf_, carry_;
-  mutable std::vector<int> open_;
 };
 
 }  // namespace hyades::gcm

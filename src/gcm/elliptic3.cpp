@@ -92,31 +92,33 @@ EllipticOperator3::EllipticOperator3(const ModelConfig& cfg, const Decomp& dec,
   }
 }
 
-double EllipticOperator3::apply(const Array3D<double>& p,
-                                Array3D<double>& out) const {
+double EllipticOperator3::apply(const Array3D<double>& p, Array3D<double>& out,
+                                double* p_dot_out) const {
   double flops = 0;
+  double s = 0.0;
   const int h = dec_.halo;
   const int nz = cfg_.nz;
   for (int i = h; i < h + dec_.snx; ++i) {
     for (int j = h; j < h + dec_.sny; ++j) {
       for (int k = 0; k < nz; ++k) {
         const double d = at(diag_, i, j, k);
-        if (d <= 0) {
-          at(out, i, j, k) = 0.0;
-          continue;
+        double acc = 0.0;  // land: a decoupled zero row
+        if (d > 0) {
+          acc = d * at(p, i, j, k);
+          acc -= at(wW_, i, j, k) * at(p, i - 1, j, k);
+          acc -= at(wW_, i + 1, j, k) * at(p, i + 1, j, k);
+          acc -= at(wS_, i, j, k) * at(p, i, j - 1, k);
+          acc -= at(wS_, i, j + 1, k) * at(p, i, j + 1, k);
+          if (k > 0) acc -= at(wT_, i, j, k) * at(p, i, j, k - 1);
+          if (k + 1 < nz) acc -= at(wT_, i, j, k + 1) * at(p, i, j, k + 1);
+          flops += 13.0;
         }
-        double acc = d * at(p, i, j, k);
-        acc -= at(wW_, i, j, k) * at(p, i - 1, j, k);
-        acc -= at(wW_, i + 1, j, k) * at(p, i + 1, j, k);
-        acc -= at(wS_, i, j, k) * at(p, i, j - 1, k);
-        acc -= at(wS_, i, j + 1, k) * at(p, i, j + 1, k);
-        if (k > 0) acc -= at(wT_, i, j, k) * at(p, i, j, k - 1);
-        if (k + 1 < nz) acc -= at(wT_, i, j, k + 1) * at(p, i, j, k + 1);
         at(out, i, j, k) = acc;
-        flops += 13.0;
+        if (p_dot_out != nullptr) s += at(p, i, j, k) * acc;
       }
     }
   }
+  if (p_dot_out != nullptr) *p_dot_out = s;
   return flops;
 }
 

@@ -28,7 +28,10 @@ class EllipticOperator3 {
                     const TileGrid& grid);
 
   // out = L3 p over the tile interior; p needs a 1-cell lateral halo.
-  double apply(const Array3D<double>& p, Array3D<double>& out) const;
+  // With `p_dot_out`, also stores <p, out> summed in (i, j, k) order, as
+  // EllipticOperator::apply does.
+  double apply(const Array3D<double>& p, Array3D<double>& out,
+               double* p_dot_out = nullptr) const;
 
   // z = M^-1 r with M = the vertical tridiagonal part of L3 (plus the
   // full diagonal), solved per column.  SPD, tile-local.
