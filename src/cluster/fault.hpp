@@ -10,11 +10,10 @@
 // scheduling, and consuming fault decisions cannot perturb any other
 // random stream (notably the fabric's random-uproute routing).
 //
-// The plan also models straggler ranks (a configurable compute slowdown
-// on selected ranks) and carries the reliability protocol's timing
-// parameters: the receiver-side virtual-clock timeout that detects a
-// dropped transfer, and the capped exponential backoff applied before
-// each retransmit.
+// The plan also carries the reliability protocol's timing parameters:
+// the receiver-side virtual-clock timeout that detects a dropped
+// transfer, and the capped exponential backoff applied before each
+// retransmit.
 #pragma once
 
 #include <cstdint>
@@ -59,31 +58,24 @@ struct NodeJoin {
 
 // The collectively agreed fail-stop verdict.  detected_us is plan-pure
 // (kill time + heartbeat deadline), never a racing observer's clock, so
-// every survivor publishes the identical verdict.
+// every survivor derives the identical verdict.
 //
 // Failures overlap at scale, so the verdict carries a dead *set*, not a
 // first casualty: every kill of the epoch whose heartbeat deadline has
-// expired by the detection fixpoint (see Membership::coalesced_verdict)
-// is absorbed into `ranks`.  `rank` stays the primary casualty (the
-// lowest kill-named rank of the set) for messages and single-failure
-// consumers; `ranks` is the authoritative set for recovery planning.
+// expired by the detection fixpoint (see coalesce_expired_kills) is
+// absorbed into `ranks`, the set recovery plans from.  `rank` stays the
+// primary casualty (the lowest rank of the set) for messages.
 struct NodeDownVerdict {
   int rank = -1;
   std::vector<int> ranks;  // coalesced kill-named ranks, sorted ascending
   int epoch = 0;
   Microseconds detected_us = 0.0;
-
-  // The dead set for planners: `ranks` when coalescing filled it, else
-  // the single primary casualty (manually built single-rank verdicts).
-  [[nodiscard]] std::vector<int> dead_ranks() const {
-    if (!ranks.empty()) return ranks;
-    return rank >= 0 ? std::vector<int>{rank} : std::vector<int>{};
-  }
 };
 
-// Thrown by every bus operation once a NodeDown verdict is declared:
-// the surviving ranks unwind their epoch and the resilient driver
-// restarts from the last durable checkpoint.
+// Thrown by a rank that escalates a fail-stopped peer (see
+// Membership::escalate): that rank unwinds its epoch, its exit unwinds
+// the ranks waiting on it, and the resilient driver recovers from the
+// verdict.
 class NodeDownError : public std::runtime_error {
  public:
   explicit NodeDownError(const NodeDownVerdict& v)
@@ -124,11 +116,6 @@ struct FaultPlan {
   // runaway retries astronomically unlikely, so hitting the cap means
   // the link is effectively dead and the protocol gives up (throws).
   int max_attempts = 64;
-
-  // Straggler modeling: the given rank computes `straggler_factor`
-  // times slower (its partners absorb the lateness as imbalance wait).
-  int straggler_rank = -1;
-  double straggler_factor = 1.0;
 
   // ---- hard failures --------------------------------------------------
   // Permanent fail-stops and link deaths (explicit schedules, same
@@ -177,9 +164,6 @@ struct FaultPlan {
   // reliability layer runs its retransmit episode simulation only then.
   [[nodiscard]] bool has_fates() const {
     return corrupt_prob > 0.0 || drop_prob > 0.0;
-  }
-  [[nodiscard]] bool has_straggler() const {
-    return straggler_rank >= 0 && straggler_factor > 1.0;
   }
   [[nodiscard]] bool has_node_kills() const { return !node_kills.empty(); }
   [[nodiscard]] bool has_node_joins() const { return !node_joins.empty(); }

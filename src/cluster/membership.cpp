@@ -103,7 +103,7 @@ void Membership::escalate(int peer) {
   // with the detection fixpoint as its time -- never this rank's
   // (scheduling-dependent) clock, and never just the one peer this rank
   // happened to be talking to.  Whichever rank escalates whichever peer
-  // first publishes the identical verdict.
+  // throws the identical verdict.
   const NodeDownVerdict verdict = coalesced_verdict();
 
   const Microseconds began = ctx_.clock().now();
@@ -112,7 +112,6 @@ void Membership::escalate(int peer) {
     ctx_.tracer()->record("node_down", SpanCat::kNodeDown, began,
                           ctx_.clock().now());
   }
-  ctx_.declare_node_down(verdict);
   throw NodeDownError(verdict);
 }
 

@@ -7,14 +7,15 @@
 // The service fires `FaultPlan::dead_peer_probes` idle-time heartbeat
 // probes on the reserved tag (costed through the virtual clock like any
 // small message) and, if the plan confirms the peer's scheduled fail-stop,
-// escalates: the plan-pure verdict {rank, epoch, kill time + heartbeat
-// deadline} is published by poisoning the MessageBus, every survivor
-// unwinds with NodeDownError, and the resilient driver restarts the
-// epoch from the last durable checkpoint.
+// escalates: the receiver advances to the plan-pure detection time and
+// unwinds with NodeDownError carrying the verdict {dead set, epoch,
+// detection time}.  Its exit wakes the ranks waiting on it, which
+// escalate or unwind in turn, and the resilient driver recovers from the
+// verdict Runtime::run surfaces.
 //
 // Verdicts are pure functions of the fault plan -- never of a racing
-// observer's clock -- so whichever rank detects first publishes exactly
-// the verdict every other survivor would have.
+// observer's clock -- so every rank that escalates throws exactly the
+// verdict every other survivor would have.
 #pragma once
 
 #include "cluster/fault.hpp"
@@ -51,8 +52,8 @@ class Membership {
 
   // Escalate a silent peer into the collective verdict: probe it
   // `dead_peer_probes` times on the reserved tag, advance to the
-  // plan-pure detection time, record a kNodeDown span, poison the bus,
-  // and unwind this rank's epoch by throwing NodeDownError.
+  // plan-pure detection time, record a kNodeDown span, and unwind this
+  // rank's epoch by throwing NodeDownError.
   [[noreturn]] void escalate(int peer);
 
   // The canonical verdict for the current epoch: every kill whose
@@ -81,7 +82,7 @@ class Membership {
 // The resilient driver uses it when an epoch ends with *every* rank
 // silent (each board hosted a kill-named rank): no survivor existed to
 // escalate, so the driver synthesizes the canonical verdict the
-// survivors would have published.  Returns rank == -1 when the plan
+// survivors would have thrown.  Returns rank == -1 when the plan
 // schedules no kills for the epoch.
 [[nodiscard]] NodeDownVerdict coalesce_expired_kills(const FaultPlan& plan,
                                                      int epoch);

@@ -15,7 +15,6 @@ MessageBus::MessageBus(int nranks) {
 }
 
 void MessageBus::send(int to, Message m) {
-  if (down()) throw NodeDownError(down_verdict());
   Mailbox& box = *boxes_.at(static_cast<std::size_t>(to));
   {
     support::MutexLock lock(box.mu);
@@ -31,7 +30,7 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
   auto& q = box.queues[{from, tag}];
   const auto ready = [&] {
     box.mu.assert_held();
-    return !q.empty() || down() || gone.load(std::memory_order_acquire);
+    return !q.empty() || gone.load(std::memory_order_acquire);
   };
   if (!support::yield_until(box.mu, ready) &&
       !box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms), ready)) {
@@ -40,45 +39,16 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
                              std::to_string(from) + " tag " +
                              std::to_string(tag) + ")");
   }
-  if (down()) throw NodeDownError(down_verdict());
   if (q.empty()) throw PeerExited(me, from, tag);
   Message m = std::move(q.front());
   q.pop_front();
   return m;
 }
 
-void MessageBus::declare_down(const NodeDownVerdict& verdict) {
-  {
-    support::MutexLock lock(verdict_mu_);
-    if (down_.load(std::memory_order_relaxed)) return;  // first verdict wins
-    verdict_ = verdict;
-    down_.store(true, std::memory_order_release);
-  }
-  wake_all();  // the abort is prompt
-}
-
-NodeDownVerdict MessageBus::down_verdict() const {
-  support::MutexLock lock(verdict_mu_);
-  return verdict_;
-}
-
-void MessageBus::reset_down() {
-  support::MutexLock lock(verdict_mu_);
-  verdict_ = NodeDownVerdict{};
-  down_.store(false, std::memory_order_release);
-}
-
 void MessageBus::mark_exited(int rank) {
   exited_.at(static_cast<std::size_t>(rank))
       .store(true, std::memory_order_release);
-  wake_all();
-}
-
-void MessageBus::clear_exits() {
-  for (std::atomic<bool>& e : exited_) e.store(false, std::memory_order_release);
-}
-
-void MessageBus::wake_all() {
+  // Wake every blocked receiver so it re-checks its wait predicate.
   for (auto& box : boxes_) {
     // Passing through the mailbox lock orders the flag store before the
     // predicate check of any receiver not yet asleep, so a receiver
@@ -86,6 +56,10 @@ void MessageBus::wake_all() {
     { support::MutexLock lock(box->mu); }
     box->cv.notify_all();
   }
+}
+
+void MessageBus::clear_exits() {
+  for (std::atomic<bool>& e : exited_) e.store(false, std::memory_order_release);
 }
 
 }  // namespace hyades::cluster

@@ -4,6 +4,13 @@
 //
 // Matching is by (source, tag) with FIFO order per pair, mirroring
 // Arctic's FIFO guarantee for messages on the same path.
+//
+// A receive ends on one of two events: a matching message is queued, or
+// its sender has exited.  Queued mail always wins, so what a rank
+// receives, and how far it gets before a peer's exit ends its wait,
+// depends only on what its peers sent, never on when the host ran them.
+// A peer's exit is also the only way a failed epoch reaches a blocked
+// rank.
 #pragma once
 
 #include <atomic>
@@ -15,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/fault.hpp"
 #include "support/sync.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/units.hpp"
@@ -74,25 +80,6 @@ class MessageBus {
   // backstop for a wait cycle among live ranks.
   Message recv(int me, int from, int tag, int timeout_ms = 30000);
 
-  // ---- NodeDown poison -------------------------------------------------
-  // Declaring a verdict poisons the bus: every subsequent send/recv on
-  // any rank throws NodeDownError carrying the verdict (the poison takes
-  // precedence over queued mail and exit events), and ranks blocked in
-  // recv wake immediately.  That turns one rank's
-  // detection into a prompt collective abort of the epoch without any
-  // real-time timeouts.  First verdict wins; later declarations are
-  // ignored (every survivor derives the identical plan-pure verdict
-  // anyway).
-  void declare_down(const NodeDownVerdict& verdict);
-  [[nodiscard]] bool down() const {
-    return down_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] NodeDownVerdict down_verdict() const;
-  // Clear the poison before relaunching the next epoch.  Queued mail
-  // from the aborted epoch is left in place: the epoch number woven
-  // into message tags (RankContext) makes it unmatchable dead letters.
-  void reset_down();
-
   // ---- rank exit events -------------------------------------------------
   // Runtime::run marks a rank exited when its body ends, waking every
   // receiver blocked on it, and clears all marks before the next run.
@@ -100,9 +87,6 @@ class MessageBus {
   void clear_exits();
 
  private:
-  // Wake every blocked receiver so it re-checks its wait predicate.
-  void wake_all();
-
   struct Mailbox {
     support::Mutex mu;
     support::CondVar cv;
@@ -110,9 +94,6 @@ class MessageBus {
   };
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::vector<std::atomic<bool>> exited_;
-  std::atomic<bool> down_{false};
-  mutable support::Mutex verdict_mu_;
-  NodeDownVerdict verdict_ GUARDED_BY(verdict_mu_);
 };
 
 }  // namespace hyades::cluster

@@ -116,11 +116,6 @@ void RankContext::compute(double flops, double mflops) {
     throw std::invalid_argument("RankContext::compute: bad arguments");
   }
   Microseconds dt = flops / mflops;  // MFlop/s == flops per us
-  const FaultPlan* plan = faults();
-  if (plan != nullptr && plan->has_straggler() &&
-      plan->straggler_rank == rank_) {
-    dt *= plan->straggler_factor;
-  }
   if (elastic_factor_ > 1.0) dt *= elastic_factor_;
   clock_.advance(dt);
   acct_.compute_us += dt;
@@ -168,7 +163,7 @@ std::pair<std::int64_t, std::int64_t> RankContext::smp_sync(std::int64_t a,
   // Accounting is the caller's job (the comm primitives charge their
   // whole window once, which includes these sync advances).
   clock_.advance_to(mx);
-  clock_.advance(rt_.config().smp_barrier_us);
+  clock_.advance(kSmpBarrierUs);
   return sums;
 }
 
@@ -217,10 +212,6 @@ Membership* RankContext::membership() {
   if (plan == nullptr || !plan->has_node_kills()) return nullptr;
   if (!membership_) membership_ = std::make_unique<Membership>(*this, *plan);
   return membership_.get();
-}
-
-void RankContext::declare_node_down(const NodeDownVerdict& verdict) {
-  rt_.bus().declare_down(verdict);
 }
 
 support::HostPool& RankContext::host_pool() {

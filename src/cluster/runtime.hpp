@@ -26,18 +26,18 @@
 
 namespace hyades::cluster {
 
+// Shared-memory coordination cost per *modeled* SMP barrier crossing.
+// smp_sync() charges one and an exchange phase's mix-mode byte
+// aggregation two; a global sum's local combine and its distribution
+// charge one each, part of the "about 1 usec" the paper attributes to
+// the shared-memory local sum (Section 4.2).  The host crosses its
+// barrier once per smp_sync(), whatever the model charges.
+inline constexpr Microseconds kSmpBarrierUs = 0.25;
+
 struct MachineConfig {
   int smp_count = 8;
   int procs_per_smp = 2;
   const net::Interconnect* interconnect = nullptr;  // required
-
-  // Shared-memory coordination cost per *modeled* SMP barrier crossing.
-  // smp_sync() charges one and an exchange phase's mix-mode byte
-  // aggregation two; a global sum's local combine and its distribution
-  // charge one each, part of the "about 1 usec" the paper attributes to
-  // the shared-memory local sum (Section 4.2).  The host crosses its
-  // barrier once per smp_sync(), whatever the model charges.
-  Microseconds smp_barrier_us = 0.25;
 
   // Optional fault injection (cluster/fault.hpp).  Null (the default)
   // means the fault machinery is compiled out of every hot path: runs
@@ -257,10 +257,6 @@ class RankContext {
   // schedules node kills.  Created lazily on first use.
   [[nodiscard]] Membership* membership();
 
-  // Publish a NodeDown verdict: poisons the machine's bus so every
-  // rank's next transport call unwinds with NodeDownError.
-  void declare_node_down(const NodeDownVerdict& verdict);
-
   // The host threads this rank's kernels split across: its own thread
   // plus Runtime::helpers_per_rank() helpers (see Runtime::run).  Made on
   // first use and joined when the rank's body has returned; only the
@@ -303,12 +299,15 @@ class Runtime {
   // Execute `body` on every rank (one std::thread each) and join.  A
   // rank's exit (its body returned or threw) is an event: it wakes the
   // receivers blocked on that rank (MessageBus::mark_exited) and aborts
-  // its SMP barrier.  After the join one rank exception is rethrown,
-  // root cause first: NodeDownError, then errors that are not
-  // collateral, then the collateral PeerExited/BarrierAborted unwinds;
-  // rank order within each class.  If the host cannot start a rank's
-  // thread, the ranks not started count as exited, the started ones are
-  // joined, and the spawn error is rethrown as the root cause.
+  // its SMP barrier.  It is the only way a failed epoch reaches the other
+  // ranks: a rank that escalates a dead peer unwinds with NodeDownError,
+  // and its exit ends the waits on it in turn.  After the join one rank
+  // exception is rethrown, root cause first: NodeDownError, then errors
+  // that are not collateral, then the collateral PeerExited/
+  // BarrierAborted unwinds; rank order within each class.  If the host
+  // cannot start a rank's thread, the ranks not started count as exited,
+  // the started ones are joined, and the spawn error is rethrown as the
+  // root cause.
   //
   // Each rank may also use the host cores the process's rank threads
   // leave idle: RankContext::host_pool() gets host cores / rank threads

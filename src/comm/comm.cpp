@@ -326,10 +326,10 @@ ExchangeHandle::Phase Comm::plan_phase(
   if (ctx_.procs_per_smp() > 1) {
     // The modeled aggregation costs a second crossing, which the host
     // need not make: after one smp_sync every clock in the SMP equals
-    // max + smp_barrier_us, so a second sync's advance_to is a no-op and
+    // max + kSmpBarrierUs, so a second sync's advance_to is a no-op and
     // only its advance remains.  A separate add keeps the rounding of
     // the two-crossing protocol.
-    ctx_.clock().advance(ctx_.config().smp_barrier_us);
+    ctx_.clock().advance(cluster::kSmpBarrierUs);
   }
   return p;
 }

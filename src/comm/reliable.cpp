@@ -194,7 +194,7 @@ cluster::Message Reliable::recv(int from, int tag) {
       m = ctx_.recv_raw(from, tag);
     } catch (const cluster::PeerExited&) {
       // The peer's rank body ended with nothing queued for us.  If the
-      // plan explains that as a scheduled fail-stop, publish the
+      // plan explains that as a scheduled fail-stop, escalate to the
       // collective verdict (escalate throws NodeDownError); otherwise
       // the message can never come and the typed exit surfaces as is.
       if (ms != nullptr && ms->killed_peer(from) != nullptr) {

@@ -40,9 +40,9 @@
 //   * a blocking recv from a fail-stopped peer does not burn the retry
 //     budget or wait on real time: the peer's exit wakes the receiver
 //     (cluster::PeerExited), and once the plan confirms the scheduled
-//     fail-stop, the receiver escalates to the membership service, which
-//     publishes the collective NodeDown verdict (poisons the bus) and
-//     unwinds this epoch.
+//     fail-stop, the receiver escalates to the membership service and
+//     unwinds this epoch with the plan-pure NodeDown verdict; its own
+//     exit then ends the waits of the ranks blocked on it.
 #pragma once
 
 #include <cstdint>

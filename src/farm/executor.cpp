@@ -97,9 +97,10 @@ ExecutionOutcome execute_job(const JobSpec& spec,
       out.result.steps_committed = 0;
     }
     charge_costs(rt, &out.result);
-    // The final epoch aborted wherever each survivor noticed the poisoned
-    // bus, so a given-up member is charged the error's plan-pure give-up
-    // time instead of the racy max rank clock.
+    // The final epoch's ranks stopped wherever a peer's exit ended their
+    // waits, so the max rank clock says how far that epoch ran, not when
+    // the run gave up: a given-up member is charged the error's plan-pure
+    // give-up time instead.
     if (gave_up_us) out.result.busy_us = *gave_up_us;
     gcm::tile_ckpt::remove_slots(scratch_prefix, mc.nranks());
     return out;

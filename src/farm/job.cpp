@@ -27,8 +27,6 @@ std::uint64_t hash_fault_plan(const cluster::FaultPlan& p) {
   d.real(p.backoff_us);
   d.real(p.backoff_max_us);
   d.integer(p.max_attempts);
-  d.integer(p.straggler_rank);
-  d.real(p.straggler_factor);
   d.word(static_cast<std::uint64_t>(p.node_kills.size()));
   for (const cluster::NodeKill& k : p.node_kills) {
     d.integer(k.rank);

@@ -127,20 +127,17 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
   Microseconds clock_base = 0;
 
   // Recovery-time probe: each rank records the virtual clock after its
-  // first completed step of an epoch; the driver turns the max into the
-  // resumed recovery's recovery_us (detection -> everyone stepping
-  // again).  A rank that dies also notes whether it completed a global
-  // sum after its probe: that sum needed every rank, so every probe was
-  // in by then.
-  std::vector<Microseconds> probe(nr, 0.0);
-  std::vector<char> summed_past_probe(nr, 0);
+  // first completed step of an epoch (negative until it has); the driver
+  // turns the max into the resumed recovery's recovery_us (detection ->
+  // everyone stepping again).
+  std::vector<Microseconds> probe(nr, -1.0);
 
   // Per-epoch completion flags: a rank marks its slot after its last
   // step.  When a kill takes down every board at once there is no
   // survivor left to escalate a verdict -- every rank fail-stops
   // silently and run() returns cleanly with nothing computed.  The
   // driver detects that (no rank completed) and synthesizes the
-  // coalesced verdict the survivors would have published.
+  // coalesced verdict the survivors would have thrown.
   std::vector<char> completed(nr, 0);
 
   ResilientStats st;
@@ -161,6 +158,10 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
   const auto last_probe = [&] {
     return *std::max_element(probe.begin(), probe.end());
   };
+  const auto all_probed = [&] {
+    return std::none_of(probe.begin(), probe.end(),
+                        [](Microseconds p) { return p < 0; });
+  };
   // Read one durable tile a recovery will resume from.  The read checks
   // the header and the payload CRC, so a tile with rotted bits fails
   // here and degrades the rung instead of crashing a rank mid-resume.
@@ -176,10 +177,9 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
 
   for (int epoch = 0;; ++epoch) {
     rt.set_epoch(epoch);
-    rt.bus().reset_down();
     rt.set_host_map(host_map);
     completed.assign(nr, 0);
-    summed_past_probe.assign(nr, 0);
+    probe.assign(nr, -1.0);
 
     try {
       rt.run([&](cluster::RankContext& ctx) {
@@ -188,15 +188,8 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         if (rcfg.tracers != nullptr) {
           ctx.set_tracer(&(*rcfg.tracers)[ri]);
         }
-        // Comm's constructor does not communicate, so it can outlive the
-        // try: a dying rank reads its sum count in the handlers.
-        comm::Comm comm(ctx);
-        bool probed = false;
-        std::uint64_t sums_at_probe = 0;
-        const auto note_death = [&] {
-          summed_past_probe[ri] = probed && comm.gsums_done() > sums_at_probe;
-        };
         try {
+          comm::Comm comm(ctx);
           Model model(mcfg, comm);
           // Commit the cut at step `s`: encode the tile once, publish it
           // to its durable slot and keep it in the ring.
@@ -253,11 +246,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           while (model.state().step < steps) {
             (void)model.step();
             const long s = model.state().step;
-            if (!probed) {
-              probed = true;
-              probe[ri] = ctx.clock().now();
-              sums_at_probe = comm.gsums_done();
-            }
+            if (probe[ri] < 0) probe[ri] = ctx.clock().now();
             if (s < steps && s % rcfg.ckpt_every == 0) {
               // The barrier makes the rotation a collective cut at step
               // s; double buffering covers an abort mid-rotation.
@@ -299,7 +288,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           // silent.  The rank's exit wakes the peers blocked on it (and
           // aborts its SMP barrier); they escalate through the
           // membership service.
-          note_death();
         } catch (const cluster::NodeDownError&) {
           throw;  // collective epoch abort; Runtime::run surfaces it first
         } catch (const std::runtime_error&) {
@@ -309,7 +297,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           // surviving node is a real failure.
           cluster::Membership* ms = ctx.membership();
           if (ms != nullptr && ms->scheduled_kill(ctx.rank()) != nullptr) {
-            note_death();
             return;
           }
           throw;
@@ -341,16 +328,12 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
       const Microseconds gave_up = std::max(clock_base, e.verdict.detected_us);
       absorb_counts();
       // An aborted epoch's recovery still ended at the latest probe (or
-      // at `gave_up`, if that came first) if a rank that died had
-      // completed a global sum after its probe: that sum needed every
-      // rank, so every probe was in, and up to its own kill a dying
-      // rank's progress is host-timing free.  Otherwise it ends at
-      // `gave_up`, because which survivors finished a first step before
-      // the poison reached them is host timing.
-      const bool settled =
-          std::any_of(summed_past_probe.begin(), summed_past_probe.end(),
-                      [](char c) { return c != 0; });
-      record_recovery(settled ? std::min(last_probe(), gave_up) : gave_up);
+      // at `gave_up`, if that came first) if every rank finished its first
+      // step; otherwise it ends at `gave_up`.  Which ranks got that far
+      // is plan-pure: a rank stops only when a peer it waits on has exited
+      // with nothing queued for it.
+      record_recovery(all_probed() ? std::min(last_probe(), gave_up)
+                                   : gave_up);
       // Epochs 0..epoch have all aborted.
       if (epoch >= rcfg.max_restarts) {
         throw RestartExhausted(epoch + 1, e.verdict, gave_up);
@@ -371,7 +354,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         // kill-named rank is down, together with every tile it hosts
         // (including tiles adopted during an earlier recovery).
         std::set<int> dead_boards;
-        for (int vr : e.verdict.dead_ranks()) dead_boards.insert(host_of(vr));
+        for (int vr : e.verdict.ranks) dead_boards.insert(host_of(vr));
         std::vector<char> is_dead(nr, 0);
         std::vector<int> dead;
         for (int r = 0; r < nranks; ++r) {
@@ -608,7 +591,6 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
                      (plan != nullptr ? plan->restart_cost_us : 0.0);
       }
       st.ladder.push_back(std::move(ev));
-      probe.assign(nr, e.verdict.detected_us);
     }
   }
 }

@@ -8,13 +8,13 @@
 // complete, mutually consistent set of rank files).  When a scheduled
 // node kill fires, the dying node's ranks go silent at their next
 // communication point; a surviving partner's receive escalates through
-// the membership service, the plan-pure NodeDown verdict poisons the
-// message bus, and every survivor unwinds its epoch.  The driver then
-// plans the recovery, bumps the epoch (which shifts every transport tag
-// by kEpochTagStride, so stale pre-failure messages can never be
-// mistaken for restarted traffic), and relaunches all ranks from the
-// recovery cut.  After `max_restarts` aborted epochs it gives up with a
-// typed RestartExhausted error -- it never hangs.
+// the membership service to the plan-pure NodeDown verdict, and every
+// other survivor unwinds its epoch once a peer it waits on has exited.
+// The driver then plans the recovery, bumps the epoch (which shifts
+// every transport tag by kEpochTagStride, so stale pre-failure messages
+// can never be mistaken for restarted traffic), and relaunches all ranks
+// from the recovery cut.  After `max_restarts` aborted epochs it gives up
+// with a typed RestartExhausted error -- it never hangs.
 //
 // One state format, one resume path: a cut is a tile_ckpt::Snapshot
 // (the HYADES03 payload), encoded once per rank and cut.  Planning runs
@@ -128,10 +128,10 @@ struct RecoveryEvent {
   // completing its first post-recovery step -- the time the campaign was
   // not making forward progress.  Comparable across recovery modes
   // (bench_recovery plots exactly this).  A later verdict that aborts the
-  // epoch before a dying rank has completed a global sum past its first
-  // step ends the recovery at that verdict's plan-pure instant, the later
-  // of the epoch's start clock and its detection time (as
-  // RecoveryError::gave_up_us).
+  // epoch caps it at that verdict's plan-pure instant, the later of the
+  // epoch's start clock and its detection time (as
+  // RecoveryError::gave_up_us), and ends it there outright if some rank
+  // never finished its first step of the epoch.
   Microseconds recovery_us = 0;
   // The rung the recovery landed on (the last attempt's).
   [[nodiscard]] RecoveryRung landed() const {
@@ -173,9 +173,10 @@ class RecoveryError : public std::runtime_error {
   int slot;           // durable slot in question, or -1
   RecoveryRung rung;  // rung under attempt when the error was raised
   // Virtual time of the give-up: the later of the final epoch's start
-  // clock and its verdict's detection time.  A pure function of the
-  // fault plan, unlike the survivors' clocks, which stop wherever each
-  // rank noticed the poisoned bus.  The farm charges it as the failed
+  // clock and its verdict's detection time, a pure function of the fault
+  // plan.  The survivors' clocks measure something else: how far each
+  // rank ran before a peer's exit ended its last wait, short of the
+  // verdict or past it.  The farm charges gave_up_us as the failed
   // member's cost.
   Microseconds gave_up_us;
 };
@@ -211,7 +212,7 @@ struct RecoveryExhausted : RecoveryError {
             "run_resilient: recovery exhausted after " +
                 std::to_string(ladder_history.size()) +
                 " ladder rung(s) (verdict: rank " + std::to_string(v.rank) +
-                ", " + std::to_string(v.dead_ranks().size()) +
+                ", " + std::to_string(v.ranks.size()) +
                 " dead rank(s), epoch " + std::to_string(v.epoch) +
                 "): " +
                 (ladder_history.empty() ? std::string("no rung attempted")

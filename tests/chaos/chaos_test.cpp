@@ -29,6 +29,7 @@
 #include "gcm/resilient.hpp"
 #include "gcm/state.hpp"
 #include "gcm/tile_ckpt.hpp"
+#include "net/arctic_model.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades {
@@ -104,6 +105,10 @@ struct ChaosSetup {
   int ckpt_every = 3;
   int max_restarts = 3;
   int ring_depth = 2;
+  int halo = 2;
+  std::uint64_t init_seed = gcm::ResilientConfig{}.init_seed;
+  double wind_tau0 = gcm::ModelConfig{}.wind_tau0;
+  const net::Interconnect* net = &gcm::testing::test_net();
   const cluster::FaultPlan* plan = nullptr;
   std::function<void(int, const cluster::NodeDownVerdict&)> pre_recovery;
 };
@@ -115,17 +120,19 @@ struct ChaosRun {
   std::int64_t acct_migrations = 0;
   std::int64_t acct_downgrades = 0;
   Microseconds busy_us = 0;
+  std::vector<Microseconds> clocks;  // final virtual clock per rank
 };
 
 ChaosRun run_chaos_gyre(const ChaosSetup& setup, const char* ckpt_name,
                         gcm::RecoveryMode mode) {
-  gcm::ModelConfig cfg = gcm::testing::small_ocean(2, 2);
+  gcm::ModelConfig cfg = gcm::testing::small_ocean(2, 2, setup.halo);
   cfg.topography = gcm::ModelConfig::Topography::kBasin;
+  cfg.wind_tau0 = setup.wind_tau0;
 
   cluster::MachineConfig mc;
   mc.smp_count = setup.smp_count;
   mc.procs_per_smp = setup.procs_per_smp;
-  mc.interconnect = &gcm::testing::test_net();
+  mc.interconnect = setup.net;
   mc.faults = setup.plan;
   cluster::Runtime rt(mc);
 
@@ -134,6 +141,7 @@ ChaosRun run_chaos_gyre(const ChaosSetup& setup, const char* ckpt_name,
   rcfg.ckpt_every = setup.ckpt_every;
   rcfg.max_restarts = setup.max_restarts;
   rcfg.ring_depth = setup.ring_depth;
+  rcfg.init_seed = setup.init_seed;
   rcfg.recovery = mode;
   rcfg.pre_recovery = setup.pre_recovery;
 
@@ -151,6 +159,7 @@ ChaosRun run_chaos_gyre(const ChaosSetup& setup, const char* ckpt_name,
     gcm::tile_ckpt::remove_slots(rcfg.ckpt_prefix, mc.nranks());
     throw;
   }
+  out.clocks = rt.final_clocks();
   for (const cluster::Accounting& a : rt.accounting()) {
     out.acct_restarts += a.restarts;
     out.acct_migrations += a.migrations;
@@ -189,12 +198,52 @@ TEST(Chaos, TwoBoardsDownInOneWindowIsOneCoalescedRecovery) {
   // ONE recovery event covering the whole dead set -- not two epochs
   // discovering one casualty each.
   ASSERT_EQ(b.stats.ladder.size(), 1u);
-  EXPECT_EQ(b.stats.ladder[0].verdict.dead_ranks(), (std::vector<int>{1, 3}));
+  EXPECT_EQ(b.stats.ladder[0].verdict.ranks, (std::vector<int>{1, 3}));
   EXPECT_EQ(b.stats.ladder[0].landed(), gcm::RecoveryRung::kMigrate);
   EXPECT_EQ(b.stats.ladder[0].downgrades(), 0);
   EXPECT_EQ(b.stats.migrations, 2);  // both dead tiles adopted in one plan
   EXPECT_EQ(b.acct_downgrades, 0);
   expect_all_ranks_bit_identical(clean, b, 4, "two-boards-coalesced");
+}
+
+TEST(Chaos, TwoBoardKillRecoversFromOneCutWhateverTheHostTiming) {
+  // The `kill-two-boards` member of perfbench's campaign at seed 561
+  // (its basin, machine and seed): rank 3's board dies, then rank 2's
+  // 100 us later, inside one heartbeat window.  Which cut each rank
+  // commits before the epoch aborts must depend only on what its peers
+  // sent: a rank that lags in host time still finishes the step-4 cut
+  // whose messages already sit in its mailbox.  So every repeat
+  // migrates from that cut with the same clocks.
+  const net::ArcticModel arctic(4);
+  ChaosSetup clean_setup;
+  clean_setup.steps = 8;
+  clean_setup.ckpt_every = 2;
+  clean_setup.halo = gcm::ModelConfig{}.halo;
+  clean_setup.init_seed = 524903;
+  clean_setup.wind_tau0 = 0.15;
+  clean_setup.net = &arctic;
+  const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_561_clean",
+                                        gcm::RecoveryMode::kMigrate);
+  cluster::FaultPlan plan;
+  plan.node_kills.push_back({/*rank=*/3, 0x1.2046eb6fe2558p+14, /*epoch=*/0});
+  plan.node_kills.push_back({/*rank=*/2, 0x1.21d6eb6fe2558p+14, /*epoch=*/0});
+  ChaosSetup setup = clean_setup;
+  setup.plan = &plan;
+
+  std::vector<Microseconds> first_clocks;
+  for (int run = 0; run < 20; ++run) {
+    const ChaosRun b = run_chaos_gyre(setup, "hyades_ch_561_kill",
+                                      gcm::RecoveryMode::kMigrate);
+    ASSERT_EQ(b.stats.ladder.size(), 1u) << "run " << run;
+    const std::vector<gcm::RungAttempt>& tried = b.stats.ladder[0].attempts;
+    ASSERT_EQ(tried.size(), 1u) << "run " << run;
+    EXPECT_EQ(tried[0].rung, gcm::RecoveryRung::kMigrate) << "run " << run;
+    EXPECT_EQ(tried[0].step, 4) << "run " << run;
+    EXPECT_EQ(b.stats.migrations, 2) << "run " << run;
+    if (run == 0) first_clocks = b.clocks;
+    EXPECT_EQ(b.clocks, first_clocks) << "run " << run;
+    expect_all_ranks_bit_identical(clean, b, 4, "seed-561 two-board kill");
+  }
 }
 
 TEST(Chaos, KillDuringRecoveryIsASecondLadderEvent) {
@@ -213,8 +262,8 @@ TEST(Chaos, KillDuringRecoveryIsASecondLadderEvent) {
       run_chaos_gyre(setup, "hyades_ch_dur_kill", gcm::RecoveryMode::kMigrate);
 
   ASSERT_EQ(b.stats.ladder.size(), 2u);
-  EXPECT_EQ(b.stats.ladder[0].verdict.dead_ranks(), (std::vector<int>{3}));
-  EXPECT_EQ(b.stats.ladder[1].verdict.dead_ranks(), (std::vector<int>{1}));
+  EXPECT_EQ(b.stats.ladder[0].verdict.ranks, (std::vector<int>{3}));
+  EXPECT_EQ(b.stats.ladder[1].verdict.ranks, (std::vector<int>{1}));
   EXPECT_EQ(b.stats.ladder[0].landed(), gcm::RecoveryRung::kMigrate);
   EXPECT_EQ(b.stats.ladder[1].landed(), gcm::RecoveryRung::kMigrate);
   // The second kill fires after every rank stepped again, so the first
@@ -232,9 +281,9 @@ TEST(Chaos, KillDuringRecoveryIsASecondLadderEvent) {
 
 TEST(Chaos, KillInTheFirstRecoveredStepEndsThatRecoveryAtItsVerdict) {
   // Rank 1's board dies just after the migrated epoch resumes, before
-  // any rank finishes a step.  The first recovery never completed: it
-  // ends at the second verdict's plan-pure instant, never at whichever
-  // probes host timing let in before the poison.
+  // it finishes a step.  The first recovery never completed: it ends at
+  // the second verdict's plan-pure instant, whatever the other ranks'
+  // first steps reached.
   ChaosSetup clean_setup;
   const ChaosRun clean = run_chaos_gyre(clean_setup, "hyades_ch_early_clean",
                                         gcm::RecoveryMode::kMigrate);
@@ -280,7 +329,7 @@ TEST(Chaos, CorruptAdoptedTileFallsOneRungToTheOlderCut) {
   const std::string prefix = ckpt_prefix_for("hyades_ch_rot_kill");
   setup.pre_recovery = [&](int epoch, const cluster::NodeDownVerdict& v) {
     if (epoch != 0) return;
-    ASSERT_EQ(v.dead_ranks(), (std::vector<int>{1}));
+    ASSERT_EQ(v.ranks, (std::vector<int>{1}));
     const gcm::tile_ckpt::TileHit newest =
         gcm::tile_ckpt::newest_rank_ckpt(prefix, 1, 1000000);
     ASSERT_GE(newest.step, 0);
@@ -324,7 +373,7 @@ TEST(Chaos, CorruptByteCountOfAdoptedTileFallsOneRungToTheOlderCut) {
   const std::string prefix = ckpt_prefix_for("hyades_ch_cnt_kill");
   setup.pre_recovery = [&](int epoch, const cluster::NodeDownVerdict& v) {
     if (epoch != 0) return;
-    ASSERT_EQ(v.dead_ranks(), (std::vector<int>{1}));
+    ASSERT_EQ(v.ranks, (std::vector<int>{1}));
     const gcm::tile_ckpt::TileHit newest =
         gcm::tile_ckpt::newest_rank_ckpt(prefix, 1, 1000000);
     ASSERT_GE(newest.step, 0);
@@ -409,7 +458,7 @@ TEST(Chaos, BothSlotsCorruptIsTypedRecoveryExhausted) {
     run_chaos_gyre(setup, "hyades_ch_exh_kill", gcm::RecoveryMode::kMigrate);
     FAIL() << "expected RecoveryExhausted";
   } catch (const gcm::RecoveryExhausted& e) {
-    EXPECT_EQ(e.verdict.dead_ranks(), (std::vector<int>{1}));
+    EXPECT_EQ(e.verdict.ranks, (std::vector<int>{1}));
     // Full ladder walked: migrate, older-cut, and at least one
     // epoch-restart attempt, all failed.
     ASSERT_GE(e.history.size(), 3u);

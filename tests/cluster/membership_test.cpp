@@ -87,7 +87,6 @@ TEST(Membership, ConcurrentKillsCoalesceIntoOneVerdict) {
     EXPECT_EQ(v.ranks[0], 1);
     EXPECT_EQ(v.ranks[1], 3);
     EXPECT_EQ(v.rank, 1);  // canonical primary: lowest kill-named rank
-    EXPECT_EQ(v.dead_ranks(), (std::vector<int>{1, 3}));
     // Fixpoint: detection waits for the latest coalesced deadline.
     EXPECT_DOUBLE_EQ(v.detected_us, 60.0 + plan.heartbeat_deadline_us);
   });
@@ -172,14 +171,17 @@ TEST(Membership, CoalescedVerdictIdenticalAcrossDetectionOrder) {
   EXPECT_EQ(verdicts.front().rank, 2);
 }
 
-// A hand-built single-rank verdict (and any pre-coalescing producer)
-// still reports a dead set through dead_ranks().
-TEST(Membership, DeadRanksFallsBackToThePrimaryCasualty) {
-  NodeDownVerdict v;
-  v.rank = 5;
-  EXPECT_EQ(v.dead_ranks(), (std::vector<int>{5}));
-  v.rank = -1;
-  EXPECT_TRUE(v.dead_ranks().empty());
+// Every verdict comes from the coalescing fixpoint, so a lone kill's
+// verdict names its dead set too, and an epoch without kills has none.
+TEST(Membership, LoneKillVerdictNamesItsDeadSet) {
+  const FaultPlan plan = kill_plan(/*rank=*/5, /*at_us=*/10.0, /*epoch=*/1);
+  const NodeDownVerdict v = coalesce_expired_kills(plan, 1);
+  EXPECT_EQ(v.ranks, (std::vector<int>{5}));
+  EXPECT_EQ(v.rank, 5);
+  EXPECT_EQ(v.epoch, 1);
+  const NodeDownVerdict none = coalesce_expired_kills(plan, 0);
+  EXPECT_TRUE(none.ranks.empty());
+  EXPECT_EQ(none.rank, -1);
 }
 
 }  // namespace

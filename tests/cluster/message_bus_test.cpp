@@ -118,18 +118,5 @@ TEST(MessageBus, ClearedExitMarksBlockAgain) {
   sender.join();
 }
 
-TEST(MessageBus, PoisonTakesPrecedenceOverExitAndMail) {
-  MessageBus bus(2);
-  bus.send(1, Message{0, 5, {1.0}, 0});
-  bus.mark_exited(0);
-  NodeDownVerdict v;
-  v.rank = 0;
-  v.detected_us = 99.0;
-  bus.declare_down(v);
-  EXPECT_THROW((void)bus.recv(1, 0, 5), NodeDownError);
-  bus.reset_down();
-  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 5).data[0], 1.0);
-}
-
 }  // namespace
 }  // namespace hyades::cluster

@@ -100,9 +100,9 @@ bool caught_in_yield_phase(Round round) {
   return false;
 }
 
-// ---- the bus: a matching send, the peer's exit, a down verdict ---------
+// ---- the bus: a matching send, the peer's exit --------------------------
 
-enum class BusEvent { kSend, kPeerExit, kDeclareDown };
+enum class BusEvent { kSend, kPeerExit };
 
 long bus_round(Landing landing, BusEvent event) {
   MessageBus bus(2);
@@ -116,10 +116,6 @@ long bus_round(Landing landing, BusEvent event) {
           case BusEvent::kPeerExit:
             EXPECT_THROW((void)bus.recv(1, 0, 3, kWakeBudgetMs), PeerExited);
             break;
-          case BusEvent::kDeclareDown:
-            EXPECT_THROW((void)bus.recv(1, 0, 3, kWakeBudgetMs),
-                         NodeDownError);
-            break;
         }
       },
       [&] {
@@ -130,13 +126,6 @@ long bus_round(Landing landing, BusEvent event) {
           case BusEvent::kPeerExit:
             bus.mark_exited(0);
             break;
-          case BusEvent::kDeclareDown: {
-            NodeDownVerdict v;
-            v.rank = 0;
-            v.detected_us = 7.0;
-            bus.declare_down(v);
-            break;
-          }
         }
       });
 }
@@ -155,13 +144,11 @@ TEST_P(BusWake, WakesASleepingReceiver) {
 
 INSTANTIATE_TEST_SUITE_P(
     Events, BusWake,
-    ::testing::Values(BusEvent::kSend, BusEvent::kPeerExit,
-                      BusEvent::kDeclareDown),
+    ::testing::Values(BusEvent::kSend, BusEvent::kPeerExit),
     [](const ::testing::TestParamInfo<BusEvent>& event) {
       switch (event.param) {
         case BusEvent::kSend: return std::string("Send");
         case BusEvent::kPeerExit: return std::string("PeerExit");
-        case BusEvent::kDeclareDown: return std::string("DeclareDown");
       }
       return std::string("Unknown");
     });

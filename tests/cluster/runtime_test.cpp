@@ -155,7 +155,7 @@ TEST(Runtime, SmpByteSumsSurviveSiblingsLapping) {
         mx = std::max(mx, t);
       }
       expect_clock = mx;
-      expect_clock += ctx.config().smp_barrier_us;
+      expect_clock += kSmpBarrierUs;
       if (first_bad[static_cast<std::size_t>(me)] < 0 &&
           (a != expect_a || b != expect_b ||
            ctx.clock().now() != expect_clock)) {

@@ -356,11 +356,12 @@ TEST(Farm, RestartExhaustedMemberFailsWithoutWedgingQueue) {
 }
 
 TEST(Farm, FailedMemberCostIsPlanPure) {
-  // The survivors of a given-up epoch stop wherever each noticed the
-  // poisoned bus, so their clocks race.  The member is charged the
-  // error's give-up time instead: epoch 1 starts once epoch 0's verdict
-  // is detected and the relaunch is paid, its kill (at_us already in
-  // the past) fires at once, and recovery gives up at that start clock.
+  // The survivors of a given-up epoch stop wherever a peer's exit ended
+  // their waits, short of the verdict or past it.  The member is charged
+  // the error's give-up time instead: epoch 1 starts once epoch 0's
+  // verdict is detected and the relaunch is paid, its kill (at_us
+  // already in the past) fires at once, and recovery gives up at that
+  // start clock.
   const JobSpec spec = doomed_member("doomed");
   const cluster::FaultPlan& p = spec.faults;
   const Microseconds expected = p.node_kills.front().at_us +

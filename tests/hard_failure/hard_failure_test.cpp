@@ -322,49 +322,60 @@ TEST(HardFailure, FailStoppedPeerExitEscalatesCoalescedVerdict) {
   // The escalating survivor advanced to the detection time; nobody
   // else got further.
   EXPECT_DOUBLE_EQ(rt.max_clock(), expected.detected_us);
-  rt.bus().reset_down();
 }
 
-TEST(HardFailure, BusPoisonWakesBlockedReceivers) {
-  // declare_node_down must wake a rank blocked in a receive for a
-  // message that will never come -- every survivor unwinds with
-  // NodeDownError carrying the identical verdict.  The declaring rank
-  // stays alive until the receiver has woken, so the wake-up must come
-  // from the poison, not from the declarer's exit.
+TEST(HardFailure, QueuedMailReachesItsReceiverAfterAVerdict) {
+  // A verdict is no bus-wide abort: mail queued before it still reaches
+  // its receiver.  Rank 0 sends rank 1 a message, then fail-stops; rank 2
+  // escalates the exit to the verdict, and only then does rank 1 receive.
+  // How far a rank gets before an epoch aborts then depends on what its
+  // peers sent, never on whether it ran before or after the escalation.
+  cluster::FaultPlan plan;
+  plan.node_kills.push_back({/*rank=*/0, /*at_us=*/100.0, /*epoch=*/0});
   cluster::MachineConfig mc;
-  mc.smp_count = 2;
+  mc.smp_count = 3;
   mc.procs_per_smp = 1;
   mc.interconnect = &gcm::testing::test_net();
+  mc.faults = &plan;
   cluster::Runtime rt(mc);
-  cluster::NodeDownVerdict v;
-  v.rank = 1;
-  v.epoch = 0;
-  v.detected_us = 1234.0;
-  std::promise<void> woke;
-  std::future<void> woken = woke.get_future();
+  std::promise<void> escalated;
+  std::future<void> verdict_thrown = escalated.get_future();
+  std::vector<double> got;
   try {
     rt.run([&](cluster::RankContext& ctx) {
-      if (ctx.rank() == 0) {
-        try {
-          (void)ctx.recv_raw(1, 9);  // blocks: rank 1 never sends
-        } catch (const cluster::NodeDownError&) {
-          woke.set_value();
-          throw;
-        }
-        FAIL() << "poisoned recv returned";
-      } else {
-        ctx.declare_node_down(v);
-        EXPECT_EQ(woken.wait_for(std::chrono::seconds(10)),
-                  std::future_status::ready)
-            << "the poison did not wake the blocked receiver";
+      comm::Reliable rel(ctx);
+      switch (ctx.rank()) {
+        case 0:
+          rel.send(1, 7, {42.0}, ctx.clock().now());
+          ctx.clock().advance_to(200.0);
+          try {
+            (void)rel.recv(1, 8);
+            ADD_FAILURE() << "rank 0 outlived its kill";
+          } catch (const cluster::RankFailStop&) {
+            // fail-stop: go silent
+          }
+          return;
+        case 1:
+          ASSERT_EQ(verdict_thrown.wait_for(std::chrono::seconds(10)),
+                    std::future_status::ready)
+              << "rank 2 never escalated";
+          got = rel.recv(0, 7).data;
+          return;
+        default:
+          try {
+            (void)rel.recv(0, 8);
+          } catch (const cluster::NodeDownError&) {
+            escalated.set_value();
+            throw;
+          }
+          ADD_FAILURE() << "rank 2 heard from a dead peer";
       }
     });
     FAIL() << "expected NodeDownError";
   } catch (const cluster::NodeDownError& e) {
-    EXPECT_EQ(e.verdict.rank, 1);
-    EXPECT_DOUBLE_EQ(e.verdict.detected_us, 1234.0);
+    EXPECT_EQ(e.verdict.ranks, (std::vector<int>{0}));
   }
-  rt.bus().reset_down();
+  EXPECT_EQ(got, (std::vector<double>{42.0}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tier-2 robustness suite: the end-to-end reliability protocol, the
 // regression-locked fault-tolerance invariant (recoverable faults change
 // only virtual timing, never the model state), the solver's NaN guard,
-// stragglers, and faults and recoveries leaving stderr silent.
+// and faults and recoveries leaving stderr silent.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -309,31 +309,16 @@ TEST(Robustness, SolverGuardAbortsOnNaN) {
   });
 }
 
-TEST(Robustness, StragglerRankRunsConfiguredlySlower) {
-  cluster::FaultPlan plan;
-  plan.straggler_rank = 0;
-  plan.straggler_factor = 3.0;
-  Microseconds t0 = 0, t1 = 0;
-  run_faulty(2, plan, [&](cluster::RankContext& ctx, comm::Comm&) {
-    ctx.compute(/*flops=*/5000.0, /*mflops=*/50.0);
-    (ctx.rank() == 0 ? t0 : t1) = ctx.clock().now();
-  });
-  EXPECT_DOUBLE_EQ(t1, 100.0);
-  EXPECT_DOUBLE_EQ(t0, 300.0);  // 3x slower
-}
-
 TEST(Robustness, FaultsAndRecoveryLeaveStderrSilent) {
   // Faults and recoveries are records -- Accounting counters, trace
   // spans, the recovery ladder -- never log lines.  At the default log
-  // level, a packet-fault storm with a straggler and a node kill
-  // recovered both ways leave stderr empty.
+  // level, a packet-fault storm and a node kill recovered both ways
+  // leave stderr empty.
   ASSERT_EQ(log_level(), LogLevel::kWarn);
   cluster::FaultPlan storm;
   storm.seed = 5;
   storm.corrupt_prob = 0.02;
   storm.drop_prob = 0.005;
-  storm.straggler_rank = 1;
-  storm.straggler_factor = 2.0;
   cluster::FaultPlan kill;
   kill.node_kills.push_back({/*rank=*/1, /*at_us=*/50.0, /*epoch=*/0});
 
