@@ -1,12 +1,14 @@
 // Host-side microbenchmarks (google-benchmark): throughput of the
 // simulator substrate itself -- event scheduling, packet routing through
-// the fat tree, hand-offs between rank threads, CG operator application,
+// the fat tree, hand-offs between rank threads and between rank fibers
+// on one CPU, CG operator application,
 // the line preconditioner, a whole CG solve and the tracer kernel on an
 // ocean tile, and a full GCM model step.
 // These guard the *reproduction's* performance, not the paper's numbers.
 #include <benchmark/benchmark.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "arctic/fabric.hpp"
 #include "cluster/runtime.hpp"
@@ -17,6 +19,7 @@
 #include "gcm/model.hpp"
 #include "net/arctic_model.hpp"
 #include "sim/scheduler.hpp"
+#include "support/host_pool.hpp"
 
 namespace {
 
@@ -94,6 +97,17 @@ void BM_RankPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_RankPingPong)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The benchmark thread confined to its first allowed CPU for the run:
+// Runtime::run then takes the fiber path, every rank a fiber on this
+// thread and every hand-off a switch between them.
+std::vector<int> first_cpu() { return {support::allowed_cpus().front()}; }
+
+void BM_RankPingPongOneCpu(benchmark::State& state) {
+  const support::CpuConfinement one(first_cpu());
+  BM_RankPingPong(state);
+}
+BENCHMARK(BM_RankPingPongOneCpu)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Host cost of the flagship's reduction: 100 blocking global sums over
 // 16 two-way SMPs, 32 rank threads (butterfly messages between SMPs,
 // SMP barrier crossings within them).
@@ -114,6 +128,12 @@ void BM_GlobalSum32(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSums);
 }
 BENCHMARK(BM_GlobalSum32)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_GlobalSum32OneCpu(benchmark::State& state) {
+  const support::CpuConfinement one(first_cpu());
+  BM_GlobalSum32(state);
+}
+BENCHMARK(BM_GlobalSum32OneCpu)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EllipticApply(benchmark::State& state) {
   gcm::ModelConfig cfg = gcm::ocean_preset(1, 1);

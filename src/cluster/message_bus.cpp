@@ -2,8 +2,34 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
+
+#include "cluster/fiber_waits.hpp"
 
 namespace hyades::cluster {
+
+namespace {
+
+std::string describe(int epoch, const std::vector<WaitEdge>& edges) {
+  std::string s = "deadlock in epoch " + std::to_string(epoch) + ":";
+  for (const WaitEdge& e : edges) {
+    s += " rank " + std::to_string(e.rank) +
+         (e.peer >= 0 ? " waits on rank " + std::to_string(e.peer) +
+                            " tag " + std::to_string(e.tag)
+                      : " waits at SMP " + std::to_string(e.smp) +
+                            "'s barrier") +
+         ";";
+  }
+  s.pop_back();
+  return s;
+}
+
+}  // namespace
+
+Deadlock::Deadlock(int in_epoch, std::vector<WaitEdge> wait_edges)
+    : std::runtime_error(describe(in_epoch, wait_edges)),
+      epoch(in_epoch),
+      edges(std::move(wait_edges)) {}
 
 MessageBus::MessageBus(int nranks) {
   if (nranks < 1) throw std::invalid_argument("MessageBus: nranks < 1");
@@ -32,8 +58,11 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
     box.mu.assert_held();
     return !q.empty() || gone.load(std::memory_order_acquire);
   };
-  if (!support::yield_until(box.mu, ready) &&
-      !box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms), ready)) {
+  if (detail::FiberRun* run = detail::fiber_run()) {
+    detail::fiber_wait(*run, box.mu, from, tag, ready);
+  } else if (!support::yield_until(box.mu, ready) &&
+             !box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms),
+                              ready)) {
     throw std::runtime_error("MessageBus::recv: timeout (rank " +
                              std::to_string(me) + " waiting on " +
                              std::to_string(from) + " tag " +

@@ -44,6 +44,27 @@ class PeerExited : public std::runtime_error {
   int rank, peer, tag;
 };
 
+// One wait of a blocked rank: a receive from `peer` on `tag`, or, with
+// peer -1, a crossing of SMP `smp`'s barrier.
+struct WaitEdge {
+  int rank = -1;
+  int peer = -1;  // the sender it waits on; -1 at a barrier
+  int tag = -1;   // the receive's tag, epoch offset removed; -1 at a barrier
+  int smp = -1;   // the SMP whose barrier it waits at; -1 on a receive
+};
+
+// Thrown by every blocked rank of a run whose ranks are fibers on one
+// thread (Runtime::run on one CPU) once none of them can go on: every
+// live rank waits, and nothing was sent, exited or arrived while each
+// of them checked its wait in turn.  Carries the wait of every rank
+// blocked at that moment.  Not collateral: it is the run's root cause.
+class Deadlock : public std::runtime_error {
+ public:
+  Deadlock(int in_epoch, std::vector<WaitEdge> wait_edges);
+  int epoch;
+  std::vector<WaitEdge> edges;
+};
+
 struct Message {
   int src = -1;
   int tag = 0;
@@ -76,8 +97,9 @@ class MessageBus {
   // Block until a message from (from, tag) is available for `me`.
   // Mail already queued is delivered even after the sender exited; once
   // it is drained, a receive from an exited sender throws PeerExited.
-  // The `timeout_ms` of real time (std::runtime_error) is only a
-  // backstop for a wait cycle among live ranks.
+  // On a rank thread, the `timeout_ms` of real time (std::runtime_error)
+  // is only a backstop for a wait cycle among live ranks; a rank fiber
+  // parks instead and throws Deadlock on such a cycle, at once.
   Message recv(int me, int from, int tag, int timeout_ms = 30000);
 
   // ---- rank exit events -------------------------------------------------

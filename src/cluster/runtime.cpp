@@ -6,14 +6,41 @@
 #include <thread>
 
 #include "cluster/fault.hpp"
+#include "cluster/fiber_waits.hpp"
 #include "cluster/membership.hpp"
+#include "support/fiber.hpp"
 
 namespace hyades::cluster {
 
 namespace {
-// Rank threads of every Runtime::run in progress in this process.
+// Host threads of every Runtime::run in progress in this process: a
+// threaded run counts its rank threads, a fiber run its one thread.
 std::atomic<int> g_live_ranks{0};
 }  // namespace
+
+namespace detail {
+
+FiberRun*& fiber_run() {
+  thread_local FiberRun* run = nullptr;
+  return run;
+}
+
+void throw_deadlock(FiberRun& run) {
+  if (run.deadlock.empty()) {
+    for (WaitEdge e : run.parked) {
+      if (e.rank < 0) continue;
+      if (e.peer >= 0) {
+        e.tag -= run.epoch * kEpochTagStride;
+      } else {
+        e.smp = e.rank / run.procs_per_smp;
+      }
+      run.deadlock.push_back(e);
+    }
+  }
+  throw Deadlock(run.epoch, run.deadlock);
+}
+
+}  // namespace detail
 
 void AbortableBarrier::arrive_and_wait() {
   {
@@ -25,7 +52,11 @@ void AbortableBarrier::arrive_and_wait() {
         mu_.assert_held();
         return generation_ != gen || aborted_;
       };
-      if (!support::yield_until(mu_, released)) cv_.wait(mu_, released);
+      if (detail::FiberRun* run = detail::fiber_run()) {
+        detail::fiber_wait(*run, mu_, -1, -1, released);
+      } else if (!support::yield_until(mu_, released)) {
+        cv_.wait(mu_, released);
+      }
       if (generation_ == gen && aborted_) throw BarrierAborted();
       return;
     }
@@ -238,22 +269,26 @@ Runtime::Runtime(MachineConfig cfg) : cfg_(cfg), bus_(cfg.nranks()) {
 
 void Runtime::run(const std::function<void(RankContext&)>& body) {
   const int n = cfg_.nranks();
-  // Count this run's ranks among the live ones, so that runs side by
+  const int cpus = static_cast<int>(support::allowed_cpus().size());
+  // A caller confined to one CPU runs every rank as a fiber on its own
+  // thread: threads could only take turns on that CPU through the kernel.
+  const bool fibers = support::kFibers && cpus == 1;
+  // Count this run's threads among the live ones, so that runs side by
   // side (a farm drain's members) leave each other the cores.
-  const int live = g_live_ranks.fetch_add(n, std::memory_order_relaxed) + n;
+  const int threads_here = fibers ? 1 : n;
+  const int live =
+      g_live_ranks.fetch_add(threads_here, std::memory_order_relaxed) +
+      threads_here;
   struct Leave {
     int n;
     ~Leave() { g_live_ranks.fetch_sub(n, std::memory_order_relaxed); }
-  } const leave{n};
-  helpers_per_rank_ =
-      std::max(0, static_cast<int>(support::host_cores()) / live - 1);
+  } const leave{threads_here};
+  helpers_per_rank_ = fibers ? 0 : std::max(0, cpus / live - 1);
   for (auto& s : smps_) s->barrier.reset();
   bus_.clear_exits();
   acct_.assign(static_cast<std::size_t>(n), Accounting{});
   clocks_.assign(static_cast<std::size_t>(n), 0.0);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
   // This rank will never send or reach a barrier again: wake the
   // receivers blocked on it and any sibling waiting at the SMP barrier,
   // instead of letting them wait on real time.
@@ -263,37 +298,57 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
       smp_shared(r / cfg_.procs_per_smp).barrier.abort();
     }
   };
-  std::exception_ptr spawn_error;
-
-  for (int r = 0; r < n; ++r) {
+  const auto rank_main = [this, &body, &errors, &exit_rank](int r) {
+    RankContext ctx(*this, r);
     try {
-      threads.emplace_back([this, r, &body, &errors, &exit_rank] {
-        RankContext ctx(*this, r);
-        try {
-          body(ctx);
-          // lint:allow(catch-all): rank-thread trampoline -- every unwind
-          // (including RankFailStop) is captured and rethrown on the
-          // calling thread below; nothing is swallowed.
-        } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-        }
-        acct_[static_cast<std::size_t>(r)] = ctx.accounting();
-        clocks_[static_cast<std::size_t>(r)] = ctx.clock().now();
-        exit_rank(r);
-      });
-    } catch (const std::exception&) {
-      // std::thread throws std::system_error (EAGAIN) when the host
-      // cannot start another thread.  Ranks r.. never run, so they are
-      // exits to the started ranks, which unwind with PeerExited or
-      // BarrierAborted; the threads must still be joined before the
-      // spawn error surfaces.
-      spawn_error = std::current_exception();
-      for (int u = r; u < n; ++u) exit_rank(u);
-      break;
+      body(ctx);
+      // lint:allow(catch-all): rank trampoline -- every unwind (including
+      // RankFailStop) is captured and rethrown on the calling thread
+      // below; nothing is swallowed.
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
     }
+    acct_[static_cast<std::size_t>(r)] = ctx.accounting();
+    clocks_[static_cast<std::size_t>(r)] = ctx.clock().now();
+    exit_rank(r);
+  };
+
+  if (fibers) {
+    detail::FiberRun run;
+    run.epoch = epoch_;
+    run.procs_per_smp = cfg_.procs_per_smp;
+    run.parked.resize(static_cast<std::size_t>(n));
+    detail::FiberRun*& current = detail::fiber_run();
+    struct Restore {
+      detail::FiberRun*& current;
+      detail::FiberRun* outer;
+      ~Restore() { current = outer; }
+    } const restore{current, current};
+    current = &run;
+    support::run_fibers(static_cast<std::size_t>(n), [&](std::size_t r) {
+      rank_main(static_cast<int>(r));
+    });
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(n));
+    std::exception_ptr spawn_error;
+    for (int r = 0; r < n; ++r) {
+      try {
+        threads.emplace_back(rank_main, r);
+      } catch (const std::exception&) {
+        // std::thread throws std::system_error (EAGAIN) when the host
+        // cannot start another thread.  Ranks r.. never run, so they are
+        // exits to the started ranks, which unwind with PeerExited or
+        // BarrierAborted; the threads must still be joined before the
+        // spawn error surfaces.
+        spawn_error = std::current_exception();
+        for (int u = r; u < n; ++u) exit_rank(u);
+        break;
+      }
+    }
+    for (auto& t : threads) t.join();
+    if (spawn_error) std::rethrow_exception(spawn_error);
   }
-  for (auto& t : threads) t.join();
-  if (spawn_error) std::rethrow_exception(spawn_error);
 
   // Root cause first.  A NodeDown verdict explains an aborted epoch;
   // otherwise the first rank error that is not collateral does.  Ranks

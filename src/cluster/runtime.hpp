@@ -2,8 +2,9 @@
 //
 // Mirrors the paper's configuration: a cluster of `smp_count` two-way
 // SMPs, one StarT-X NIU per SMP, one MPI-like "rank" per processor.  A
-// rank executes real C++ code on a std::thread; all *timing* is virtual
-// (see VirtualClock).  Within an SMP, ranks coordinate through shared
+// rank executes real C++ code on a std::thread, or on a fiber when the
+// caller may use one CPU only; all *timing* is virtual (see
+// VirtualClock).  Within an SMP, ranks coordinate through shared
 // memory (modeled with a host barrier plus shared slots, costed at the
 // paper's ~1 us semaphore figures); across SMPs they communicate through
 // the interconnect model.
@@ -120,8 +121,9 @@ class BarrierAborted : public std::runtime_error {
 
 // A cyclic thread barrier that can be aborted: when a rank exits,
 // abort() wakes every sibling blocked in arrive_and_wait() (they observe
-// BarrierAborted) instead of deadlocking the join.  It is reusable
-// across Runtime::run() invocations via reset().
+// BarrierAborted) instead of deadlocking the join.  On a rank fiber a
+// waiting sibling parks instead of sleeping (cluster/fiber_waits.hpp).
+// It is reusable across Runtime::run() invocations via reset().
 class AbortableBarrier {
  public:
   explicit AbortableBarrier(int count) : count_(count) {}
@@ -296,7 +298,12 @@ class Runtime {
   MessageBus& bus() { return bus_; }
   SmpShared& smp_shared(int smp) { return *smps_[static_cast<std::size_t>(smp)]; }
 
-  // Execute `body` on every rank (one std::thread each) and join.  A
+  // Execute `body` on every rank and join: one std::thread each, or,
+  // when the calling thread may run on exactly one CPU, one fiber each on
+  // the calling thread (support/fiber.hpp), where a rank whose wait
+  // cannot finish switches to the next rank and a wait cycle throws
+  // Deadlock.  A rank body waits only through the runtime (receives,
+  // SMP syncs): a wait on a host primitive would stall every fiber.  A
   // rank's exit (its body returned or threw) is an event: it wakes the
   // receivers blocked on that rank (MessageBus::mark_exited) and aborts
   // its SMP barrier.  It is the only way a failed epoch reaches the other
@@ -309,11 +316,12 @@ class Runtime {
   // the started ones are joined, and the spawn error is rethrown as the
   // root cause.
   //
-  // Each rank may also use the host cores the process's rank threads
-  // leave idle: RankContext::host_pool() gets host cores / rank threads
-  // live in the process (this run's included) - 1 helpers, none when
-  // the ranks already cover the cores.  Its helpers are joined before
-  // run() returns.
+  // Each rank of a threaded run may also use the CPUs the process's rank
+  // threads leave idle: RankContext::host_pool() gets the calling
+  // thread's allowed CPUs / host threads of the runs live in the process
+  // (this run's included; a fiber run counts one) - 1 helpers, none when
+  // the ranks already cover the CPUs.  A fiber run's ranks get none.
+  // Helpers are joined before run() returns.
   void run(const std::function<void(RankContext&)>& body);
 
   // Helpers each rank of the current (or last) run() gets.

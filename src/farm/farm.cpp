@@ -7,6 +7,7 @@
 #include <exception>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -14,6 +15,7 @@
 
 #include "farm/executor.hpp"
 #include "support/host_pool.hpp"
+#include "support/sync.hpp"
 #include "support/table.hpp"
 
 namespace hyades::farm {
@@ -25,6 +27,55 @@ std::string hexfloat(double v) {
   std::snprintf(buf, sizeof buf, "%a", v);
   return buf;
 }
+
+// The lanes of one drain.  With L > 1 lanes, lane k owns the caller's
+// allowed CPUs j == k (mod L), and a member runs on a lane it claims, its
+// thread confined to that lane's CPUs: a lane of one CPU runs the
+// member's ranks as fibers (cluster::Runtime::run), and rank threads the
+// member starts inherit the lane's mask.  At most L members run at once,
+// so a claim always finds a free lane.  With one lane nothing is
+// confined.
+class Lanes {
+ public:
+  Lanes(const std::vector<int>& cpus, std::size_t count)
+      : cpus_(count > 1 ? count : 0), busy_(cpus_.size(), 0) {
+    for (std::size_t j = 0; j < cpus.size() && !cpus_.empty(); ++j) {
+      cpus_[j % cpus_.size()].push_back(cpus[j]);
+    }
+  }
+
+  // Holds a free lane, with the calling thread confined to it, while it
+  // lives.
+  class Claim {
+   public:
+    explicit Claim(Lanes& lanes) : lanes_(lanes) {
+      if (lanes_.cpus_.empty()) return;
+      {
+        support::MutexLock lock(lanes_.mu_);
+        while (lanes_.busy_[k_] != 0) ++k_;
+        lanes_.busy_[k_] = 1;
+      }
+      confined_.emplace(lanes_.cpus_[k_]);
+    }
+    ~Claim() {
+      if (lanes_.cpus_.empty()) return;
+      support::MutexLock lock(lanes_.mu_);
+      lanes_.busy_[k_] = 0;
+    }
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+
+   private:
+    Lanes& lanes_;
+    std::size_t k_ = 0;
+    std::optional<support::CpuConfinement> confined_;
+  };
+
+ private:
+  std::vector<std::vector<int>> cpus_;  // by lane; empty with one lane
+  support::Mutex mu_;
+  std::vector<char> busy_ GUARDED_BY(mu_);
+};
 
 }  // namespace
 
@@ -91,8 +142,21 @@ void Farm::run_until_drained() {
     plan.emplace_back(key, run);
   }
 
-  const auto execute = [&todo](std::size_t i) {
+  // The first drain with two keys to share starts the host pool, one
+  // thread per CPU the caller may use, and a drain on another number of
+  // CPUs starts it afresh; until then the calling thread runs the keys.
+  const std::vector<int> cpus = support::allowed_cpus();
+  const int threads = static_cast<int>(cpus.size());
+  if (todo.size() > 1 && (!pool_ || pool_->threads() != threads)) {
+    pool_ = std::make_unique<support::HostPool>(threads - 1);
+  }
+  Lanes lanes(cpus, pool_ ? std::min(static_cast<std::size_t>(
+                                         pool_->threads()),
+                                     todo.size())
+                          : 1);
+  const auto execute = [&todo, &lanes](std::size_t i) {
     Execution& run = *todo[i];
+    const Lanes::Claim lane(lanes);
     try {
       run.out = execute_job(*run.spec, run.scratch_prefix);
       // lint:allow(catch-all): worker trampoline -- the exception is
@@ -101,12 +165,6 @@ void Farm::run_until_drained() {
       run.error = std::current_exception();
     }
   };
-  // The first drain with two keys to share starts the host pool, one
-  // thread per core; until then the calling thread runs them.
-  if (todo.size() > 1 && !pool_) {
-    pool_ = std::make_unique<support::HostPool>(
-        static_cast<int>(support::host_cores()) - 1);
-  }
   if (pool_) {
     pool_->run(todo.size(), execute);
   } else {

@@ -17,9 +17,12 @@
 // ties); cache-served jobs complete instantly at the dispatch-time clock.
 //
 // Host: a drain first runs every distinct (config hash, seed) that the
-// cache cannot serve on a pool of host threads (one per core, kept for
-// the Farm's later drains), then replays the dispatch above one member
-// at a time, taking each member's outcome from the pool.  Only the
+// cache cannot serve on a pool of host threads (one per CPU the caller
+// may use, kept for the Farm's later drains), then replays the dispatch
+// above one member at a time, taking each member's outcome from the
+// pool.  With L = min(pool threads, members) > 1, each member runs on a
+// lane of its own, confined to 1/L of the caller's CPUs; on a lane of one
+// CPU its ranks run as fibers on one thread (cluster::Runtime::run).  Only the
 // replay touches the clock, the slots, the cache and the ledger, so the
 // order in which host threads finish cannot reach them: two runs of the
 // same queue produce bit-identical campaign summaries -- the whole
@@ -125,7 +128,8 @@ class Farm {
   std::vector<Microseconds> pool_free_at_;
   Microseconds now_ = 0.0;
   std::string scratch_dir_;  // resolved on first use; "" until then
-  // Host threads for the drains, started by the first with two keys.
+  // Host threads for the drains, started by the first with two keys and
+  // started afresh when a drain's caller may use another number of CPUs.
   std::unique_ptr<support::HostPool> pool_;
 };
 

@@ -290,6 +290,8 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           // membership service.
         } catch (const cluster::NodeDownError&) {
           throw;  // collective epoch abort; Runtime::run surfaces it first
+        } catch (const cluster::Deadlock&) {
+          throw;  // a wait cycle is a bug, never a dying node's collateral
         } catch (const std::runtime_error&) {
           // A dying sibling's exit aborts the shared SMP barrier or ends
           // a receive (PeerExited); ranks of the killed node treat that

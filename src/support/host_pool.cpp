@@ -1,15 +1,49 @@
 #include "support/host_pool.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <system_error>
 #include <utility>
 
 namespace hyades::support {
 
-unsigned host_cores() {
-  static const unsigned cores =
-      std::max(1u, std::thread::hardware_concurrency());
-  return cores;
+namespace {
+
+bool set_this_thread(const std::vector<int>& cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int cpu : cpus) CPU_SET(static_cast<std::size_t>(cpu), &set);
+  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
+}
+
+}  // namespace
+
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(static_cast<std::size_t>(cpu), &set)) cpus.push_back(cpu);
+    }
+  }
+  if (cpus.empty()) {  // the query failed: assume every online CPU
+    const int online =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    for (int cpu = 0; cpu < online; ++cpu) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+CpuConfinement::CpuConfinement(const std::vector<int>& cpus) {
+  std::vector<int> was = allowed_cpus();
+  if (set_this_thread(cpus)) saved_ = std::move(was);
+}
+
+CpuConfinement::~CpuConfinement() {
+  if (!saved_.empty()) (void)set_this_thread(saved_);
 }
 
 HostPool::HostPool(int helpers) {

@@ -31,10 +31,27 @@
 
 namespace hyades::support {
 
-// The host's core count, std::thread::hardware_concurrency() and at
-// least 1.  The query costs microseconds of system calls, so the
-// process asks it once.
-unsigned host_cores();
+// The CPUs the calling thread may run on (its sched_getaffinity mask),
+// in ascending order and never empty.  Unlike
+// std::thread::hardware_concurrency(), which counts the online CPUs, it
+// sees `taskset` and cpusets.  Asked afresh at each call: a thread's
+// mask can change under it.
+std::vector<int> allowed_cpus();
+
+// Confines the calling thread to `cpus` while the object lives, then
+// gives it back the mask it had, also when the scope unwinds.  Threads
+// it starts meanwhile inherit the confined mask.  A mask the host
+// refuses leaves the thread as it was.
+class CpuConfinement {
+ public:
+  explicit CpuConfinement(const std::vector<int>& cpus);
+  ~CpuConfinement();
+  CpuConfinement(const CpuConfinement&) = delete;
+  CpuConfinement& operator=(const CpuConfinement&) = delete;
+
+ private:
+  std::vector<int> saved_;  // empty: the thread was not confined
+};
 
 class HostPool {
  public:

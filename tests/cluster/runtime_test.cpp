@@ -17,6 +17,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <vector>
 
 #include "net/arctic_model.hpp"
 
@@ -310,50 +311,67 @@ TEST(Runtime, MaxClock) {
   EXPECT_NEAR(rt.max_clock(), 40.0, 1e-9);
 }
 
-// Each rank's host pool gets the cores the process's live rank threads
-// leave idle: host cores / live rank threads - 1 helpers.
+// Runs `check` under the calling thread's mask, then again confined to
+// its first two allowed CPUs (when it has two): the threads `check`
+// starts inherit the mask.
+template <typename Check>
+void under_own_and_two_cpu_masks(const Check& check) {
+  check();
+  const std::vector<int> cpus = support::allowed_cpus();
+  if (cpus.size() < 2) return;
+  const support::CpuConfinement two({cpus[0], cpus[1]});
+  check();
+}
+
+// Each rank's host pool gets the CPUs the process's live rank threads
+// leave idle: allowed CPUs / live rank threads - 1 helpers.
 TEST(Runtime, HostHelpersFillTheIdleCores) {
   const net::ArcticModel net;
-  const int cores = static_cast<int>(support::host_cores());
-  for (const auto& [smps, ppp] : {std::pair{1, 1}, std::pair{2, 1},
-                                  std::pair{2, 2}, std::pair{8, 2}}) {
-    Runtime rt(machine(net, smps, ppp));
-    const int n = smps * ppp;
-    std::vector<int> threads(static_cast<std::size_t>(n), -1);
-    rt.run([&](RankContext& ctx) {
-      threads[static_cast<std::size_t>(ctx.rank())] =
-          ctx.host_pool().threads();
-    });
-    const int want = std::max(0, cores / n - 1);
-    std::printf("[ host pool ] %d core(s), %d rank(s): %d helper(s) a rank\n",
-                cores, n, want);
-    EXPECT_EQ(rt.helpers_per_rank(), want);
-    for (int r = 0; r < n; ++r) {
-      EXPECT_EQ(threads[static_cast<std::size_t>(r)], want + 1) << "rank " << r;
+  under_own_and_two_cpu_masks([&] {
+    const int cores = static_cast<int>(support::allowed_cpus().size());
+    for (const auto& [smps, ppp] : {std::pair{1, 1}, std::pair{2, 1},
+                                    std::pair{2, 2}, std::pair{8, 2}}) {
+      Runtime rt(machine(net, smps, ppp));
+      const int n = smps * ppp;
+      std::vector<int> threads(static_cast<std::size_t>(n), -1);
+      rt.run([&](RankContext& ctx) {
+        threads[static_cast<std::size_t>(ctx.rank())] =
+            ctx.host_pool().threads();
+      });
+      const int want = std::max(0, cores / n - 1);
+      std::printf("[ host pool ] %d core(s), %d rank(s): %d helper(s) a rank\n",
+                  cores, n, want);
+      EXPECT_EQ(rt.helpers_per_rank(), want);
+      for (int r = 0; r < n; ++r) {
+        EXPECT_EQ(threads[static_cast<std::size_t>(r)], want + 1)
+            << "rank " << r;
+      }
     }
-  }
+  });
 }
 
 // Runs side by side (a farm drain's members) count each other's ranks.
 TEST(Runtime, RunsSideBySideShareTheIdleCores) {
   const net::ArcticModel net;
-  const int cores = static_cast<int>(support::host_cores());
-  Runtime first(machine(net, 1, 1));
-  Runtime second(machine(net, 1, 1));
-  std::latch started(1);
-  std::latch sized(1);
-  std::thread t([&] {
-    first.run([&](RankContext&) {
-      started.count_down();
-      sized.wait();
+  under_own_and_two_cpu_masks([&] {
+    const int cores = static_cast<int>(support::allowed_cpus().size());
+    Runtime first(machine(net, 1, 1));
+    Runtime second(machine(net, 1, 1));
+    std::latch started(1);
+    std::latch sized(1);
+    std::thread t([&] {
+      first.run([&](RankContext&) {
+        started.count_down();
+        sized.wait();
+      });
     });
+    started.wait();
+    second.run([](RankContext&) {});
+    sized.count_down();
+    t.join();
+    EXPECT_EQ(first.helpers_per_rank(), std::max(0, cores - 1));
+    EXPECT_EQ(second.helpers_per_rank(), std::max(0, cores / 2 - 1));
   });
-  started.wait();
-  second.run([](RankContext&) {});
-  sized.count_down();
-  t.join();
-  EXPECT_EQ(first.helpers_per_rank(), std::max(0, cores - 1));
-  EXPECT_EQ(second.helpers_per_rank(), std::max(0, cores / 2 - 1));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 
 #include "cluster/fault.hpp"
 #include "farm/farm.hpp"
+#include "support/host_pool.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades::farm {
@@ -417,33 +418,52 @@ steps: 48 simulated, 18 saved by dedup; cluster busy 230.797 ms; makespan 138.47
 recovery: 0 retransmits, 8 restarts, 1 migrations, 0 rebalances, 0 ladder downgrades
 )";
 
+// More distinct members than a 4-core host has workers, a member that
+// overtakes the rest, a duplicate of a completed member, and a doomed
+// member with its duplicate in the same drain; then a drain with one
+// fresh member among cache hits.  Returns the ledger.
+std::string drain_golden_queue() {
+  Farm f(farm_config(2));
+  f.submit(member("ens-0", 601));
+  f.submit(member("ens-1", 602));
+  f.submit(member("ens-2", 603));
+  f.submit(member("urgent", 604, /*steps=*/6, /*priority=*/5));
+  JobSpec wind = member("wind", 601);
+  wind.config.wind_tau0 += 0.05;
+  f.submit(wind);
+  f.submit(doomed_member("doomed"));
+  f.submit(member("ens-0-dup", 601));
+  f.submit(kill_migrate_member("migrate", 605));
+  f.submit(doomed_member("doomed-dup"));
+  f.submit(member("ens-3", 606));
+  f.run_until_drained();
+  f.submit(member("ens-4", 607));
+  f.submit(member("ens-1-dup", 602));
+  f.submit(member("urgent-dup", 604, /*steps=*/6, /*priority=*/5));
+  f.run_until_drained();
+  EXPECT_EQ(f.cache().hits(), 3);
+  EXPECT_EQ(f.cache().misses(), 10);
+  return f.format_summary();
+}
+
 TEST(Farm, ParallelDrainReproducesSequentialLedger) {
-  // More distinct members than a 4-core host has workers, a member that
-  // overtakes the rest, a duplicate of a completed member, and a doomed
-  // member with its duplicate in the same drain; then a drain with one
-  // fresh member among cache hits.
   for (int run = 0; run < 5; ++run) {
-    Farm f(farm_config(2));
-    f.submit(member("ens-0", 601));
-    f.submit(member("ens-1", 602));
-    f.submit(member("ens-2", 603));
-    f.submit(member("urgent", 604, /*steps=*/6, /*priority=*/5));
-    JobSpec wind = member("wind", 601);
-    wind.config.wind_tau0 += 0.05;
-    f.submit(wind);
-    f.submit(doomed_member("doomed"));
-    f.submit(member("ens-0-dup", 601));
-    f.submit(kill_migrate_member("migrate", 605));
-    f.submit(doomed_member("doomed-dup"));
-    f.submit(member("ens-3", 606));
-    f.run_until_drained();
-    f.submit(member("ens-4", 607));
-    f.submit(member("ens-1-dup", 602));
-    f.submit(member("urgent-dup", 604, /*steps=*/6, /*priority=*/5));
-    f.run_until_drained();
-    EXPECT_EQ(f.format_summary(), kGoldenLedger) << "run " << run;
-    EXPECT_EQ(f.cache().hits(), 3) << "run " << run;
-    EXPECT_EQ(f.cache().misses(), 10) << "run " << run;
+    EXPECT_EQ(drain_golden_queue(), kGoldenLedger) << "run " << run;
+  }
+}
+
+// On one CPU every member's ranks run as fibers on the calling thread; on
+// two, the drain's two lanes run them as fibers on one CPU each.  The
+// ledger must not move, and the caller keeps its mask.
+TEST(Farm, DrainOnOneAndTwoCpusReproducesSequentialLedger) {
+  const std::vector<int> cpus = support::allowed_cpus();
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
+    if (cpus.size() < width) continue;
+    const std::vector<int> mask(cpus.begin(),
+                                cpus.begin() + static_cast<long>(width));
+    const support::CpuConfinement confined(mask);
+    EXPECT_EQ(drain_golden_queue(), kGoldenLedger) << width << " CPU(s)";
+    EXPECT_EQ(support::allowed_cpus(), mask);
   }
 }
 
@@ -465,6 +485,25 @@ TEST(Farm, CallerBugOnAWorkerThrowsFromTheDrain) {
 
   f.run_until_drained();
   EXPECT_EQ(f.job(last).status, JobStatus::kCompleted);
+  EXPECT_EQ(f.summary().completed, 2);
+}
+
+// A drain of several lanes confines each member's thread, the calling
+// thread's too, and gives it back its mask, also when the replay
+// rethrows a member's caller bug.
+TEST(Farm, DrainRestoresTheCallersMask) {
+  const std::vector<int> cpus = support::allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "lanes need two CPUs or more";
+  Farm f(farm_config(2));
+  f.submit(member("first", 701));
+  JobSpec bad = member("bad", 702);
+  bad.machine = {2, 1};  // 2 ranks for 4 tiles
+  f.submit(bad);
+  f.submit(member("last", 703));
+  EXPECT_THROW(f.run_until_drained(), std::invalid_argument);
+  EXPECT_EQ(support::allowed_cpus(), cpus);
+  f.run_until_drained();
+  EXPECT_EQ(support::allowed_cpus(), cpus);
   EXPECT_EQ(f.summary().completed, 2);
 }
 

@@ -20,6 +20,7 @@
 #include "cluster/runtime.hpp"
 #include "comm/comm.hpp"
 #include "gcm/model.hpp"
+#include "support/host_pool.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades::gcm {
@@ -127,6 +128,19 @@ TEST(HostSplit, AtmosphereOneRank) {
   check(kAtmosOneRank, run("atmos.1rank", atmosphere_preset(1, 1), 1, false));
   check(kAtmosOneRankOverlap,
         run("atmos.1rank.overlap", atmosphere_preset(1, 1), 1, true));
+}
+
+// The 2-rank goldens with the calling thread confined to one CPU: both
+// ranks run as fibers on it.
+TEST(HostSplit, TwoRanksOnOneCpu) {
+  const support::CpuConfinement one({support::allowed_cpus().front()});
+  check(kOceanTwoRanks, run("ocean.2ranks", ocean_preset(2, 1), 2, false));
+  check(kOceanTwoRanksOverlap,
+        run("ocean.2ranks.overlap", ocean_preset(2, 1), 2, true));
+  check(kAtmosTwoRanks,
+        run("atmos.2ranks", atmosphere_preset(2, 1), 2, false));
+  check(kAtmosTwoRanksOverlap,
+        run("atmos.2ranks.overlap", atmosphere_preset(2, 1), 2, true));
 }
 
 TEST(HostSplit, AtmosphereTwoRanks) {

@@ -21,7 +21,27 @@ TEST(HostPool, ThreadsCountTheCaller) {
   EXPECT_EQ(HostPool(0).threads(), 1);
   EXPECT_EQ(HostPool(-2).threads(), 1);
   EXPECT_EQ(HostPool(3).threads(), 4);
-  EXPECT_GE(host_cores(), 1u);
+  EXPECT_FALSE(allowed_cpus().empty());
+}
+
+// A confinement narrows the calling thread's mask to what it names, the
+// threads it starts inherit that mask, and the mask it found comes back
+// when it ends, also from inside another confinement.
+TEST(CpuConfinement, NarrowsTheThreadAndRestoresTheMaskItFound) {
+  const std::vector<int> all = allowed_cpus();
+  {
+    const CpuConfinement first({all.front()});
+    EXPECT_EQ(allowed_cpus(), std::vector<int>{all.front()});
+    std::vector<int> child;
+    std::thread([&] { child = allowed_cpus(); }).join();
+    EXPECT_EQ(child, std::vector<int>{all.front()});
+    {
+      const CpuConfinement last({all.back()});
+      EXPECT_EQ(allowed_cpus(), std::vector<int>{all.back()});
+    }
+    EXPECT_EQ(allowed_cpus(), std::vector<int>{all.front()});
+  }
+  EXPECT_EQ(allowed_cpus(), all);
 }
 
 TEST(HostPool, WithoutHelpersRunsEveryTaskOnTheCaller) {
