@@ -12,7 +12,7 @@ const NodeKill* Membership::kill_on_smp(int smp) const {
   // Kill matching is *host*-granular: a kill naming rank R takes down
   // the physical board R's tile is hosted on right now, together with
   // every other tile hosted there.  With identity placement this is
-  // exactly the old structural smp_of() matching.
+  // exactly the old structural (rank / procs_per_smp) matching.
   for (const NodeKill& k : plan_.node_kills) {
     if (k.epoch == ctx_.epoch() && ctx_.host_smp_of(k.rank) == smp) return &k;
   }

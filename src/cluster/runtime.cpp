@@ -1,7 +1,6 @@
 #include "cluster/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <thread>
 
@@ -11,12 +10,6 @@
 #include "support/fiber.hpp"
 
 namespace hyades::cluster {
-
-namespace {
-// Host threads of every Runtime::run in progress in this process: a
-// threaded run counts its rank threads, a fiber run its one thread.
-std::atomic<int> g_live_ranks{0};
-}  // namespace
 
 namespace detail {
 
@@ -98,9 +91,6 @@ int RankContext::local_rank() const {
   return rank_ % rt_.config().procs_per_smp;
 }
 int RankContext::procs_per_smp() const { return rt_.config().procs_per_smp; }
-int RankContext::smp_of(int rank) const {
-  return rank / rt_.config().procs_per_smp;
-}
 
 int RankContext::host_smp_of(int rank) const {
   if (host_map_.empty()) return rank / rt_.config().procs_per_smp;
@@ -140,7 +130,6 @@ void RankContext::recompute_elastic_factor() {
 const net::Interconnect& RankContext::net() const {
   return *rt_.config().interconnect;
 }
-const MachineConfig& RankContext::config() const { return rt_.config(); }
 
 void RankContext::compute(double flops, double mflops) {
   if (flops < 0 || mflops <= 0) {
@@ -273,17 +262,7 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
   // A caller confined to one CPU runs every rank as a fiber on its own
   // thread: threads could only take turns on that CPU through the kernel.
   const bool fibers = support::kFibers && cpus == 1;
-  // Count this run's threads among the live ones, so that runs side by
-  // side (a farm drain's members) leave each other the cores.
-  const int threads_here = fibers ? 1 : n;
-  const int live =
-      g_live_ranks.fetch_add(threads_here, std::memory_order_relaxed) +
-      threads_here;
-  struct Leave {
-    int n;
-    ~Leave() { g_live_ranks.fetch_sub(n, std::memory_order_relaxed); }
-  } const leave{threads_here};
-  helpers_per_rank_ = fibers ? 0 : std::max(0, cpus / live - 1);
+  helpers_per_rank_ = std::max(0, cpus / n - 1);
   for (auto& s : smps_) s->barrier.reset();
   bus_.clear_exits();
   acct_.assign(static_cast<std::size_t>(n), Accounting{});

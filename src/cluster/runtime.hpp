@@ -177,10 +177,9 @@ class RankContext {
   [[nodiscard]] int local_rank() const;
   [[nodiscard]] int procs_per_smp() const;
   [[nodiscard]] bool is_master() const { return local_rank() == 0; }
-  [[nodiscard]] int smp_of(int rank) const;
 
   // ---- elastic placement ----------------------------------------------
-  // Where a rank's tile is *hosted* right now, as opposed to smp_of()'s
+  // Where a rank's tile is *hosted* right now, as opposed to its
   // structural home (rank / procs_per_smp).  After a live migration a
   // tile runs on a survivor SMP; after a hot join it returns home.  The
   // map is a per-rank *copy* (no shared mutable state): the driver seeds
@@ -191,7 +190,7 @@ class RankContext {
   // Placement affects fabric cost classification (what counts as a
   // remote transfer), host-granular kill matching in Membership, and
   // the compute oversubscription factor; the structural butterfly /
-  // shared-memory coordination math stays on smp_of().
+  // shared-memory coordination math stays on the structural home.
   [[nodiscard]] int host_smp_of(int rank) const;
   [[nodiscard]] int host_smp() const { return host_smp_of(rank_); }
   // Move `rank`'s tile to be hosted on `smp` in THIS rank's local copy
@@ -200,7 +199,6 @@ class RankContext {
   void rehome_rank(int rank, int smp);
 
   [[nodiscard]] const net::Interconnect& net() const;
-  [[nodiscard]] const MachineConfig& config() const;
 
   VirtualClock& clock() { return clock_; }
   Accounting& accounting() { return acct_; }
@@ -316,12 +314,13 @@ class Runtime {
   // the started ones are joined, and the spawn error is rethrown as the
   // root cause.
   //
-  // Each rank of a threaded run may also use the CPUs the process's rank
-  // threads leave idle: RankContext::host_pool() gets the calling
-  // thread's allowed CPUs / host threads of the runs live in the process
-  // (this run's included; a fiber run counts one) - 1 helpers, none when
-  // the ranks already cover the CPUs.  A fiber run's ranks get none.
-  // Helpers are joined before run() returns.
+  // Each rank of a threaded run may also use the CPUs its ranks leave
+  // idle: RankContext::host_pool() gets the calling thread's allowed CPUs
+  // / ranks - 1 helpers, none when the ranks already cover the CPUs (so a
+  // fiber run's ranks get none).  The only runs that overlap in time are
+  // a farm drain's lanes, and each lane has a CPU mask of its own, so a
+  // run need not count the others.  Helpers are joined before run()
+  // returns.
   void run(const std::function<void(RankContext&)>& body);
 
   // Helpers each rank of the current (or last) run() gets.

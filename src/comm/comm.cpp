@@ -1,12 +1,9 @@
 #include "comm/comm.hpp"
 
 #include "cluster/trace.hpp"
-#include "support/logging.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -18,70 +15,15 @@ constexpr int kTagBarrierBase = 700;   // + round
 constexpr int kTagBarrierLocal = 960;  // slave -> master, master -> slave
 constexpr int kTagGsumBase = 1000;     // + round
 constexpr int kTagGsumLocal = 1900;    // slave -> master, master -> slave
-constexpr int kTagXchgBase = 2000;     // + (seq % window) * kDirections + dir
+constexpr int kTagXchgBase = 2000;     // + direction
 
-// Every global sum (and max) uses the one tag set above, as every
-// barrier does: the bus delivers each (source, tag) stream in order, so
-// a fast rank's messages for the next sum queue behind the current
-// one's.  Exchanges draw a slot of a rotating window instead
-// (Comm::kXchgWindow slots), so in-flight handles never share a
-// (source, tag) stream and may finish out of order.
-
-std::atomic<std::uint64_t> g_abandoned_handles{0};
+// Every global sum (and max), barrier and exchange uses the one tag set
+// above: the bus delivers each (source, tag) stream in order, so a fast
+// rank's messages for the next collective queue behind the current
+// one's, and split-phase exchanges finish in start order.  Fault fates
+// hash (source, destination, per-destination serial, attempt), never
+// the tag.
 }  // namespace
-
-std::uint64_t abandoned_handles() {
-  return g_abandoned_handles.load(std::memory_order_relaxed);
-}
-
-void reset_abandoned_handles() {
-  g_abandoned_handles.store(0, std::memory_order_relaxed);
-}
-
-// ---- handle lifetime -----------------------------------------------------
-//
-// A still-active handle reaching its destructor means the caller never
-// called exchange_finish: its messages stay queued on the rotating
-// (source, tag) slot, where a later wrapped exchange would consume them
-// as its own data.  Destructors cannot throw, so they shout and count;
-// the slot stays marked busy in the Comm, which makes the next wrap onto
-// it fail fast instead of corrupting state.
-//
-// During exception unwinding (an epoch aborting on a NodeDown verdict
-// tears down whole call stacks holding live handles) abandonment is the
-// expected teardown path, not a caller bug: it is counted, not logged.
-
-ExchangeHandle::~ExchangeHandle() {
-  if (buf_ != nullptr) {
-    g_abandoned_handles.fetch_add(1, std::memory_order_relaxed);
-    if (std::uncaught_exceptions() == 0) {
-      log_error() << "ExchangeHandle abandoned while active (seq " << seq_
-                  << "): exchange_finish was never called; its tag slot is "
-                     "poisoned and messages may be left undrained";
-    }
-  }
-}
-
-ExchangeHandle::ExchangeHandle(ExchangeHandle&& o) noexcept
-    : buf_(std::exchange(o.buf_, nullptr)),
-      seq_(o.seq_),
-      phase_(o.phase_),
-      t_start_end(o.t_start_end) {}
-
-ExchangeHandle& ExchangeHandle::operator=(ExchangeHandle&& o) noexcept {
-  if (this != &o) {
-    if (buf_ != nullptr) {
-      g_abandoned_handles.fetch_add(1, std::memory_order_relaxed);
-      log_error() << "ExchangeHandle abandoned by move-assignment (seq "
-                  << seq_ << ")";
-    }
-    buf_ = std::exchange(o.buf_, nullptr);
-    seq_ = o.seq_;
-    phase_ = o.phase_;
-    t_start_end = o.t_start_end;
-  }
-  return *this;
-}
 
 Comm::Comm(cluster::RankContext& ctx, int rank_base, int nranks)
     : ctx_(ctx),
@@ -113,7 +55,7 @@ bool Comm::remote(int group_rank) const {
   // Cost classification follows the *host* placement: after a live
   // migration, traffic to a tile adopted onto my own board is shared
   // memory, and a once-local partner hosted elsewhere rides the fabric.
-  // Identity placement reduces to the structural smp_of() test.
+  // Identity placement reduces to the structural home, rank / ppp.
   return ctx_.host_smp_of(abs_rank(group_rank)) != ctx_.host_smp();
 }
 
@@ -260,11 +202,6 @@ void Comm::barrier() {
 
 // ---- halo exchange -------------------------------------------------------
 
-int Comm::xchg_tag(std::uint64_t seq, int d) const {
-  return kTagXchgBase +
-         static_cast<int>(seq % kXchgWindow) * kDirections + d;
-}
-
 void Comm::validate_neighbors(
     const std::array<int, kDirections>& neighbors) const {
   for (int d = 0; d < kDirections; ++d) {
@@ -279,28 +216,6 @@ void Comm::validate_neighbors(
           "Comm::exchange: negative neighbor (use -1 for none)");
     }
   }
-}
-
-// Draw the next tag-window slot, before any send or clock effect.  Fail
-// fast on a wrap onto a slot still held by an unfinished or abandoned
-// handle: its (source, tag) streams may hold undrained strips that this
-// exchange would consume as its own halo data.
-std::uint64_t Comm::claim_xchg_slot() {
-  const auto slot = static_cast<std::size_t>(xchg_started_ % kXchgWindow);
-  if (xchg_slot_busy_[slot]) {
-    throw std::runtime_error(
-        "Comm: exchange tag window wrapped onto an unfinished handle "
-        "(more than " +
-        std::to_string(kXchgWindow) +
-        " exchanges in flight, or an earlier handle was abandoned)");
-  }
-  xchg_slot_busy_[slot] = true;
-  return xchg_started_++;
-}
-
-void Comm::complete_xchg(std::uint64_t seq) {
-  ++xchg_seq_;
-  xchg_slot_busy_[static_cast<std::size_t>(seq % kXchgWindow)] = false;
 }
 
 // Phase bookkeeping: who sends/receives what in direction d, and the
@@ -341,23 +256,23 @@ ExchangeHandle::Phase Comm::plan_phase(
 // send (one transfer saturates the PCI bus, Section 4.1), and advances
 // the clock.
 Microseconds Comm::phase_send(const ExchangeHandle::Phase& p, int d,
-                              std::uint64_t seq, const Buffers& buf) {
+                              const Buffers& buf) {
   Microseconds t = ctx_.clock().now();
   if (p.smp_out > 0) t += ctx_.net().exchange_transfer_time(p.smp_out);
   if (p.nb_out >= 0 && !p.out_remote) {
     t += static_cast<double>(p.out_b) / kShmCopyMBs;
   }
   if (p.nb_out >= 0) {
-    rel_.send(abs_rank(p.nb_out), xchg_tag(seq, d),
+    rel_.send(abs_rank(p.nb_out), kTagXchgBase + d,
               buf.out[static_cast<std::size_t>(d)], t);
   }
   return t;
 }
 
-void Comm::phase_recv(const ExchangeHandle::Phase& p, int d,
-                      std::uint64_t seq, Microseconds t, Buffers& buf) {
+void Comm::phase_recv(const ExchangeHandle::Phase& p, int d, Microseconds t,
+                      Buffers& buf) {
   if (p.nb_in >= 0) {
-    cluster::Message m = rel_.recv(abs_rank(p.nb_in), xchg_tag(seq, d));
+    cluster::Message m = rel_.recv(abs_rank(p.nb_in), kTagXchgBase + d);
     auto& dst = buf.in[static_cast<std::size_t>(opposite(d))];
     if (m.data.size() != dst.size()) {
       throw std::logic_error("Comm::exchange: halo strip size mismatch");
@@ -377,16 +292,21 @@ void Comm::phase_recv(const ExchangeHandle::Phase& p, int d,
 void Comm::exchange(const std::array<int, kDirections>& neighbors,
                     Buffers& buf) {
   validate_neighbors(neighbors);
-  const std::uint64_t seq = claim_xchg_slot();
+  // An unfinished split-phase exchange's strips head the streams.
+  if (xchg_started_ != xchg_seq_) {
+    throw std::logic_error(
+        "Comm::exchange: a split-phase exchange is still unfinished");
+  }
+  ++xchg_started_;
   const Microseconds t0 = ctx_.clock().now();
   std::int64_t bytes = 0;
   for (int d = 0; d < kDirections; ++d) {
     const ExchangeHandle::Phase p = plan_phase(d, neighbors, buf);
-    phase_recv(p, d, seq, phase_send(p, d, seq, buf), buf);
+    phase_recv(p, d, phase_send(p, d, buf), buf);
     if (p.nb_out >= 0) bytes += p.out_b;
     if (p.nb_in >= 0) bytes += p.in_b;
   }
-  complete_xchg(seq);
+  ++xchg_seq_;
   ctx_.charge_comm(t0);
   if (ctx_.tracer()) {
     cluster::SpanCounters ctr;
@@ -400,7 +320,7 @@ ExchangeHandle Comm::exchange_start(
     const std::array<int, kDirections>& neighbors, Buffers& buf) {
   validate_neighbors(neighbors);
   ExchangeHandle h;
-  h.seq_ = claim_xchg_slot();
+  h.seq_ = xchg_started_++;
   h.buf_ = &buf;
   const Microseconds t_begin = ctx_.clock().now();
 
@@ -425,7 +345,7 @@ ExchangeHandle Comm::exchange_start(
         ctx_.clock().advance(static_cast<double>(p.out_b) / kShmCopyMBs);
         stamp = ctx_.clock().now();
       }
-      rel_.send(abs_rank(p.nb_out), xchg_tag(h.seq_, d),
+      rel_.send(abs_rank(p.nb_out), kTagXchgBase + d,
                 buf.out[static_cast<std::size_t>(d)], stamp);
       out_bytes += p.out_b;
     }
@@ -445,6 +365,12 @@ void Comm::exchange_finish(ExchangeHandle& h) {
   if (!h.valid()) {
     throw std::logic_error("exchange_finish: handle already finished");
   }
+  // Only the oldest unfinished exchange's strips head the streams; a
+  // copy of a finished handle, or a handle behind a dropped one, fails.
+  if (h.seq_ != xchg_seq_) {
+    throw std::logic_error(
+        "exchange_finish: not the oldest unfinished exchange");
+  }
   Buffers& buf = *h.buf_;
 
   // Drain the inbound strips under the overlap rule
@@ -458,7 +384,7 @@ void Comm::exchange_finish(ExchangeHandle& h) {
   for (int d = 0; d < kDirections; ++d) {
     const ExchangeHandle::Phase& p = h.phase_[static_cast<std::size_t>(d)];
     if (p.nb_in < 0) continue;
-    cluster::Message m = rel_.recv(abs_rank(p.nb_in), xchg_tag(h.seq_, d));
+    cluster::Message m = rel_.recv(abs_rank(p.nb_in), kTagXchgBase + d);
     auto& dst = buf.in[static_cast<std::size_t>(opposite(d))];
     if (m.data.size() != dst.size()) {
       throw std::logic_error("Comm::exchange: halo strip size mismatch");
@@ -482,7 +408,7 @@ void Comm::exchange_finish(ExchangeHandle& h) {
   const Microseconds hidden =
       std::max(0.0, std::min(t_entry, ready) - h.t_start_end);
   ctx_.charge_overlap(hidden);
-  complete_xchg(h.seq_);
+  ++xchg_seq_;
   ctx_.charge_comm(t_entry);
   if (ctx_.tracer()) {
     cluster::SpanCounters ctr;

@@ -38,9 +38,12 @@
 //     sums are blocking only.
 //
 //     Collective discipline: all ranks of the group must run the same
-//     collectives in the same order (exchange finishes may be reordered
-//     among in-flight exchanges -- each handle carries its own tag
-//     sequence).
+//     collectives in the same order, and split-phase exchanges finish in
+//     the order they started.  Every exchange, blocking or split-phase,
+//     sends direction d on the one fixed tag of that direction, as every
+//     global sum uses one tag set: the bus delivers each (source, tag)
+//     stream in order, so a fast rank's strips for the next exchange
+//     queue behind the current one's.
 //
 // A Comm may span a contiguous sub-range of ranks so that coupled runs
 // can give each isomorph half the machine (Section 5.1).
@@ -71,29 +74,14 @@ struct Buffers {
   std::array<std::vector<double>, kDirections> in;
 };
 
-// Number of exchange handles destroyed while still active (never
-// finished).  An abandoned handle leaves messages queued on its
-// (source, tag) streams, which a later exchange on the same rotating tag
-// slot would consume as its own data -- the destructor logs an error and
-// bumps this counter, and Comm refuses to reuse the slot (fail fast
-// instead of corrupting state).  Process-wide; reset in tests.
-[[nodiscard]] std::uint64_t abandoned_handles();
-void reset_abandoned_handles();
-
 // In-flight halo exchange.  Obtained from Comm::exchange_start; must be
-// completed with Comm::exchange_finish exactly once.  Movable, not
-// copyable; the Buffers passed to start must outlive the handle.
-// Destroying a still-active handle is a caller bug: the destructor logs
-// an error and counts it in abandoned_handles().
+// completed with Comm::exchange_finish once, in start order (a moved-from
+// handle names the same exchange).  The Buffers passed to start must
+// outlive the handle.  A handle dropped unfinished stops the Comm's next
+// blocking exchange and every later finish.
 class ExchangeHandle {
  public:
-  ExchangeHandle() = default;
-  ~ExchangeHandle();
-  ExchangeHandle(const ExchangeHandle&) = delete;
-  ExchangeHandle& operator=(const ExchangeHandle&) = delete;
-  ExchangeHandle(ExchangeHandle&& o) noexcept;
-  ExchangeHandle& operator=(ExchangeHandle&& o) noexcept;
-
+  // From exchange_start until exchange_finish(*this).
   [[nodiscard]] bool valid() const { return buf_ != nullptr; }
 
  private:
@@ -107,7 +95,7 @@ class ExchangeHandle {
   };
 
   Buffers* buf_ = nullptr;
-  std::uint64_t seq_ = 0;  // tag-sequencing id (kTagXchgBase offset)
+  std::uint64_t seq_ = 0;  // start order within the Comm
   std::array<Phase, kDirections> phase_;
   Microseconds t_start_end = 0;  // clock at exchange_start exit
 };
@@ -147,18 +135,19 @@ class Comm {
   // ---- split-phase halo exchange ---------------------------------------
   // Post all four phases' sends and return without waiting for the
   // inbound strips.  buf.out is consumed immediately (safe to reuse);
-  // buf.in is filled by exchange_finish.  In-flight exchanges may be
-  // finished in any order (per-handle tag sequencing), but every handle
-  // must be finished exactly once.
+  // buf.in is filled by exchange_finish.  Several exchanges may be in
+  // flight; they finish in the order they started, each exactly once.
   ExchangeHandle exchange_start(const std::array<int, kDirections>& neighbors,
                                 Buffers& buf);
   // Complete the exchange: unpack inbound strips under the overlap rule
   // t_finish = max(t_local, t_arrival); hidden communication is credited
-  // to Accounting::overlap_us.
+  // to Accounting::overlap_us.  Throws std::logic_error unless `h` is
+  // the oldest unfinished exchange; the blocking exchange throws while
+  // any split-phase exchange is unfinished.
   void exchange_finish(ExchangeHandle& h);
 
-  // Number of exchange/global-sum/barrier calls completed (tag
-  // sequencing and Figure-11 statistics).
+  // Number of exchange/global-sum/barrier calls completed (Figure-11
+  // statistics).
   [[nodiscard]] std::uint64_t exchanges_done() const { return xchg_seq_; }
   [[nodiscard]] std::uint64_t gsums_done() const { return gsum_seq_; }
   [[nodiscard]] std::uint64_t barriers_done() const { return barrier_seq_; }
@@ -171,16 +160,13 @@ class Comm {
 
   // Shared helpers of the blocking and split-phase exchanges.
   void validate_neighbors(const std::array<int, kDirections>& neighbors) const;
-  std::uint64_t claim_xchg_slot();
-  void complete_xchg(std::uint64_t seq);
   ExchangeHandle::Phase plan_phase(int d,
                                    const std::array<int, kDirections>& nb,
                                    const Buffers& buf);
   Microseconds phase_send(const ExchangeHandle::Phase& p, int d,
-                          std::uint64_t seq, const Buffers& buf);
-  void phase_recv(const ExchangeHandle::Phase& p, int d, std::uint64_t seq,
-                  Microseconds t, Buffers& buf);
-  [[nodiscard]] int xchg_tag(std::uint64_t seq, int d) const;
+                          const Buffers& buf);
+  void phase_recv(const ExchangeHandle::Phase& p, int d, Microseconds t,
+                  Buffers& buf);
 
   // Largest power of two <= n: the butterfly "core" over which the
   // recursive-doubling rounds run; SMPs beyond it fold in/out.
@@ -206,24 +192,18 @@ class Comm {
   static void combine_into(std::vector<double>& a,
                            const std::vector<double>& b, ReduceOp op);
 
-  // Rotating exchange tag window: an exchange draws the next slot and
-  // releases it when it completes.  Starting an exchange whose slot is
-  // still held by an unfinished (or abandoned) handle throws -- a wrapped
-  // slot would silently interleave two exchanges' messages on one
-  // (source, tag) stream.
-  static constexpr int kXchgWindow = 64;
-
   cluster::RankContext& ctx_;
   // All bulk transport goes through the end-to-end reliability layer;
   // with no FaultPlan it degenerates to the raw bus operations.
   Reliable rel_{ctx_};
   int rank_base_;
   int nranks_;
+  // Exchanges finish in start order, so those in flight are exactly
+  // the starts [xchg_seq_, xchg_started_).
   std::uint64_t xchg_seq_ = 0;      // completed exchanges
-  std::uint64_t xchg_started_ = 0;  // started exchanges (tag sequencing)
+  std::uint64_t xchg_started_ = 0;  // started exchanges
   std::uint64_t gsum_seq_ = 0;
   std::uint64_t barrier_seq_ = 0;
-  std::array<bool, kXchgWindow> xchg_slot_busy_{};
   // SMP NIU occupancy frontier for pipelined transfers: bulk bytes ride
   // the NIU while the CPU computes; successive transfers serialize on it
   // (one transfer saturates the PCI bus, Section 4.1).

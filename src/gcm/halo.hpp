@@ -36,11 +36,13 @@ void exchange2d(comm::Comm& comm, const Decomp& dec, Array2D<double>& f,
 //   hx.finish();    // finish stage 2; halo fully fresh
 //
 // The field must not be written between start() and finish().  Several
-// HaloExchange3 may be in flight at once (per-handle tag sequencing in
-// the comm layer); within a run the three calls are collective across
-// the group in a consistent order.  Immovable: the in-flight handle
-// points at this object's own buffers, so hold exchanges where they
-// never relocate (a std::array built in place, a std::deque).
+// HaloExchange3 may be in flight at once; the comm layer finishes
+// exchanges in the order it started them, so run start() on all of them,
+// then progress() on all, then finish() on all, each pass in one order.
+// The three calls are collective across the group.  Immovable: the
+// in-flight handle points at this object's own buffers, so hold
+// exchanges where they never relocate (a std::array built in place, a
+// std::deque).
 class HaloExchange3 {
  public:
   HaloExchange3(comm::Comm& comm, const Decomp& dec, Array3D<double>& f,

@@ -323,8 +323,8 @@ void under_own_and_two_cpu_masks(const Check& check) {
   check();
 }
 
-// Each rank's host pool gets the CPUs the process's live rank threads
-// leave idle: allowed CPUs / live rank threads - 1 helpers.
+// Each rank's host pool gets the CPUs its run's ranks leave idle:
+// allowed CPUs / ranks - 1 helpers.
 TEST(Runtime, HostHelpersFillTheIdleCores) {
   const net::ArcticModel net;
   under_own_and_two_cpu_masks([&] {
@@ -350,28 +350,36 @@ TEST(Runtime, HostHelpersFillTheIdleCores) {
   });
 }
 
-// Runs side by side (a farm drain's members) count each other's ranks.
-TEST(Runtime, RunsSideBySideShareTheIdleCores) {
+// Runs at the same time on separate CPU masks (a farm drain's lanes)
+// each size their helpers from their own mask, not from the other's
+// ranks: lane k gets the allowed CPUs j = k (mod 2), as a 2-lane drain.
+TEST(Runtime, RunsOnSeparateMasksSizeTheirOwnHelpers) {
   const net::ArcticModel net;
-  under_own_and_two_cpu_masks([&] {
-    const int cores = static_cast<int>(support::allowed_cpus().size());
-    Runtime first(machine(net, 1, 1));
-    Runtime second(machine(net, 1, 1));
-    std::latch started(1);
-    std::latch sized(1);
-    std::thread t([&] {
-      first.run([&](RankContext&) {
-        started.count_down();
-        sized.wait();
-      });
+  const std::vector<int> cpus = support::allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two allowed CPUs";
+  std::array<std::vector<int>, 2> lanes;
+  for (std::size_t j = 0; j < cpus.size(); ++j) lanes[j % 2].push_back(cpus[j]);
+  std::array<Runtime, 2> rts{Runtime(machine(net, 1, 1)),
+                             Runtime(machine(net, 1, 1))};
+  std::array<int, 2> threads{-1, -1};
+  std::latch both_running(2);
+  const auto lane = [&](std::size_t k) {
+    const support::CpuConfinement confined(lanes[k]);
+    rts[k].run([&](RankContext& ctx) {
+      both_running.arrive_and_wait();
+      threads[k] = ctx.host_pool().threads();
     });
-    started.wait();
-    second.run([](RankContext&) {});
-    sized.count_down();
-    t.join();
-    EXPECT_EQ(first.helpers_per_rank(), std::max(0, cores - 1));
-    EXPECT_EQ(second.helpers_per_rank(), std::max(0, cores / 2 - 1));
-  });
+  };
+  std::thread other(lane, 1);
+  lane(0);
+  other.join();
+  for (std::size_t k = 0; k < 2; ++k) {
+    const int want = static_cast<int>(lanes[k].size()) - 1;
+    std::printf("[ host pool ] lane %zu: %zu core(s), 1 rank: %d helper(s)\n",
+                k, lanes[k].size(), want);
+    EXPECT_EQ(rts[k].helpers_per_rank(), want) << "lane " << k;
+    EXPECT_EQ(threads[k], want + 1) << "lane " << k;
+  }
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // Split-phase (start/finish) semantics of the comm core: the
 // pipelined exchange must deliver bitwise-identical data to the blocking
-// exchange, tolerate out-of-order finishes among in-flight exchanges,
-// and credit hidden communication to the Accounting::overlap_us bucket
-// instead of charging it twice.  Global sums are blocking only and share
-// one tag set; back-to-back sums must still stay apart.
+// exchange, keep in-flight exchanges apart when they finish in start
+// order on the exchange's fixed tags, and credit hidden communication to
+// the Accounting::overlap_us bucket instead of charging it twice.
+// Global sums are blocking only and share one tag set; back-to-back sums
+// must still stay apart.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cluster/fault.hpp"
 #include "comm/comm.hpp"
 #include "net/arctic_model.hpp"
 #include "net/ethernet.hpp"
@@ -85,25 +88,53 @@ TEST(SplitPhase, ExchangeMatchesBlockingData) {
   }
 }
 
-// Two exchanges in flight at once, finished in reverse start order: the
-// per-handle tag sequencing must route each strip to the right handle.
-TEST(SplitPhase, OutOfOrderFinishTwoInFlight) {
+// Two exchanges in flight at once, finished in start order, for several
+// rounds.  Ranks compute a different virtual time and sleep a different
+// host time before each round, so whether a fast rank's strips for the
+// next round queue behind the current round's on the same (source, tag)
+// stream is up to host scheduling.  Once more with packet faults: then
+// CRC-flagged ghosts of those strips queue there too, each ahead of its
+// good attempt.
+TEST(SplitPhase, TwoInFlightFinishInStartOrder) {
   const net::ArcticModel net;
-  for (int ppp : {1, 2}) {
-    Runtime rt(machine(net, 16 / ppp, ppp));
+  cluster::FaultPlan faults;
+  faults.seed = 30;
+  faults.corrupt_prob = 0.2;
+  faults.drop_prob = 0.1;
+  for (const auto& [ppp, plan] :
+       std::vector<std::pair<int, const cluster::FaultPlan*>>{
+           {1, nullptr}, {2, nullptr}, {2, &faults}}) {
+    MachineConfig mc = machine(net, 16 / ppp, ppp);
+    mc.faults = plan;
+    Runtime rt(mc);
     rt.run([&](RankContext& ctx) {
       Comm comm(ctx);
-      const auto nb = grid_neighbors(ctx.rank());
-      Comm::Buffers a = make_buffers(ctx.rank(), 11.0);
-      Comm::Buffers b = make_buffers(ctx.rank(), 23.0, 16);
-      ExchangeHandle ha = comm.exchange_start(nb, a);
-      ExchangeHandle hb = comm.exchange_start(nb, b);
-      comm.exchange_finish(hb);  // reverse order
-      comm.exchange_finish(ha);
-      expect_exchanged(nb, a, 11.0, ctx.rank());
-      expect_exchanged(nb, b, 23.0, ctx.rank());
-      EXPECT_EQ(comm.exchanges_done(), 2u);
+      const int r = ctx.rank();
+      const auto nb = grid_neighbors(r);
+      for (int round = 0; round < 4; ++round) {
+        const int skew = (r * 7 + round * 3) % 5;
+        ctx.compute(10.0 * skew * 50.0, 50.0);
+        std::this_thread::sleep_for(std::chrono::microseconds(200 * skew));
+        Comm::Buffers a = make_buffers(r, 11.0 + round);
+        Comm::Buffers b = make_buffers(r, 23.0 + round, 16);
+        ExchangeHandle ha = comm.exchange_start(nb, a);
+        ExchangeHandle hb = comm.exchange_start(nb, b);
+        comm.exchange_finish(ha);
+        comm.exchange_finish(hb);
+        expect_exchanged(nb, a, 11.0 + round, r);
+        expect_exchanged(nb, b, 23.0 + round, r);
+      }
+      EXPECT_EQ(comm.exchanges_done(), 8u);
     });
+    if (plan != nullptr) {
+      std::int64_t ghosts = 0, drops = 0;
+      for (const cluster::Accounting& acct : rt.accounting()) {
+        ghosts += acct.crc_rejects;
+        drops += acct.drops_detected;
+      }
+      EXPECT_GT(ghosts, 0);
+      EXPECT_GT(drops, 0);
+    }
   }
 }
 
@@ -226,8 +257,8 @@ TEST(SplitPhase, TimingDeterministic) {
         ExchangeHandle ha = comm.exchange_start(nb, a);
         ExchangeHandle hb = comm.exchange_start(nb, b);
         ctx.compute(100.0, 1.0);
-        comm.exchange_finish(hb);
         comm.exchange_finish(ha);
+        comm.exchange_finish(hb);
         (void)comm.global_sum(1.0 * i);
       }
     });

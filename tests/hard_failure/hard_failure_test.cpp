@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <future>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -330,6 +328,9 @@ TEST(HardFailure, QueuedMailReachesItsReceiverAfterAVerdict) {
   // escalates the exit to the verdict, and only then does rank 1 receive.
   // How far a rank gets before an epoch aborts then depends on what its
   // peers sent, never on whether it ran before or after the escalation.
+  // The runtime stages the order: rank 1 first waits on rank 2 on a tag
+  // rank 2 never sends, a wait only rank 2's exit after its escalation
+  // ends, so the test runs on rank threads and on one CPU's fibers alike.
   cluster::FaultPlan plan;
   plan.node_kills.push_back({/*rank=*/0, /*at_us=*/100.0, /*epoch=*/0});
   cluster::MachineConfig mc;
@@ -338,8 +339,7 @@ TEST(HardFailure, QueuedMailReachesItsReceiverAfterAVerdict) {
   mc.interconnect = &gcm::testing::test_net();
   mc.faults = &plan;
   cluster::Runtime rt(mc);
-  std::promise<void> escalated;
-  std::future<void> verdict_thrown = escalated.get_future();
+  bool escalated = false;  // read by rank 1 after rank 2's exit
   std::vector<double> got;
   try {
     rt.run([&](cluster::RankContext& ctx) {
@@ -356,16 +356,20 @@ TEST(HardFailure, QueuedMailReachesItsReceiverAfterAVerdict) {
           }
           return;
         case 1:
-          ASSERT_EQ(verdict_thrown.wait_for(std::chrono::seconds(10)),
-                    std::future_status::ready)
-              << "rank 2 never escalated";
+          try {
+            (void)ctx.recv_raw(2, 9);
+            ADD_FAILURE() << "rank 2 sent on a tag it never uses";
+          } catch (const cluster::PeerExited&) {
+            // rank 2 exited
+          }
+          ASSERT_TRUE(escalated) << "rank 2 never escalated";
           got = rel.recv(0, 7).data;
           return;
         default:
           try {
             (void)rel.recv(0, 8);
           } catch (const cluster::NodeDownError&) {
-            escalated.set_value();
+            escalated = true;
             throw;
           }
           ADD_FAILURE() << "rank 2 heard from a dead peer";
