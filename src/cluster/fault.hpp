@@ -130,9 +130,9 @@ struct FaultPlan {
   std::vector<NodeJoin> node_joins;
 
   // Membership: a peer silent past `heartbeat_deadline_us` of virtual
-  // time (no message, no heartbeat on the reserved tag) is declared
-  // down.  Before declaring, the detector fires `dead_peer_probes`
-  // heartbeat probes -- escalation, not retry-budget burn.
+  // time is declared down.  Before declaring, the detector pays for
+  // `dead_peer_probes` heartbeat probes -- escalation, not retry-budget
+  // burn.
   Microseconds heartbeat_deadline_us = 2000.0;
   int dead_peer_probes = 3;
 

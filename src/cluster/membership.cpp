@@ -88,14 +88,11 @@ NodeDownVerdict Membership::coalesced_verdict() const {
   return coalesce_expired_kills(plan_, ctx_.epoch());
 }
 
-void Membership::escalate(int peer) {
-  // Idle-time probes on the reserved tag: fire-and-forget heartbeats the
-  // dead peer will never answer, each costed one small-message send
-  // through the virtual clock.
+void Membership::escalate() {
+  // Idle-time heartbeats the dead peer will never answer, each costed one
+  // small-message send through the virtual clock.
   const Microseconds probe_cost = ctx_.net().small_message(16).os;
   for (int i = 0; i < plan_.dead_peer_probes; ++i) {
-    ctx_.send_raw(peer, kTagMembership, {static_cast<double>(ctx_.rank())},
-                  ctx_.clock().now() + ctx_.net().small_message(16).half_rtt());
     ctx_.clock().advance(probe_cost);
   }
 

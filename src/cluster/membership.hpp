@@ -4,14 +4,14 @@
 // When a peer's rank exits with nothing queued for a blocked receiver
 // (the bus's exit event, cluster::PeerExited), the receiver asks this
 // service whether the plan explains the exit as a scheduled fail-stop.
-// The service fires `FaultPlan::dead_peer_probes` idle-time heartbeat
-// probes on the reserved tag (costed through the virtual clock like any
-// small message) and, if the plan confirms the peer's scheduled fail-stop,
-// escalates: the receiver advances to the plan-pure detection time and
-// unwinds with NodeDownError carrying the verdict {dead set, epoch,
-// detection time}.  Its exit wakes the ranks waiting on it, which
-// escalate or unwind in turn, and the resilient driver recovers from the
-// verdict Runtime::run surfaces.
+// If it does, the receiver escalates: it pays for
+// `FaultPlan::dead_peer_probes` idle-time heartbeat probes (costed
+// through the virtual clock like any small message; nothing is sent,
+// since no rank would ever receive them), advances to the plan-pure
+// detection time and unwinds with NodeDownError carrying the verdict
+// {dead set, epoch, detection time}.  Its exit wakes the ranks waiting
+// on it, which escalate or unwind in turn, and the resilient driver
+// recovers from the verdict Runtime::run surfaces.
 //
 // Verdicts are pure functions of the fault plan -- never of a racing
 // observer's clock -- so every rank that escalates throws exactly the
@@ -23,10 +23,6 @@
 namespace hyades::cluster {
 
 class RankContext;
-
-// Reserved bus tag for heartbeat probes; sits above the coupler (4000s)
-// tag space and far below the epoch tag stride.
-inline constexpr int kTagMembership = 5000;
 
 class Membership {
  public:
@@ -50,11 +46,11 @@ class Membership {
   // this to classify collateral errors on a dying node.
   [[nodiscard]] const NodeKill* scheduled_kill(int rank) const;
 
-  // Escalate a silent peer into the collective verdict: probe it
-  // `dead_peer_probes` times on the reserved tag, advance to the
-  // plan-pure detection time, record a kNodeDown span, and unwind this
-  // rank's epoch by throwing NodeDownError.
-  [[noreturn]] void escalate(int peer);
+  // Escalate a silent peer into the collective verdict: charge
+  // `dead_peer_probes` heartbeat probes, advance to the plan-pure
+  // detection time, record a kNodeDown span, and unwind this rank's epoch
+  // by throwing NodeDownError.
+  [[noreturn]] void escalate();
 
   // The canonical verdict for the current epoch: every kill whose
   // heartbeat deadline has expired at the detection fixpoint is

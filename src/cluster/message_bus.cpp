@@ -31,7 +31,16 @@ Deadlock::Deadlock(int in_epoch, std::vector<WaitEdge> wait_edges)
       epoch(in_epoch),
       edges(std::move(wait_edges)) {}
 
-MessageBus::MessageBus(int nranks) {
+void detail::throw_deadlock(FiberRun& run) {
+  if (run.deadlock.empty()) {
+    for (const WaitEdge& e : run.parked) {
+      if (e.rank >= 0) run.deadlock.push_back(e);
+    }
+  }
+  throw Deadlock(run.epoch, run.deadlock);
+}
+
+MessageBus::MessageBus(int nranks, detail::FiberRun* fibers) : fibers_(fibers) {
   if (nranks < 1) throw std::invalid_argument("MessageBus: nranks < 1");
   exited_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(nranks));
   boxes_.reserve(static_cast<std::size_t>(nranks));
@@ -58,8 +67,8 @@ Message MessageBus::recv(int me, int from, int tag, int timeout_ms) {
     box.mu.assert_held();
     return !q.empty() || gone.load(std::memory_order_acquire);
   };
-  if (detail::FiberRun* run = detail::fiber_run()) {
-    detail::fiber_wait(*run, box.mu, from, tag, ready);
+  if (fibers_ != nullptr) {
+    detail::fiber_wait(*fibers_, box.mu, from, tag, -1, ready);
   } else if (!support::yield_until(box.mu, ready) &&
              !box.cv.wait_for(box.mu, std::chrono::milliseconds(timeout_ms),
                               ready)) {
@@ -85,10 +94,6 @@ void MessageBus::mark_exited(int rank) {
     { support::MutexLock lock(box->mu); }
     box->cv.notify_all();
   }
-}
-
-void MessageBus::clear_exits() {
-  for (std::atomic<bool>& e : exited_) e.store(false, std::memory_order_release);
 }
 
 }  // namespace hyades::cluster

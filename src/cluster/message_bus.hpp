@@ -10,7 +10,8 @@
 // receives, and how far it gets before a peer's exit ends its wait,
 // depends only on what its peers sent, never on when the host ran them.
 // A peer's exit is also the only way a failed epoch reaches a blocked
-// rank.
+// rank.  Each Runtime::run builds its own bus and drops it at the join,
+// so mail an earlier run left unreceived never reaches a later one.
 #pragma once
 
 #include <atomic>
@@ -45,12 +46,12 @@ class PeerExited : public std::runtime_error {
 };
 
 // One wait of a blocked rank: a receive from `peer` on `tag`, or, with
-// peer -1, a crossing of SMP `smp`'s barrier.
+// peer -1, a crossing of SMP `smp`'s sync.
 struct WaitEdge {
   int rank = -1;
   int peer = -1;  // the sender it waits on; -1 at a barrier
-  int tag = -1;   // the receive's tag, epoch offset removed; -1 at a barrier
-  int smp = -1;   // the SMP whose barrier it waits at; -1 on a receive
+  int tag = -1;   // the receive's tag; -1 at a barrier
+  int smp = -1;   // the SMP whose sync it waits at; -1 on a receive
 };
 
 // Thrown by every blocked rank of a run whose ranks are fibers on one
@@ -88,9 +89,15 @@ struct Message {
   }
 };
 
+namespace detail {
+struct FiberRun;
+}
+
 class MessageBus {
  public:
-  explicit MessageBus(int nranks);
+  // `fibers` is the wait table of the fiber run whose ranks use this bus
+  // (cluster/fiber_waits.hpp), or null when the ranks are threads.
+  explicit MessageBus(int nranks, detail::FiberRun* fibers = nullptr);
 
   void send(int to, Message m);
 
@@ -104,9 +111,8 @@ class MessageBus {
 
   // ---- rank exit events -------------------------------------------------
   // Runtime::run marks a rank exited when its body ends, waking every
-  // receiver blocked on it, and clears all marks before the next run.
+  // receiver blocked on it.
   void mark_exited(int rank);
-  void clear_exits();
 
  private:
   struct Mailbox {
@@ -114,6 +120,7 @@ class MessageBus {
     support::CondVar cv;
     std::map<std::pair<int, int>, std::deque<Message>> queues GUARDED_BY(mu);
   };
+  detail::FiberRun* const fibers_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::vector<std::atomic<bool>> exited_;
 };

@@ -1,6 +1,7 @@
 #include "cluster/runtime.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 #include <thread>
 
@@ -11,75 +12,58 @@
 
 namespace hyades::cluster {
 
-namespace detail {
-
-FiberRun*& fiber_run() {
-  thread_local FiberRun* run = nullptr;
-  return run;
-}
-
-void throw_deadlock(FiberRun& run) {
-  if (run.deadlock.empty()) {
-    for (WaitEdge e : run.parked) {
-      if (e.rank < 0) continue;
-      if (e.peer >= 0) {
-        e.tag -= run.epoch * kEpochTagStride;
-      } else {
-        e.smp = e.rank / run.procs_per_smp;
-      }
-      run.deadlock.push_back(e);
-    }
-  }
-  throw Deadlock(run.epoch, run.deadlock);
-}
-
-}  // namespace detail
-
-void AbortableBarrier::arrive_and_wait() {
+SmpSync::Crossing SmpSync::cross(Microseconds clock, std::int64_t a,
+                                 std::int64_t b) {
+  Crossing done;
   {
     support::MutexLock lock(mu_);
     if (aborted_) throw BarrierAborted();
+    open_.clock = std::max(open_.clock, clock);
+    open_.a += a;
+    open_.b += b;
     const std::uint64_t gen = generation_;
-    if (++waiting_ < count_) {
+    if (++waiting_ < procs_) {
       const auto released = [&] {
         mu_.assert_held();
         return generation_ != gen || aborted_;
       };
-      if (detail::FiberRun* run = detail::fiber_run()) {
-        detail::fiber_wait(*run, mu_, -1, -1, released);
+      if (fibers_ != nullptr) {
+        detail::fiber_wait(*fibers_, mu_, -1, -1, smp_, released);
       } else if (!support::yield_until(mu_, released)) {
         cv_.wait(mu_, released);
       }
-      if (generation_ == gen && aborted_) throw BarrierAborted();
-      return;
+      if (generation_ == gen) throw BarrierAborted();
+      return done_;
     }
+    done = done_ = open_;
+    open_ = Crossing{};
     waiting_ = 0;
     ++generation_;
   }
   // The last arriver notifies after unlocking, so the woken siblings do
   // not block at once on the lock it still holds.
   cv_.notify_all();
+  return done;
 }
 
-void AbortableBarrier::abort() {
+void SmpSync::abort() {
   support::MutexLock lock(mu_);
   aborted_ = true;
   cv_.notify_all();
 }
 
-void AbortableBarrier::reset() {
-  support::MutexLock lock(mu_);
-  aborted_ = false;
-  waiting_ = 0;
-}
-
-std::uint64_t AbortableBarrier::crossings() const {
+std::uint64_t SmpSync::crossings() const {
   support::MutexLock lock(mu_);
   return generation_;
 }
 
-RankContext::RankContext(Runtime& rt, int rank)
-    : rt_(rt), rank_(rank), epoch_(rt.epoch()), host_map_(rt.host_map()) {
+RankContext::RankContext(Runtime& rt, int rank, MessageBus& bus, SmpSync& smp)
+    : rt_(rt),
+      rank_(rank),
+      epoch_(rt.epoch()),
+      bus_(bus),
+      smp_(smp),
+      host_map_(rt.host_map()) {
   recompute_elastic_factor();
 }
 
@@ -148,43 +132,30 @@ void RankContext::send_raw(int to, int tag, std::vector<double> data,
                            Microseconds arrival_stamp) {
   Message m;
   m.src = rank_;
-  m.tag = tag + epoch_ * kEpochTagStride;
+  m.tag = tag;
   m.data = std::move(data);
   m.stamp_us = arrival_stamp;
-  rt_.bus().send(to, std::move(m));
+  bus_.send(to, std::move(m));
 }
 
 void RankContext::send_msg(int to, Message m) {
   m.src = rank_;
-  m.tag += epoch_ * kEpochTagStride;
-  rt_.bus().send(to, std::move(m));
+  bus_.send(to, std::move(m));
 }
 
 Message RankContext::recv_raw(int from, int tag) {
-  Message m = rt_.bus().recv(rank_, from, tag + epoch_ * kEpochTagStride);
-  m.tag -= epoch_ * kEpochTagStride;
-  return m;
+  return bus_.recv(rank_, from, tag);
 }
 
 std::pair<std::int64_t, std::int64_t> RankContext::smp_sync(std::int64_t a,
                                                             std::int64_t b) {
   if (procs_per_smp() == 1) return {a, b};
-  SmpShared& s = rt_.smp_shared(smp());
-  std::vector<SmpShared::Slot>& bank = s.banks[smp_crossings_++ % 2];
-  bank[static_cast<std::size_t>(local_rank())] = {clock_.now(), a, b};
-  s.barrier.arrive_and_wait();
-  Microseconds mx = 0;
-  std::pair<std::int64_t, std::int64_t> sums{0, 0};
-  for (const SmpShared::Slot& slot : bank) {
-    mx = std::max(mx, slot.clock);
-    sums.first += slot.bytes_a;
-    sums.second += slot.bytes_b;
-  }
+  const SmpSync::Crossing c = smp_.cross(clock_.now(), a, b);
   // Accounting is the caller's job (the comm primitives charge their
   // whole window once, which includes these sync advances).
-  clock_.advance_to(mx);
+  clock_.advance_to(c.clock);
   clock_.advance(kSmpBarrierUs);
-  return sums;
+  return {c.a, c.b};
 }
 
 void RankContext::charge_comm(Microseconds start_us) {
@@ -241,18 +212,14 @@ support::HostPool& RankContext::host_pool() {
   return *pool_;
 }
 
-Runtime::Runtime(MachineConfig cfg) : cfg_(cfg), bus_(cfg.nranks()) {
+Runtime::Runtime(MachineConfig cfg) : cfg_(cfg) {
   if (cfg_.interconnect == nullptr) {
     throw std::invalid_argument("Runtime: interconnect model is required");
   }
-  if (cfg_.smp_count < 1 || cfg_.procs_per_smp < 1) {
-    throw std::invalid_argument("Runtime: bad machine shape");
-  }
   // Any positive smp_count is valid: the comm layer folds non-power-of-two
   // groups onto the largest butterfly core (see comm::Comm).
-  smps_.reserve(static_cast<std::size_t>(cfg_.smp_count));
-  for (int i = 0; i < cfg_.smp_count; ++i) {
-    smps_.push_back(std::make_unique<SmpShared>(cfg_.procs_per_smp));
+  if (cfg_.smp_count < 1 || cfg_.procs_per_smp < 1) {
+    throw std::invalid_argument("Runtime: bad machine shape");
   }
 }
 
@@ -263,22 +230,29 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
   // thread: threads could only take turns on that CPU through the kernel.
   const bool fibers = support::kFibers && cpus == 1;
   helpers_per_rank_ = std::max(0, cpus / n - 1);
-  for (auto& s : smps_) s->barrier.reset();
-  bus_.clear_exits();
   acct_.assign(static_cast<std::size_t>(n), Accounting{});
   clocks_.assign(static_cast<std::size_t>(n), 0.0);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  // This rank will never send or reach a barrier again: wake the
-  // receivers blocked on it and any sibling waiting at the SMP barrier,
-  // instead of letting them wait on real time.
-  const auto exit_rank = [this](int r) {
-    bus_.mark_exited(r);
-    if (cfg_.procs_per_smp > 1) {
-      smp_shared(r / cfg_.procs_per_smp).barrier.abort();
-    }
+  // The run's machine: the wait table of a fiber run, the mailboxes and
+  // one SMP sync per SMP, all dropped at the join.
+  detail::FiberRun waits{
+      epoch_, std::vector<WaitEdge>(static_cast<std::size_t>(n)), {}};
+  detail::FiberRun* const table = fibers ? &waits : nullptr;
+  MessageBus bus(n, table);
+  std::deque<SmpSync> smps;
+  for (int s = 0; s < cfg_.smp_count; ++s) {
+    smps.emplace_back(s, cfg_.procs_per_smp, table);
+  }
+  // This rank will never send or reach its SMP sync again: wake the
+  // receivers blocked on it and any sibling waiting at the sync, instead
+  // of letting them wait on real time.
+  const auto exit_rank = [&](int r) {
+    bus.mark_exited(r);
+    smps[static_cast<std::size_t>(r / cfg_.procs_per_smp)].abort();
   };
-  const auto rank_main = [this, &body, &errors, &exit_rank](int r) {
-    RankContext ctx(*this, r);
+  const auto rank_main = [&](int r) {
+    RankContext ctx(*this, r, bus,
+                    smps[static_cast<std::size_t>(r / cfg_.procs_per_smp)]);
     try {
       body(ctx);
       // lint:allow(catch-all): rank trampoline -- every unwind (including
@@ -293,17 +267,6 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
   };
 
   if (fibers) {
-    detail::FiberRun run;
-    run.epoch = epoch_;
-    run.procs_per_smp = cfg_.procs_per_smp;
-    run.parked.resize(static_cast<std::size_t>(n));
-    detail::FiberRun*& current = detail::fiber_run();
-    struct Restore {
-      detail::FiberRun*& current;
-      detail::FiberRun* outer;
-      ~Restore() { current = outer; }
-    } const restore{current, current};
-    current = &run;
     support::run_fibers(static_cast<std::size_t>(n), [&](std::size_t r) {
       rank_main(static_cast<int>(r));
     });

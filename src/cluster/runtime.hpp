@@ -5,12 +5,13 @@
 // rank executes real C++ code on a std::thread, or on a fiber when the
 // caller may use one CPU only; all *timing* is virtual (see
 // VirtualClock).  Within an SMP, ranks coordinate through shared
-// memory (modeled with a host barrier plus shared slots, costed at the
-// paper's ~1 us semaphore figures); across SMPs they communicate through
-// the interconnect model.
+// memory (modeled with one SmpSync per SMP, costed at the paper's ~1 us
+// semaphore figures); across SMPs they communicate through the
+// interconnect model.  Each run owns its machine: Runtime::run builds
+// the run's mailboxes and SMP syncs and drops them at the join, so
+// nothing one run leaves behind reaches the next.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,67 +107,56 @@ struct Accounting {
 class Runtime;
 class Membership;
 
-// Tag stride between epochs: rank-level transport offsets every tag by
-// epoch * stride, so messages from an aborted epoch can never match a
-// restarted epoch's receives (they age out as dead letters).  All
-// protocol tag spaces live far below this stride.
-inline constexpr int kEpochTagStride = 1 << 16;
-
-// Thrown by an aborted SMP barrier: a sibling rank exited, so the
-// barrier can never complete.  Collateral, like PeerExited.
+// Thrown by an aborted SMP sync: a sibling rank exited, so the crossing
+// can never complete.  Collateral, like PeerExited.
 class BarrierAborted : public std::runtime_error {
  public:
   BarrierAborted() : std::runtime_error("SMP barrier aborted") {}
 };
 
-// A cyclic thread barrier that can be aborted: when a rank exits,
-// abort() wakes every sibling blocked in arrive_and_wait() (they observe
-// BarrierAborted) instead of deadlocking the join.  On a rank fiber a
-// waiting sibling parks instead of sleeping (cluster/fiber_waits.hpp).
-// It is reusable across Runtime::run() invocations via reset().
-class AbortableBarrier {
+// One SMP's shared memory for one run: a cyclic barrier across the SMP's
+// `procs` ranks that also combines what they bring.  Each arrival folds
+// its clock into the crossing's max and its byte pair (a, b) into the
+// crossing's sums under the barrier's lock; the last arriver publishes
+// the result, and every sibling returns it.  A max and integer sums do
+// not depend on arrival order.  A rank that runs ahead cannot overwrite
+// a result before a slow sibling reads it: the next crossing cannot
+// complete without that sibling.  When a rank exits, abort() wakes every
+// sibling blocked in cross() (they observe BarrierAborted) instead of
+// deadlocking the join.  With a fiber run's wait table (`fibers`, null
+// when the ranks are threads) a waiting sibling parks instead of
+// sleeping (cluster/fiber_waits.hpp).
+class SmpSync {
  public:
-  explicit AbortableBarrier(int count) : count_(count) {}
+  struct Crossing {
+    Microseconds clock = 0;
+    std::int64_t a = 0, b = 0;
+  };
+  SmpSync(int smp, int procs, detail::FiberRun* fibers = nullptr)
+      : smp_(smp), procs_(procs), fibers_(fibers) {}
 
-  void arrive_and_wait();
+  Crossing cross(Microseconds clock, std::int64_t a, std::int64_t b);
   void abort();
-  void reset();
 
-  // Completed crossings since construction (reset() keeps counting).
+  // Completed crossings.
   [[nodiscard]] std::uint64_t crossings() const;
 
  private:
   mutable support::Mutex mu_;
   support::CondVar cv_;
-  const int count_;
+  const int smp_, procs_;
+  detail::FiberRun* const fibers_;
   int waiting_ GUARDED_BY(mu_) = 0;
   std::uint64_t generation_ GUARDED_BY(mu_) = 0;
   bool aborted_ GUARDED_BY(mu_) = false;
-};
-
-// Shared state for one SMP: a barrier across its ranks and the slots
-// smp_sync() exchanges through, one per local rank: its clock and the
-// byte pair the comm library's mix-mode aggregation sums.  The slots come
-// in two banks, picked by the parity of the rank's crossing count: a rank
-// can run at most one crossing ahead of its siblings, so it always writes
-// into the bank they are not reading, and one barrier crossing both
-// publishes and orders the reads.
-struct SmpShared {
-  struct Slot {
-    Microseconds clock = 0;
-    std::int64_t bytes_a = 0, bytes_b = 0;
-  };
-  explicit SmpShared(int procs)
-      : barrier(procs),
-        banks{std::vector<Slot>(static_cast<std::size_t>(procs)),
-              std::vector<Slot>(static_cast<std::size_t>(procs))} {}
-  AbortableBarrier barrier;
-  std::array<std::vector<Slot>, 2> banks;
+  Crossing open_ GUARDED_BY(mu_);  // the crossing being gathered
+  Crossing done_ GUARDED_BY(mu_);  // the last completed crossing
 };
 
 class RankContext {
  public:
-  RankContext(Runtime& rt, int rank);
+  // `bus` and `smp` are the run's mailboxes and this rank's SMP sync.
+  RankContext(Runtime& rt, int rank, MessageBus& bus, SmpSync& smp);
   ~RankContext();
   RankContext(const RankContext&) = delete;
   RankContext& operator=(const RankContext&) = delete;
@@ -216,12 +206,16 @@ class RankContext {
   void send_msg(int to, Message m);
   Message recv_raw(int from, int tag);
 
-  // SMP-local coordination: one barrier crossing over the SMP's ranks,
-  // with the shared-memory cost applied and clocks synchronized to the
-  // local max.  The same crossing sums each rank's byte pair (a, b) over
-  // the SMP and returns the sums to every rank.
+  // SMP-local coordination: one crossing of the SMP's sync, with the
+  // shared-memory cost applied and clocks synchronized to the local max.
+  // The same crossing sums each rank's byte pair (a, b) over the SMP and
+  // returns the sums to every rank.
   std::pair<std::int64_t, std::int64_t> smp_sync(std::int64_t a = 0,
                                                  std::int64_t b = 0);
+  // Crossings of this rank's SMP sync so far in this run.
+  [[nodiscard]] std::uint64_t smp_crossings() const {
+    return smp_.crossings();
+  }
 
   // Track communication time: record the clock before a comm operation,
   // then charge the delta to comm accounting.
@@ -249,8 +243,7 @@ class RankContext {
   [[nodiscard]] const struct FaultPlan* faults() const;
 
   // The epoch this rank is executing (inherited from the Runtime at
-  // construction).  Epoch e shifts every transport tag by
-  // e * kEpochTagStride -- see kEpochTagStride.
+  // construction); the fault plan schedules kills per epoch.
   [[nodiscard]] int epoch() const { return epoch_; }
 
   // Membership/heartbeat service; non-null only when the fault plan
@@ -274,10 +267,10 @@ class RankContext {
   Runtime& rt_;
   int rank_;
   int epoch_ = 0;
+  MessageBus& bus_;
+  SmpSync& smp_;
   VirtualClock clock_;
   Accounting acct_;
-  // smp_sync() crossings this run; its parity picks the SmpShared bank.
-  std::uint64_t smp_crossings_ = 0;
   class Tracer* tracer_ = nullptr;
   std::unique_ptr<Membership> membership_;
   // Local copy of the host placement map (empty = identity).
@@ -293,18 +286,17 @@ class Runtime {
   explicit Runtime(MachineConfig cfg);
 
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
-  MessageBus& bus() { return bus_; }
-  SmpShared& smp_shared(int smp) { return *smps_[static_cast<std::size_t>(smp)]; }
 
   // Execute `body` on every rank and join: one std::thread each, or,
   // when the calling thread may run on exactly one CPU, one fiber each on
   // the calling thread (support/fiber.hpp), where a rank whose wait
   // cannot finish switches to the next rank and a wait cycle throws
   // Deadlock.  A rank body waits only through the runtime (receives,
-  // SMP syncs): a wait on a host primitive would stall every fiber.  A
-  // rank's exit (its body returned or threw) is an event: it wakes the
-  // receivers blocked on that rank (MessageBus::mark_exited) and aborts
-  // its SMP barrier.  It is the only way a failed epoch reaches the other
+  // SMP syncs): a wait on a host primitive would stall every fiber.  The
+  // run's mailboxes and SMP syncs live as long as the run.  A rank's exit
+  // (its body returned or threw) is an event: it wakes the receivers
+  // blocked on that rank (MessageBus::mark_exited) and aborts its SMP
+  // sync.  It is the only way a failed epoch reaches the other
   // ranks: a rank that escalates a dead peer unwinds with NodeDownError,
   // and its exit ends the waits on it in turn.  After the join one rank
   // exception is rethrown, root cause first: NodeDownError, then errors
@@ -337,7 +329,8 @@ class Runtime {
   [[nodiscard]] Microseconds max_clock() const;
 
   // Epoch for the next run(); ranks inherit it at construction.  The
-  // resilient driver bumps it before each restart.
+  // resilient driver bumps it before each restart.  Only the fault plan
+  // and Deadlock read it: a run's mail never outlives the run.
   void set_epoch(int epoch) { epoch_ = epoch; }
   [[nodiscard]] int epoch() const { return epoch_; }
 
@@ -353,8 +346,6 @@ class Runtime {
   int epoch_ = 0;
   int helpers_per_rank_ = 0;
   std::vector<int> host_map_;
-  MessageBus bus_;
-  std::vector<std::unique_ptr<SmpShared>> smps_;
   std::vector<Accounting> acct_;
   std::vector<Microseconds> clocks_;
 };

@@ -198,7 +198,7 @@ cluster::Message Reliable::recv(int from, int tag) {
       // collective verdict (escalate throws NodeDownError); otherwise
       // the message can never come and the typed exit surfaces as is.
       if (ms != nullptr && ms->killed_peer(from) != nullptr) {
-        ms->escalate(from);
+        ms->escalate();
       }
       throw;
     }

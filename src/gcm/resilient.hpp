@@ -10,10 +10,10 @@
 // communication point; a surviving partner's receive escalates through
 // the membership service to the plan-pure NodeDown verdict, and every
 // other survivor unwinds its epoch once a peer it waits on has exited.
-// The driver then plans the recovery, bumps the epoch (which shifts
-// every transport tag by kEpochTagStride, so stale pre-failure messages
-// can never be mistaken for restarted traffic), and relaunches all ranks
-// from the recovery cut.  After `max_restarts` aborted epochs it gives up
+// The driver then plans the recovery, bumps the epoch (the fault plan
+// schedules kills per epoch), and relaunches all ranks from the recovery
+// cut in a new Runtime::run, whose mailboxes are new: no pre-failure
+// message can be mistaken for restarted traffic.  After `max_restarts` aborted epochs it gives up
 // with a typed RestartExhausted error -- it never hangs.
 //
 // One state format, one resume path: a cut is a tile_ckpt::Snapshot
@@ -35,9 +35,9 @@
 // rewind from memory while only the dead node's tiles are resumed from
 // their newest durable checkpoints by adopter ranks re-homed onto
 // surviving boards (neighbor-preferring placement, round-robin
-// fallback).  The epoch tag still bumps -- stale traffic ages out
-// exactly as under restart -- but the survivors pay no restart cost and
-// no disk I/O, so recovery is strictly faster.  A scheduled NodeJoin
+// fallback).  The epoch still bumps and the relaunched run still starts
+// with empty mailboxes, exactly as under restart, but the survivors pay
+// no restart cost and no disk I/O, so recovery is strictly faster.  A scheduled NodeJoin
 // hands the migrated tiles back to the replacement board at the first
 // checkpoint cut at or past its step, rebalancing the load.  State
 // evolution is placement-independent, so every recovery and rebalance

@@ -51,7 +51,7 @@ TEST(Membership, VerdictIdenticalAcrossDetectionOrder) {
       Membership* ms = ctx.membership();
       ASSERT_NE(ms, nullptr);
       try {
-        ms->escalate(3);
+        ms->escalate();
         FAIL() << "escalate must throw NodeDownError";
       } catch (const NodeDownError& e) {
         got = e.verdict;
@@ -154,7 +154,7 @@ TEST(Membership, CoalescedVerdictIdenticalAcrossDetectionOrder) {
       Membership* ms = ctx.membership();
       ASSERT_NE(ms, nullptr);
       try {
-        ms->escalate(2);
+        ms->escalate();
         FAIL() << "escalate must throw NodeDownError";
       } catch (const NodeDownError& e) {
         got = e.verdict;

@@ -104,19 +104,5 @@ TEST(MessageBus, ExitWakesBlockedReceiverBeforeTimeout) {
   exiter.join();
 }
 
-TEST(MessageBus, ClearedExitMarksBlockAgain) {
-  MessageBus bus(2);
-  bus.mark_exited(0);
-  EXPECT_THROW((void)bus.recv(1, 0, 3), PeerExited);
-  bus.clear_exits();
-  // A fresh receive waits for the (now live) sender instead of throwing.
-  std::thread sender([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    bus.send(1, Message{0, 3, {7.0}, 0});
-  });
-  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 3).data[0], 7.0);
-  sender.join();
-}
-
 }  // namespace
 }  // namespace hyades::cluster

@@ -1,7 +1,7 @@
-// Rank waits -- MessageBus::recv and AbortableBarrier::arrive_and_wait --
-// yield their core a bounded number of times before they sleep on their
-// condition variable (support::yield_until).  Every wake event must end
-// the wait in both phases:
+// Rank waits -- MessageBus::recv and SmpSync::cross -- yield their core
+// a bounded number of times before they sleep on their condition
+// variable (support::yield_until).  Every wake event must end the wait
+// in both phases:
 //  - yield phase: waiter and poster share one core, so the poster runs
 //    only when the waiter yields, and the waiter must not have slept;
 //  - asleep: the poster posts once /proc shows the waiter sleeping, and
@@ -153,27 +153,30 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("Unknown");
     });
 
-// ---- the SMP barrier: the last arrival, an abort ------------------------
+// ---- the SMP sync: the last arrival, an abort ---------------------------
 
 long barrier_round(Landing landing, bool abort) {
-  AbortableBarrier barrier(2);
+  SmpSync sync(0, 2);
   const long switches = race(
       landing,
       [&] {
         if (abort) {
-          EXPECT_THROW(barrier.arrive_and_wait(), BarrierAborted);
+          EXPECT_THROW((void)sync.cross(1.0, 1, 2), BarrierAborted);
         } else {
-          barrier.arrive_and_wait();
+          const SmpSync::Crossing c = sync.cross(1.0, 1, 2);
+          EXPECT_EQ(c.clock, 3.0);
+          EXPECT_EQ(c.a, 11);
+          EXPECT_EQ(c.b, 22);
         }
       },
       [&] {
         if (abort) {
-          barrier.abort();
+          sync.abort();
         } else {
-          barrier.arrive_and_wait();
+          (void)sync.cross(3.0, 10, 20);
         }
       });
-  EXPECT_EQ(barrier.crossings(), abort ? 0u : 1u);
+  EXPECT_EQ(sync.crossings(), abort ? 0u : 1u);
   return switches;
 }
 
@@ -229,13 +232,13 @@ TEST(RankWaits, BusPingPongCompletesEveryRoundTrip) {
 }
 
 TEST(RankWaits, TwoThreadBarrierCountsEveryCrossing) {
-  AbortableBarrier barrier(2);
+  SmpSync sync(0, 2);
   std::thread sibling([&] {
-    for (int i = 0; i < kHandOffs; ++i) barrier.arrive_and_wait();
+    for (int i = 0; i < kHandOffs; ++i) (void)sync.cross(0.0, 0, 0);
   });
-  for (int i = 0; i < kHandOffs; ++i) barrier.arrive_and_wait();
+  for (int i = 0; i < kHandOffs; ++i) (void)sync.cross(0.0, 0, 0);
   sibling.join();
-  EXPECT_EQ(barrier.crossings(), static_cast<std::uint64_t>(kHandOffs));
+  EXPECT_EQ(sync.crossings(), static_cast<std::uint64_t>(kHandOffs));
 }
 
 }  // namespace

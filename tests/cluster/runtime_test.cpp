@@ -121,8 +121,8 @@ TEST(Runtime, SmpSyncEqualizesClocks) {
 
 // Back-to-back byte sums with rank- and iteration-dependent compute in
 // between, on three ranks so a fast sibling keeps lapping a slow one by
-// a crossing: the two slot banks must keep every sum and every
-// equalized clock exact.  Also a TSan target.
+// a crossing: the slow one must still read its own crossing's sums and
+// equalized clock, exact.  Also a TSan target.
 TEST(Runtime, SmpByteSumsSurviveSiblingsLapping) {
   constexpr int kProcs = 3;
   constexpr int kIters = 10000;
@@ -250,7 +250,7 @@ TEST(Runtime, ExceptionDoesNotDeadlockSibling) {
   const net::ArcticModel net;
   Runtime rt(machine(net, 1, 2));
   // Rank 0 throws before its barrier; rank 1 would hang in smp_sync
-  // without the arrive_and_drop release.
+  // without the abort rank 0's exit sends its SMP sync.
   EXPECT_THROW(rt.run([](RankContext& ctx) {
                  if (ctx.rank() == 0) throw std::runtime_error("early");
                  ctx.smp_sync();

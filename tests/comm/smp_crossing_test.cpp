@@ -45,22 +45,18 @@ TEST(SmpCrossings, OnePerSyncPhaseAndLocalCombine) {
   cfg.procs_per_smp = 2;
   cfg.interconnect = &net;
   Runtime rt(cfg);
-  // Crossings of each SMP's barrier during one run of `body`.  The
-  // counter persists across runs, so measure the difference.
+  // Crossings of each SMP's sync during one run of `body`.  The sync
+  // lives as long as the run, so each SMP's master reads its count when
+  // its body is done: its siblings made every crossing with it.
   const auto crossings = [&](const std::function<void(Comm&)>& body) {
-    std::vector<std::uint64_t> before;
-    for (int s = 0; s < kSmps; ++s) {
-      before.push_back(rt.smp_shared(s).barrier.crossings());
-    }
+    std::vector<std::uint64_t> made(kSmps);
     rt.run([&](RankContext& ctx) {
       Comm comm(ctx);
       body(comm);
+      if (ctx.is_master()) {
+        made[static_cast<std::size_t>(ctx.smp())] = ctx.smp_crossings();
+      }
     });
-    std::vector<std::uint64_t> made;
-    for (int s = 0; s < kSmps; ++s) {
-      made.push_back(rt.smp_shared(s).barrier.crossings() -
-                     before[static_cast<std::size_t>(s)]);
-    }
     return made;
   };
   using Counts = std::vector<std::uint64_t>;

@@ -245,34 +245,38 @@ TEST(HardFailure, RestartBudgetExhaustionIsTypedNeverAHang) {
   cleanup_slots(ckpt_prefix_for("hyades_hf_exhaust"), 4);
 }
 
-TEST(HardFailure, EpochTagStrideDiscardsStaleMessages) {
-  // A message posted in epoch 0 but never received must be invisible to
-  // epoch 1's receives on the same nominal tag: the epoch weaves into
-  // the transport tag, so pre-failure mail ages out as dead letters
-  // instead of corrupting the restarted run.
+TEST(HardFailure, StaleMailNeverReachesALaterRun) {
+  // A message posted in one run but never received must be invisible to
+  // a later run's receives on the same tag: each run builds its own
+  // mailboxes, so pre-failure mail ages out with its run instead of
+  // corrupting the restarted one.  A restart bumps the epoch between the
+  // runs; every other reuse of a Runtime keeps it.
   cluster::MachineConfig mc;
   mc.smp_count = 2;
   mc.procs_per_smp = 1;
   mc.interconnect = &gcm::testing::test_net();
   cluster::Runtime rt(mc);
 
-  rt.set_epoch(0);
-  rt.run([&](cluster::RankContext& ctx) {
-    if (ctx.rank() == 0) ctx.send_raw(1, 7, {1.0}, 10.0);
-  });
+  for (const int later_epoch : {1, 0}) {
+    rt.set_epoch(0);
+    rt.run([&](cluster::RankContext& ctx) {
+      if (ctx.rank() == 0) ctx.send_raw(1, 7, {1.0}, 10.0);
+    });
 
-  rt.set_epoch(1);
-  rt.run([&](cluster::RankContext& ctx) {
-    if (ctx.rank() == 1) {
-      ctx.send_raw(0, 8, {0.0}, 5.0);  // release rank 0's epoch-1 send
-      const cluster::Message m = ctx.recv_raw(0, 7);
-      ASSERT_EQ(m.data.size(), 1u);
-      EXPECT_EQ(m.data[0], 2.0);  // the epoch-1 payload, not the stale 1.0
-    } else {
-      (void)ctx.recv_raw(1, 8);
-      ctx.send_raw(1, 7, {2.0}, 20.0);
-    }
-  });
+    rt.set_epoch(later_epoch);
+    rt.run([&](cluster::RankContext& ctx) {
+      if (ctx.rank() == 1) {
+        ctx.send_raw(0, 8, {0.0}, 5.0);  // release rank 0's send
+        const cluster::Message m = ctx.recv_raw(0, 7);
+        ASSERT_EQ(m.data.size(), 1u);
+        // The later run's payload, not the stale 1.0.
+        EXPECT_EQ(m.data[0], 2.0) << "later run at epoch " << later_epoch;
+      } else {
+        (void)ctx.recv_raw(1, 8);
+        ctx.send_raw(1, 7, {2.0}, 20.0);
+      }
+    });
+  }
 }
 
 TEST(HardFailure, FailStoppedPeerExitEscalatesCoalescedVerdict) {
